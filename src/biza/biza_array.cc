@@ -1367,7 +1367,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
         }
         // Hedged read (suspect device, or a gray-device probe raced at
         // delay 0 so the user never waits on the probe). The hedge timer is
-        // a host-clock sim event — deterministic per (seed, shards).
+        // a sim event — deterministic per seed.
         stats_.hedged_reads++;
         if (probe) {
           stats_.health_probe_reads++;

@@ -219,9 +219,7 @@ void ZoneScheduler::Dispatch(Job job) {
           if (has_oobs) {
             retry.oobs.assign(oobs_.begin() + first, oobs_.begin() + last);
           }
-          // The backoff timer is host-side work; on a sharded run the
-          // device's sim is a shard clock, so route through the host sim.
-          device_->sim()->host_sim()->Schedule(
+          device_->sim()->Schedule(
               RetryBackoffNs(attempts, retry_backoff_ns_),
               [this, retry = std::move(retry)]() mutable {
                 Dispatch(std::move(retry));

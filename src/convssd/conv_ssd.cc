@@ -117,8 +117,6 @@ void ConvSsd::AttachObservability(Observability* obs, int device_id) {
 
 void ConvSsd::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                           WriteCallback cb, WriteTag tag) {
-  // Arrival is anchored on the host clock (the submitting event's time);
-  // unsharded, HostNow() == Now().
   AtArrival([this, lbn, patterns = std::move(patterns), cb = std::move(cb),
              tag]() mutable {
     DoWrite(lbn, std::move(patterns), std::move(cb), tag);

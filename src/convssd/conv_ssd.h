@@ -44,7 +44,7 @@ struct ConvSsdConfig {
   // Legacy dispatch path: base + U[0, jitter) per command. The jitter
   // constant is DEPRECATED in favor of the queue-derived delay of the NVMe
   // frontend below; the legacy default stays bit-identical to seed.
-  // dispatch_base_ns also remains the sharded-PDES lookahead floor.
+  // dispatch_base_ns also remains the floor of the frontend's doorbell delay.
   SimTime dispatch_base_ns = 2 * kMicrosecond;
   SimTime dispatch_jitter_ns = 8 * kMicrosecond;  // deprecated, see above
   // Modeled NVMe SQ/CQ pairs; when enabled the dispatch RNG is never
@@ -160,7 +160,7 @@ class ConvSsd {
       nvmeq_.Submit(InlineCallback(std::forward<F>(fn)));
       return;
     }
-    sim_->ScheduleAt(sim_->HostNow() + DispatchDelay(), std::forward<F>(fn));
+    sim_->Schedule(DispatchDelay(), std::forward<F>(fn));
   }
   template <typename F>
   void CompleteIo(SimTime when, F&& fn) {
@@ -168,7 +168,7 @@ class ConvSsd {
       nvmeq_.Complete(when, InlineCallback(std::forward<F>(fn)));
       return;
     }
-    sim_->CompleteAt(when, std::forward<F>(fn));
+    sim_->ScheduleAt(when, std::forward<F>(fn));
   }
   template <typename F>
   void CompleteIoNow(F&& fn) {
@@ -176,12 +176,10 @@ class ConvSsd {
       nvmeq_.Complete(sim_->Now(), InlineCallback(std::forward<F>(fn)));
       return;
     }
-    sim_->CompleteNow(std::forward<F>(fn));
+    fn();
   }
 
-  // Explicit-now variants: the injector must see this device's clock, not
-  // the host's, when the device drains on a shard thread (identical when
-  // unsharded).
+  // Fault-plane hooks: consulted at command arrival / completion scheduling.
   Status FaultCheck(IoKind kind) {
     return fault_ != nullptr
                ? fault_->OnIo(fault_device_id_, kind, sim_->Now())

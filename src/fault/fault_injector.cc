@@ -25,8 +25,7 @@ double DeviceFaultSpec::EffectiveMult(SimTime now) const {
   return mult;
 }
 
-FaultInjector::FaultInjector(Simulator* sim, FaultPlan plan)
-    : sim_(sim), seed_(plan.seed) {
+FaultInjector::FaultInjector(FaultPlan plan) : seed_(plan.seed) {
   for (size_t d = 0; d < plan.devices.size(); ++d) {
     StateFor(static_cast<int>(d)).spec = plan.devices[d];
   }
@@ -116,8 +115,6 @@ Status FaultInjector::OnIo(int device, IoKind kind, SimTime now) {
   if (FindState(device) == nullptr) {
     return OkStatus();
   }
-  // Note: only this device's state is touched from here on — the hook is
-  // called concurrently from different shard threads for different devices.
   DeviceState& state = StateFor(device);
   if (IsDead(device, now)) {
     state.stats.unavailable_rejections++;

@@ -39,7 +39,6 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/sim/simulator.h"
 
 namespace biza {
 
@@ -55,7 +54,7 @@ struct DeviceFaultSpec {
 
   // Time-varying fail-slow shapes (exercise detector hysteresis; constant
   // multipliers make detection trivial). Both modulate latency_mult and are
-  // pure functions of `now`, so shard clocks evaluate them race-free.
+  // pure functions of `now`.
   //  * Ramp: mult grows linearly from 1.0 at ramp_start to latency_mult at
   //    ramp_start + ramp_duration (then holds). ramp_duration = 0 disables.
   SimTime ramp_start = 0;
@@ -91,7 +90,7 @@ struct FaultStats {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(Simulator* sim, FaultPlan plan = {});
+  explicit FaultInjector(FaultPlan plan = {});
 
   // ---- schedule manipulation (tests and tools) ----
 
@@ -117,19 +116,12 @@ class FaultInjector {
 
   // ---- device-facing hooks ----
 
-  // Consulted at command arrival (post dispatch delay). Returns non-OK if
-  // the command must fail: kUnavailable once the device is dead,
-  // kDeviceError for a transient fault. The explicit-now overload lets a
-  // device on a shard clock evaluate the fault plan against its own time;
-  // each call touches only that device's state, so shards drain
-  // concurrently without sharing anything mutable.
-  Status OnIo(int device, IoKind kind) {
-    return OnIo(device, kind, sim_->Now());
-  }
+  // Consulted at command arrival (post dispatch delay), at simulated time
+  // `now`. Returns non-OK if the command must fail: kUnavailable once the
+  // device is dead, kDeviceError for a transient fault.
   Status OnIo(int device, IoKind kind, SimTime now);
 
-  // True once `device` is dead at the given (or current) simulated time.
-  bool IsDead(int device) const { return IsDead(device, sim_->Now()); }
+  // True once `device` is dead at simulated time `now`.
   bool IsDead(int device, SimTime now) const;
 
   // Stretches the media span of a completion. The excess over the nominal
@@ -139,14 +131,10 @@ class FaultInjector {
   // concurrent I/O on a fail-slow device convoys behind the lane — the
   // queue-amplified tail that makes gray failure an array-wide problem.
   // `channel` < 0 means "no channel attribution" (e.g. ConvSsd internals).
-  SimTime StretchCompletion(int device, int channel, SimTime done) const {
-    return StretchCompletion(device, channel, done, sim_->Now());
-  }
   SimTime StretchCompletion(int device, int channel, SimTime done,
                             SimTime now) const;
 
-  // Aggregated over all devices (counters live per device so concurrent
-  // shard drains never write a shared cell).
+  // Aggregated over all devices.
   FaultStats stats() const;
 
  private:
@@ -156,8 +144,7 @@ class FaultInjector {
     int pending_write_errors = 0;
     int pending_read_errors = 0;
     // Recovery-lane occupancy (see StretchCompletion). Mutable because the
-    // stretch hook is logically const; like the RNG and counters it is
-    // per-device state only ever touched from that device's (shard) clock.
+    // stretch hook is logically const.
     mutable SimTime slow_busy_until = 0;
     Rng rng;
     FaultStats stats;
@@ -168,7 +155,6 @@ class FaultInjector {
   DeviceState& StateFor(int device);
   const DeviceState* FindState(int device) const;
 
-  Simulator* sim_;
   uint64_t seed_;
   std::vector<DeviceState> devices_;
 };

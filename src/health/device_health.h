@@ -35,11 +35,9 @@
 //     caps the moment a device changes state.
 //
 // Determinism: every input is a sim-time latency and every decision is a
-// pure function of the sample sequence, so runs are bit-identical per
-// (seed, shards) — engine completion callbacks run on the host clock even
-// in sharded runs (outboxes merge in shard order). When no monitor is
-// attached the engines skip every hook (null-pointer test per site), so
-// unmitigated runs stay byte-identical to pre-health builds.
+// pure function of the sample sequence, so runs are bit-identical per seed.
+// When no monitor is attached the engines skip every hook (null-pointer test
+// per site), so unmitigated runs stay byte-identical to pre-health builds.
 #ifndef BIZA_SRC_HEALTH_DEVICE_HEALTH_H_
 #define BIZA_SRC_HEALTH_DEVICE_HEALTH_H_
 

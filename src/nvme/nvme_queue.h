@@ -1,8 +1,8 @@
 // Modeled NVMe submission/completion queue pairs (the host<->device
 // boundary every data-plane command crosses).
 //
-// Replaces the per-command dispatch path of ZnsDevice/ConvSsd — one
-// ScheduleAt per command in, one CompleteAt per command out — with the
+// Replaces the per-command dispatch path of ZnsDevice/ConvSsd — one arrival
+// event per command in, one completion event per command out — with the
 // mechanics of a real NVMe driver, following the NVMe-virt idiom (FEMU):
 //
 // * Per-core SQ/CQ pairs: commands rotate over `num_queues` submission
@@ -21,19 +21,13 @@
 //   replaces the legacy dispatch jitter.
 // * Interrupt-coalesced completions: CQEs accumulate until `irq_threshold`
 //   are pending or `irq_timer_ns` elapses past the first; one interrupt
-//   event drains everything ready and delivers it to the host as a single
-//   completion message (one outbox entry under sharded PDES).
+//   event drains everything ready and delivers it to the host in one pass.
 //
-// Determinism: host-side state (SQ rotation, in-flight counts, software
-// overflow queues, the open batch) is touched only by host-clock events;
-// device-side state (arbitration cursor, CQ, interrupt arming) only by
-// device-clock events. A batch admits a command submitted at host time T
-// only when its ring time D satisfies D >= T + doorbell delay — with the
-// doorbell delay at or above the conservative-lookahead floor this
-// guarantees the ring event has not fired yet, in both the single-clock and
-// sharded engines. Everything else is a pure function of event order, so
-// runs are byte-identical per (seed, shard count), exactly like the legacy
-// path.
+// Determinism: a batch admits a command submitted at time T only when its
+// ring time D satisfies D >= T + doorbell delay; the doorbell delay is at
+// least the device's non-zero dispatch floor, so the ring event has not
+// fired yet. Everything else is a pure function of event order, so runs are
+// byte-identical per seed, exactly like the legacy path.
 #ifndef BIZA_SRC_NVME_NVME_QUEUE_H_
 #define BIZA_SRC_NVME_NVME_QUEUE_H_
 
@@ -58,8 +52,8 @@ struct NvmeQueueConfig {
 
   // Doorbell ring -> SQE fetch latency (MMIO write + fetch start). 0 means
   // "use the device's dispatch_base_ns"; values below that floor are
-  // clamped up to it, since the floor doubles as the sharded-PDES
-  // conservative lookahead.
+  // clamped up to it, since no command reaches the device sooner on the
+  // legacy path either.
   SimTime doorbell_ns = 0;
 
   // Serial per-SQE fetch/decode cost charged in arbitration order.
@@ -92,12 +86,10 @@ struct NvmeQueueStats {
   }
 };
 
-// One device's NVMe frontend (all of its SQ/CQ pairs). Owned by the device;
-// `sim` is the device's clock (a shard clock when sharded).
+// One device's NVMe frontend (all of its SQ/CQ pairs). Owned by the device.
 class NvmeQueuePair {
  public:
-  // `floor_ns` is the device's dispatch_base_ns: both the minimum doorbell
-  // delay and the sharded-PDES lookahead floor.
+  // `floor_ns` is the device's dispatch_base_ns, the minimum doorbell delay.
   NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
                 SimTime floor_ns);
 
@@ -154,7 +146,7 @@ class NvmeQueuePair {
   SimTime floor_ns_;
   NvmeQueueStats stats_;
 
-  // --- host-clock state ---------------------------------------------------
+  // --- host-side state ----------------------------------------------------
   uint64_t sq_rr_ = 0;                       // SQ rotation for new commands
   std::vector<uint32_t> inflight_;           // per-SQ occupied slots
   std::vector<std::deque<InlineCallback>> overflow_;  // QD backpressure
@@ -166,7 +158,7 @@ class NvmeQueuePair {
   SimTime open_deliver_at_ = 0;
   uint64_t host_inflight_ = 0;               // accepted - delivered
 
-  // --- device-clock state -------------------------------------------------
+  // --- device-side state --------------------------------------------------
   uint32_t arb_sq_ = 0;                      // RR arbitration cursor
   SimTime fetch_skew_ = 0;                   // current command's fetch delay
   uint32_t cur_sq_ = 0;                      // current command's SQ

@@ -1,4 +1,4 @@
-// Tenant model for the multi-tenant serving frontend (DESIGN.md §8).
+// Tenant model for the multi-tenant serving frontend (DESIGN.md §7).
 //
 // A tenant is one class of users bucketed together: an open-loop arrival
 // process (src/workload/arrival.h), a block-request mix, and an SLO spec

@@ -35,43 +35,9 @@
 
 namespace biza {
 
-class ShardRouter;
-
-// Cross-shard completion mailbox. A device shard appends timestamped host
-// callbacks while draining its own heap; the ShardRouter moves them into the
-// host heap at the next phase barrier, iterating shards in index order so
-// equal-timestamp messages from different shards always fire in shard order
-// (the sharded-mode determinism contract). Accessed by exactly one thread at
-// a time — the owning worker during a drain phase, the router thread at the
-// barrier — so it needs no lock.
-class ShardOutbox {
- public:
-  struct Message {
-    SimTime when = 0;
-    InlineCallback fn;
-  };
-
-  template <typename F>
-  void Push(SimTime when, F&& fn) {
-    messages_.emplace_back();
-    messages_.back().when = when;
-    messages_.back().fn.Emplace(std::forward<F>(fn));
-  }
-
-  std::vector<Message>& messages() { return messages_; }
-  bool empty() const { return messages_.empty(); }
-  void clear() { messages_.clear(); }
-
- private:
-  std::vector<Message> messages_;
-};
-
 class Simulator {
  public:
   using Callback = InlineCallback;
-
-  // Sentinel returned by NextEventTime() on an empty queue.
-  static constexpr SimTime kNoEvent = ~SimTime{0};
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -93,15 +59,6 @@ class Simulator {
   template <typename F>
   void ScheduleAt(SimTime when, F&& fn) {
     assert(when >= now_ && "cannot schedule into the past");
-    // A disarmed floor is 0, making this single compare unconditionally
-    // false on the (hot) unsharded path.
-    if (when < schedule_floor_) {
-      // A cross-shard event landed inside the current safe horizon: the
-      // sender violated the conservative-lookahead contract. Debug builds
-      // abort; release builds count (tests and the router surface it).
-      ++floor_violations_;
-      assert(false && "cross-shard event scheduled inside the safe horizon");
-    }
     const uint32_t slot = AcquireSlot();
     if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
       static_assert(!std::is_lvalue_reference_v<F>,
@@ -114,35 +71,7 @@ class Simulator {
     SiftUp(heap_.size() - 1);
   }
 
-  // Routes a completion produced on this shard back to its consumer. On an
-  // unsharded Simulator this is exactly ScheduleAt; on a device shard the
-  // callback is appended to the shard's outbox instead and the router
-  // delivers it to the host shard at the next barrier.
-  template <typename F>
-  void CompleteAt(SimTime when, F&& fn) {
-    if (outbox_ != nullptr) {
-      outbox_->Push(when, std::forward<F>(fn));
-      return;
-    }
-    ScheduleAt(when, std::forward<F>(fn));
-  }
-
-  // Routes an immediate (error-path) completion. Unsharded: invoked inline,
-  // exactly as calling the callback directly — the single-shard path stays
-  // bit-identical. Sharded: becomes a timestamped message at Now().
-  template <typename F>
-  void CompleteNow(F&& fn) {
-    if (outbox_ != nullptr) {
-      outbox_->Push(now_, std::forward<F>(fn));
-      return;
-    }
-    fn();
-  }
-
   // Runs events until the queue drains. Returns the final virtual time.
-  // When a ShardRouter is attached (this Simulator is the host shard of a
-  // sharded run), delegates to the router's round loop, which drains every
-  // shard; same for RunUntil and DropPending.
   SimTime RunUntilIdle();
 
   // Runs events with timestamp <= deadline; leaves later events queued.
@@ -162,62 +91,7 @@ class Simulator {
   size_t pending_events() const { return heap_.size(); }
   uint64_t fired_events() const { return fired_; }
 
-  // fired_events() summed over this Simulator and, when a router is
-  // attached, every device shard. The bench harness records this so
-  // sharded runs report whole-simulation event throughput.
-  uint64_t total_fired_events() const;
-
-  // --- sharded-PDES plumbing (src/sim/shard_router.h) --------------------
-
-  // Attaches the router whose round loop replaces this Simulator's drain
-  // loops (host shard only). Pass nullptr to detach.
-  void SetRouter(ShardRouter* router) { router_ = router; }
-  ShardRouter* router() const { return router_; }
-
-  // Marks this Simulator as a device shard: completions routed through
-  // CompleteAt/CompleteNow land in `outbox` instead of the local heap.
-  void SetOutbox(ShardOutbox* outbox) { outbox_ = outbox; }
-
-  // Timestamp of the earliest queued event, or kNoEvent when idle. Only
-  // meaningful between drain phases (single-threaded access).
-  SimTime NextEventTime() const {
-    return heap_.empty() ? kNoEvent : heap_.front().when;
-  }
-
-  // Fires every event with `when` strictly below `horizon`, leaving Now()
-  // at the last fired event. The router's phase primitive: never delegates.
-  void DrainBelow(SimTime horizon) {
-    while (!heap_.empty() && heap_.front().when < horizon) {
-      FireEarliest();
-    }
-  }
-
-  // Links a device shard back to the host shard. Devices schedule dispatch
-  // arrivals at HostNow() + delay — the submitting host event's time — and
-  // host-side helpers that were handed a device pointer (e.g. the
-  // ZoneScheduler retry timer) reach the host clock through host_sim().
-  // Unsharded both collapse to this Simulator, keeping the default path
-  // bit-identical.
-  void SetHostSim(Simulator* host) { host_sim_ = host; }
-  Simulator* host_sim() { return host_sim_ != nullptr ? host_sim_ : this; }
-  SimTime HostNow() const {
-    return host_sim_ != nullptr ? host_sim_->Now() : now_;
-  }
-
-  // Conservative-lookahead guard: while set (non-zero), ScheduleAt() treats
-  // any `when` below `floor` as a lookahead violation. The router arms this
-  // on device shards while the host phase runs — a host event submitting
-  // work that would arrive inside the safe horizon trips it.
-  void SetScheduleFloor(SimTime floor) { schedule_floor_ = floor; }
-  uint64_t floor_violations() const { return floor_violations_; }
-
-  // Discards queued events without firing them, ignoring any attached
-  // router (used by the router itself to implement sharded DropPending).
-  void DropPendingLocal();
-
  private:
-  friend class ShardRouter;  // adjusts now_ when a capped sharded run ends
-
   static constexpr size_t kArity = 4;
 
   // Heap entries are deliberately tiny: sift-up/down shuffles these, never
@@ -281,11 +155,6 @@ class Simulator {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t fired_ = 0;
-  SimTime schedule_floor_ = 0;
-  uint64_t floor_violations_ = 0;
-  ShardRouter* router_ = nullptr;
-  ShardOutbox* outbox_ = nullptr;
-  Simulator* host_sim_ = nullptr;
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<InlineCallback[]>> slabs_;
   uint32_t num_slots_ = 0;

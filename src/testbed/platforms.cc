@@ -33,34 +33,11 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
   platform->config_ = config;
   Platform& p = *platform;
 
-  // Sharded PDES: spread member devices over per-shard logical clocks. The
-  // lookahead window is the dispatch-latency floor of the member device
-  // type — no host->device event can land sooner. Observability hooks run
-  // on shard threads, so an attached sink forces the single-clock engine,
-  // as does a second platform on an already-sharded simulator.
-  const SimTime lookahead = kind == PlatformKind::kMdraidConv
-                                ? config.conv.dispatch_base_ns
-                                : config.zns.dispatch_base_ns;
-  int shards = config.shards > 0 ? config.shards : DefaultSimShards();
-  if (shards > config.num_ssds) {
-    shards = config.num_ssds;
-  }
-  if (shards < 1 || config.obs != nullptr || lookahead == 0 ||
-      sim->router() != nullptr) {
-    shards = 1;
-  }
-  if (shards > 1) {
-    p.router_ = std::make_unique<ShardRouter>(sim, shards, lookahead);
-  }
-  auto device_sim = [&](int d) {
-    return p.router_ ? p.router_->shard(d % p.router_->num_shards()) : sim;
-  };
-
   auto make_zns = [&]() {
     for (int d = 0; d < config.num_ssds; ++d) {
       ZnsConfig zc = config.zns;
       zc.seed = config.seed * 1000003ULL + static_cast<uint64_t>(d);
-      p.zns_.push_back(std::make_unique<ZnsDevice>(device_sim(d), zc));
+      p.zns_.push_back(std::make_unique<ZnsDevice>(sim, zc));
     }
   };
 
@@ -118,7 +95,7 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
       for (int d = 0; d < config.num_ssds; ++d) {
         ConvSsdConfig cc = config.conv;
         cc.seed = config.seed * 2000003ULL + static_cast<uint64_t>(d);
-        p.conv_.push_back(std::make_unique<ConvSsd>(device_sim(d), cc));
+        p.conv_.push_back(std::make_unique<ConvSsd>(sim, cc));
         p.conv_adapters_.push_back(
             std::make_unique<ConvSsdTarget>(p.conv_.back().get()));
         children.push_back(p.conv_adapters_.back().get());
@@ -163,7 +140,7 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
   // Fault plane: one injector interposes on every member device. Device ids
   // match creation order (0..num_ssds-1), so --fail-device=D@T addresses the
   // D-th member regardless of platform kind.
-  p.fault_ = std::make_unique<FaultInjector>(sim, config.faults);
+  p.fault_ = std::make_unique<FaultInjector>(config.faults);
   for (auto& dev : p.zns_) {
     dev->AttachFaultInjector(p.fault_.get(), p.next_fault_id_++);
   }
@@ -173,8 +150,7 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
 
   // Gray-failure self-defense: when enabled the platform owns a
   // DeviceHealthMonitor and arms the engine's mitigation plane. The monitor
-  // is fed from engine-side completion callbacks, which always run on the
-  // host clock — so unlike obs it does NOT force the single-clock engine.
+  // is fed from engine-side completion callbacks.
   if (config.health.enabled) {
     p.health_ = std::make_unique<DeviceHealthMonitor>(
         config.health, config.zns.timing.num_channels);
@@ -236,14 +212,6 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
     obs->registry.RegisterCounter(
         "fault.unavailable_rejections",
         [fault] { return fault->stats().unavailable_rejections; });
-    // Conservative-lookahead audit: nonzero means a cross-clock event was
-    // scheduled below the dispatch floor — a determinism bug. Surfaced so
-    // harnesses can assert it stays zero.
-    ShardRouter* router = p.router_.get();
-    obs->registry.RegisterCounter(
-        "sim.floor_violations", [sim, router] {
-          return router ? router->FloorViolations() : sim->floor_violations();
-        });
     if (p.health_) {
       DeviceHealthMonitor* health = p.health_.get();
       obs->registry.RegisterCounter(
@@ -279,10 +247,7 @@ ZnsDevice* Platform::AddSpareZnsDevice(Simulator* sim) {
   ZnsConfig zc = config_.zns;
   zc.seed = config_.seed * 1000003ULL +
             static_cast<uint64_t>(1000 + next_fault_id_);
-  // Spares join the shard rotation at their fault-plan slot, like members.
-  Simulator* dev_sim =
-      router_ ? router_->shard(next_fault_id_ % router_->num_shards()) : sim;
-  zns_.push_back(std::make_unique<ZnsDevice>(dev_sim, zc));
+  zns_.push_back(std::make_unique<ZnsDevice>(sim, zc));
   const int id = next_fault_id_++;
   zns_.back()->AttachFaultInjector(fault_.get(), id);
   if (config_.obs != nullptr) {
@@ -295,9 +260,7 @@ BlockTarget* Platform::AddSpareConvTarget(Simulator* sim) {
   ConvSsdConfig cc = config_.conv;
   cc.seed = config_.seed * 2000003ULL +
             static_cast<uint64_t>(1000 + next_fault_id_);
-  Simulator* dev_sim =
-      router_ ? router_->shard(next_fault_id_ % router_->num_shards()) : sim;
-  conv_.push_back(std::make_unique<ConvSsd>(dev_sim, cc));
+  conv_.push_back(std::make_unique<ConvSsd>(sim, cc));
   const int id = next_fault_id_++;
   conv_.back()->AttachFaultInjector(fault_.get(), id);
   if (config_.obs != nullptr) {

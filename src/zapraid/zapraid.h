@@ -24,7 +24,7 @@
 //   asynchronously. Acked data therefore survives any crash (zero
 //   acked-write loss), while rows whose parity had not landed are readable
 //   but unprotected until GC rewrites them (the open-stripe window of the
-//   ZapRAID paper; see DESIGN.md §9.4).
+//   ZapRAID paper; see DESIGN.md §8.4).
 // * Fault/health planes: degraded reads XOR the row's survivors; device
 //   death is auto-detected from UNAVAILABLE completions and queued chunks
 //   are re-appended onto live members preserving their original wsn;

@@ -218,9 +218,9 @@ class ZnsDevice {
   };
 
   // Dispatch helpers. Legacy mode: every data-plane command arrives after
-  // base + jitter and completes with its own CompleteAt event. With the
-  // NVMe frontend enabled, arrivals ride doorbell batches and completions
-  // ride coalesced interrupts instead (src/nvme/nvme_queue.h).
+  // base + jitter and completes with its own event. With the NVMe frontend
+  // enabled, arrivals ride doorbell batches and completions ride coalesced
+  // interrupts instead (src/nvme/nvme_queue.h).
   SimTime DispatchDelay();
   template <typename F>
   void AtArrival(F&& fn) {
@@ -228,11 +228,7 @@ class ZnsDevice {
       nvmeq_.Submit(InlineCallback(std::forward<F>(fn)));
       return;
     }
-    // Anchored on the host clock: the submitting engine event decides when
-    // the command was issued. On a device shard sim_->Now() may sit
-    // elsewhere inside the current lookahead window; unsharded,
-    // HostNow() == Now().
-    sim_->ScheduleAt(sim_->HostNow() + DispatchDelay(), std::forward<F>(fn));
+    sim_->Schedule(DispatchDelay(), std::forward<F>(fn));
   }
   template <typename F>
   void CompleteIo(SimTime when, F&& fn) {
@@ -240,24 +236,21 @@ class ZnsDevice {
       nvmeq_.Complete(when, InlineCallback(std::forward<F>(fn)));
       return;
     }
-    sim_->CompleteAt(when, std::forward<F>(fn));
+    sim_->ScheduleAt(when, std::forward<F>(fn));
   }
-  // Error completions: zero device-side latency. Legacy: inline unsharded,
-  // a timestamped message sharded. Frontend: they post a CQE like any
-  // completion (real NVMe error completions are interrupt-coalesced too).
+  // Error completions: zero device-side latency. Legacy: invoked inline.
+  // Frontend: they post a CQE like any completion (real NVMe error
+  // completions are interrupt-coalesced too).
   template <typename F>
   void CompleteIoNow(F&& fn) {
     if (nvmeq_.enabled()) {
       nvmeq_.Complete(sim_->Now(), InlineCallback(std::forward<F>(fn)));
       return;
     }
-    sim_->CompleteNow(std::forward<F>(fn));
+    fn();
   }
 
   // Fault-plane hooks: consulted at command arrival / completion scheduling.
-  // Passing this device's own clock keeps the injector off the host clock,
-  // which another thread may own while a shard drains (identical unsharded,
-  // where the two clocks are one).
   Status FaultCheck(IoKind kind) {
     return fault_ != nullptr
                ? fault_->OnIo(fault_device_id_, kind, sim_->Now())

@@ -28,7 +28,7 @@ struct Fixture {
   Simulator sim;
   // Attached to every device: an empty plan injects nothing and draws no
   // RNG, so the fault plane is invisible to the non-fault tests.
-  FaultInjector fault{&sim};
+  FaultInjector fault;
   std::vector<std::unique_ptr<ZnsDevice>> devs;
   std::unique_ptr<BizaArray> array;
 

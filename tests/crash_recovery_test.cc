@@ -78,7 +78,7 @@ void RunTrialT(const TrialOptions& opt, uint64_t* acked_out,
                uint64_t* gc_out = nullptr, uint64_t* mitig_out = nullptr,
                uint64_t* absorbed_out = nullptr) {
   Simulator sim;
-  FaultInjector fault(&sim);
+  FaultInjector fault;
   if (opt.fail_slow_mult > 1.0) {
     fault.SetFailSlow(2, opt.fail_slow_mult);
   }

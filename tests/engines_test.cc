@@ -310,7 +310,7 @@ TEST(Raizn, FinishSealsPartialTail) {
 
 struct MdraidFixture {
   Simulator sim;
-  FaultInjector fault{&sim};  // empty plan: invisible to non-fault tests
+  FaultInjector fault;  // empty plan: invisible to non-fault tests
   std::vector<std::unique_ptr<ConvSsd>> devs;
   std::vector<std::unique_ptr<ConvSsdTarget>> targets;
   std::unique_ptr<Mdraid> mdraid;

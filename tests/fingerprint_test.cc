@@ -1,0 +1,167 @@
+// Golden fingerprints: each case runs one seeded driver workload on a scaled
+// platform and compares a digest of every externally visible result with a
+// literal string. The digest folds counts, verify failures, bytes, the
+// virtual-time extent, both latency shapes, the final clock, the number of
+// fired events and flash programs, so any change to event order, device
+// timing or engine decisions along the path shows up as a mismatch.
+//
+// The cases cover every completion path a request can take: bare BIZA,
+// BIZA under gray-failure mitigation, BIZA behind NVMe queue pairs and the
+// write-back host buffer, mdraid over conventional SSDs (plain and
+// mitigated), ZapRAID behind NVMe queues, and mdraid over dm-zap. Re-pin a
+// string only for an intended behaviour change, and say so in the commit.
+//
+// Verify failures are recorded, not required to be zero: the driver checks a
+// read against the newest write issued to each block, which a read racing a
+// later overwrite of the same block does not return.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
+#include <string>
+
+#include "src/nvme/host_buffer.h"
+#include "src/nvme/nvme_queue.h"
+#include "src/sim/simulator.h"
+#include "src/testbed/platforms.h"
+#include "src/workload/driver.h"
+#include "src/workload/workload.h"
+
+namespace biza {
+namespace {
+
+struct RunOutcome {
+  std::string fingerprint;
+  uint64_t mitigated_reads = 0;  // hedged + reconstructed-around reads
+};
+
+// One full driver run on a scaled platform of `kind`. CASA is 98.6% writes;
+// with `mitigate` set the run uses the read-heavy web profile instead, makes
+// device 1 8x fail-slow and attaches the health monitor with small windows,
+// so detection, hedged reads, reconstruct-around reads and write steering
+// all fire.
+RunOutcome RunCasa(PlatformKind kind, uint64_t seed, bool mitigate = false,
+                   const NvmeQueueConfig& nvme = {},
+                   const HostBufferConfig& hostbuf = {}) {
+  Simulator sim;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/64, /*zone_capacity_blocks=*/1024);
+  config.zns.nvme = nvme;
+  config.hostbuf = hostbuf;
+  config.MatchConvCapacity();
+  config.seed = seed;
+  if (mitigate) {
+    config.faults.Device(1).latency_mult = 8.0;
+    config.health.enabled = true;
+    config.health.window_ios = 16;
+    config.health.min_window_ns = 200 * kMicrosecond;
+  }
+  auto platform = Platform::Create(&sim, kind, config);
+
+  TraceProfile profile =
+      mitigate ? TraceProfile::Web() : TraceProfile::AllTable6()[0];
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 3);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/16,
+                /*verify_reads=*/true);
+  const DriverReport report = driver.Run(/*max_requests=*/3000, 60 * kSecond);
+  platform->Quiesce(&sim);
+
+  RunOutcome out;
+  std::ostringstream fp;
+  fp << report.requests_completed << '|' << report.verify_failures << '|'
+     << report.bytes_written << '|' << report.bytes_read << '|'
+     << report.elapsed_ns << '|' << report.write_latency.Summary() << '|'
+     << report.read_latency.Summary() << '|' << sim.Now() << '|'
+     << sim.fired_events() << '|' << platform->FlashProgrammedBlocks();
+  out.fingerprint = fp.str();
+  if (platform->biza() != nullptr) {
+    const BizaStats& s = platform->biza()->stats();
+    out.mitigated_reads = s.hedged_reads + s.recon_around_reads;
+  } else if (platform->mdraid() != nullptr) {
+    const MdraidStats& s = platform->mdraid()->stats();
+    out.mitigated_reads = s.hedged_reads + s.recon_around_reads;
+  }
+  return out;
+}
+
+NvmeQueueConfig FourQueuePairs() {
+  NvmeQueueConfig nq;
+  nq.enabled = true;
+  nq.num_queues = 4;
+  nq.queue_depth = 32;
+  return nq;
+}
+
+HostBufferConfig WriteBack512() {
+  HostBufferConfig hb;
+  hb.enabled = true;
+  hb.mode = HostBufferMode::kWriteBack;
+  hb.capacity_blocks = 512;
+  return hb;
+}
+
+TEST(FingerprintTest, BizaCasa) {
+  EXPECT_EQ(RunCasa(PlatformKind::kBiza, /*seed=*/1).fingerprint,
+            "3000|0|12099584|581632|21044829|n=2954 avg=112.1us p50=63.0us "
+            "p99=647.2us p99.99=745.5us max=749.6us|n=46 avg=0.4us p50=0.0us "
+            "p99=16.3us p99.99=16.3us max=16.4us|21044829|11818|41");
+}
+
+TEST(FingerprintTest, BizaWebMitigatedGrayDevice) {
+  const RunOutcome out =
+      RunCasa(PlatformKind::kBiza, /*seed=*/5, /*mitigate=*/true);
+  EXPECT_GT(out.mitigated_reads, 0u) << "fail-slow device was never mitigated";
+  EXPECT_EQ(out.fingerprint,
+            "3000|0|11661312|78237696|353507284|n=1387 avg=4035.8us "
+            "p50=5832.7us p99=9830.4us p99.99=21665.4us max=21665.4us|n=1613 "
+            "avg=7.6us p50=0.0us p99=47.6us p99.99=8060.9us max=8102.2us|"
+            "353507284|11410|1013");
+}
+
+TEST(FingerprintTest, BizaNvmeQueuesWithWriteBackBuffer) {
+  EXPECT_EQ(RunCasa(PlatformKind::kBiza, /*seed=*/3, /*mitigate=*/false,
+                    FourQueuePairs(), WriteBack512())
+                .fingerprint,
+            "3000|0|12099584|581632|1045018|n=2954 avg=5.6us p50=4.5us "
+            "p99=28.9us p99.99=74.2us max=74.2us|n=46 avg=3.3us p50=0.0us "
+            "p99=152.0us p99.99=152.0us max=152.0us|2256965|8017|117");
+}
+
+TEST(FingerprintTest, MdraidConvCasa) {
+  EXPECT_EQ(RunCasa(PlatformKind::kMdraidConv, /*seed=*/1).fingerprint,
+            "3000|0|12099584|581632|2990893|n=2954 avg=15.3us p50=10.6us "
+            "p99=438.3us p99.99=478.8us max=478.8us|n=46 avg=46.7us p50=46.6us "
+            "p99=62.7us p99.99=62.7us max=62.7us|13820059|8816|1830");
+}
+
+TEST(FingerprintTest, MdraidConvWebMitigatedGrayDevice) {
+  const RunOutcome out =
+      RunCasa(PlatformKind::kMdraidConv, /*seed=*/5, /*mitigate=*/true);
+  EXPECT_GT(out.mitigated_reads, 0u) << "fail-slow device was never mitigated";
+  EXPECT_EQ(out.fingerprint,
+            "3000|1|11661312|78237696|1151492198|n=1387 avg=12318.0us "
+            "p50=2.8us p99=813695.0us p99.99=830472.2us max=835620.7us|n=1613 "
+            "avg=817.6us p50=299.0us p99=1097.7us p99.99=97517.6us "
+            "max=98197.0us|1521198432|74955|3337");
+}
+
+TEST(FingerprintTest, ZapRaidNvmeQueues) {
+  EXPECT_EQ(RunCasa(PlatformKind::kZapRaid, /*seed=*/2, /*mitigate=*/false,
+                    FourQueuePairs())
+                .fingerprint,
+            "3000|0|12099584|581632|20382033|n=2954 avg=110.0us p50=93.2us "
+            "p99=157.7us p99.99=157.7us max=159.1us|n=46 avg=1.2us p50=0.0us "
+            "p99=56.7us p99.99=56.7us max=56.7us|20447543|1986|3940");
+}
+
+TEST(FingerprintTest, MdraidDmzapCasa) {
+  EXPECT_EQ(RunCasa(PlatformKind::kMdraidDmzap, /*seed=*/1).fingerprint,
+            "3000|0|12099584|581632|2067800|n=2954 avg=11.2us p50=11.1us "
+            "p99=11.1us p99.99=11.1us max=11.2us|n=46 avg=0.0us p50=0.0us "
+            "p99=0.0us p99.99=0.0us max=0.0us|13919301|6824|1884");
+}
+
+}  // namespace
+}  // namespace biza

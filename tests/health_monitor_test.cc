@@ -6,7 +6,6 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/health/device_health.h"
-#include "src/sim/simulator.h"
 
 namespace biza {
 namespace {
@@ -304,8 +303,7 @@ TEST(FaultInjector, EffectiveMultDutyCycles) {
 }
 
 TEST(FaultInjector, StretchSerializesTheExcessSpan) {
-  Simulator sim;
-  FaultInjector fault(&sim);
+  FaultInjector fault;
   fault.SetFailSlow(0, 8.0);
   // A single outstanding I/O sees exactly span * mult.
   EXPECT_EQ(fault.StretchCompletion(0, -1, 100000, 0),
@@ -324,8 +322,7 @@ TEST(FaultInjector, StretchSerializesTheExcessSpan) {
 }
 
 TEST(FaultInjector, StretchLaneDrainsWhenIdle) {
-  Simulator sim;
-  FaultInjector fault(&sim);
+  FaultInjector fault;
   fault.SetFailSlow(0, 4.0);
   EXPECT_EQ(fault.StretchCompletion(0, -1, 100000, 0),
             static_cast<SimTime>(400000));

@@ -2,8 +2,7 @@
 // tier (src/nvme/host_buffer.h):
 //   - the default config keeps every device on the legacy jittered dispatch
 //     path, bit-identical run to run,
-//   - frontend-enabled runs are byte-identical per (seed, shard count) and
-//     never violate the sharded lookahead contract,
+//   - frontend-enabled runs are byte-identical per seed,
 //   - queue-depth backpressure, doorbell batching and interrupt coalescing
 //     each do what the model claims (stalls counted, events collapsed),
 //   - the write-back buffer absorbs hot updates, overlays reads with the
@@ -30,8 +29,6 @@ namespace {
 
 struct FrontendOutcome {
   std::string fingerprint;
-  int shards = 0;
-  uint64_t floor_violations = 0;
   uint64_t requests_completed = 0;
   NvmeQueueStats nvme;     // summed across member devices
   HostBufferStats hostbuf;  // zero when the buffer is off
@@ -56,7 +53,7 @@ NvmeQueueStats SumNvmeStats(Platform* platform) {
 // with the NVMe frontend and/or host buffer configured. The fingerprint
 // folds in every externally visible result, so equal fingerprints mean the
 // runs behaved identically.
-FrontendOutcome RunCasa(int shards, uint64_t seed, const NvmeQueueConfig& nq,
+FrontendOutcome RunCasa(uint64_t seed, const NvmeQueueConfig& nq,
                         const HostBufferConfig& hb = {},
                         uint64_t requests = 2000, int iodepth = 16) {
   Simulator sim;
@@ -66,7 +63,6 @@ FrontendOutcome RunCasa(int shards, uint64_t seed, const NvmeQueueConfig& nq,
   config.hostbuf = hb;
   config.MatchConvCapacity();
   config.seed = seed;
-  config.shards = shards;
   auto platform = Platform::Create(&sim, PlatformKind::kBiza, config);
 
   TraceProfile profile = TraceProfile::AllTable6()[0];
@@ -78,10 +74,6 @@ FrontendOutcome RunCasa(int shards, uint64_t seed, const NvmeQueueConfig& nq,
   platform->Quiesce(&sim);
 
   FrontendOutcome out;
-  out.shards = platform->shards();
-  out.floor_violations = platform->router() != nullptr
-                             ? platform->router()->FloorViolations()
-                             : sim.floor_violations();
   out.requests_completed = report.requests_completed;
   out.nvme = SumNvmeStats(platform.get());
   if (platform->hostbuf() != nullptr) {
@@ -92,7 +84,7 @@ FrontendOutcome RunCasa(int shards, uint64_t seed, const NvmeQueueConfig& nq,
   fp << report.requests_completed << '|' << report.bytes_written << '|'
      << report.bytes_read << '|' << report.elapsed_ns << '|'
      << report.write_latency.Summary() << '|' << report.read_latency.Summary()
-     << '|' << sim.Now() << '|' << sim.total_fired_events() << '|'
+     << '|' << sim.Now() << '|' << sim.fired_events() << '|'
      << platform->FlashProgrammedBlocks() << '|' << out.nvme.commands << '|'
      << out.nvme.doorbells << '|' << out.nvme.interrupts << '|'
      << out.nvme.coalesced_commands << '|' << out.nvme.coalesced_cqes << '|'
@@ -125,47 +117,28 @@ TEST(NvmeFrontend, DefaultConfigStaysOnLegacyPathAndIsBitIdentical) {
   // nvme.enabled defaults to false: the legacy jittered-dispatch code runs
   // verbatim (same RNG consumption), so two default runs are bit-identical
   // and no queue machinery ever fires.
-  const FrontendOutcome a = RunCasa(1, /*seed=*/1, NvmeQueueConfig{});
+  const FrontendOutcome a = RunCasa(/*seed=*/1, NvmeQueueConfig{});
   EXPECT_EQ(a.nvme.commands, 0u);
   EXPECT_EQ(a.nvme.doorbells, 0u);
   EXPECT_EQ(a.requests_completed, 2000u);
-  const FrontendOutcome b = RunCasa(1, /*seed=*/1, NvmeQueueConfig{});
+  const FrontendOutcome b = RunCasa(/*seed=*/1, NvmeQueueConfig{});
   EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 
-TEST(NvmeFrontend, QueuedRunIsDeterministicAtOneShard) {
-  const FrontendOutcome a = RunCasa(1, /*seed=*/2, Frontend());
+TEST(NvmeFrontend, QueuedRunIsDeterministic) {
+  const FrontendOutcome a = RunCasa(/*seed=*/2, Frontend());
   EXPECT_GT(a.nvme.commands, 0u);
   EXPECT_EQ(a.requests_completed, 2000u);
-  EXPECT_EQ(a.floor_violations, 0u);
-  const FrontendOutcome b = RunCasa(1, /*seed=*/2, Frontend());
+  const FrontendOutcome b = RunCasa(/*seed=*/2, Frontend());
   EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 
-TEST(NvmeFrontend, QueuedRunIsDeterministicAtFourShards) {
-  const FrontendOutcome a = RunCasa(4, /*seed=*/2, Frontend());
-  EXPECT_EQ(a.shards, 4);
-  EXPECT_GT(a.nvme.commands, 0u);
+TEST(NvmeFrontend, QueuedRunWithHostBufferIsDeterministic) {
+  const FrontendOutcome a = RunCasa(/*seed=*/3, Frontend(), WriteBack());
+  const FrontendOutcome b = RunCasa(/*seed=*/3, Frontend(), WriteBack());
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_GT(a.hostbuf.write_blocks, 0u);
   EXPECT_EQ(a.requests_completed, 2000u);
-  // Doorbell rings and interrupt deliveries are cross-clock events: the
-  // batch admission rule must keep every one of them above the safe horizon.
-  EXPECT_EQ(a.floor_violations, 0u);
-  const FrontendOutcome b = RunCasa(4, /*seed=*/2, Frontend());
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-}
-
-TEST(NvmeFrontend, QueuedRunWithHostBufferIsDeterministicAtBothShardCounts) {
-  const FrontendOutcome a1 = RunCasa(1, /*seed=*/3, Frontend(), WriteBack());
-  const FrontendOutcome b1 = RunCasa(1, /*seed=*/3, Frontend(), WriteBack());
-  EXPECT_EQ(a1.fingerprint, b1.fingerprint);
-  EXPECT_GT(a1.hostbuf.write_blocks, 0u);
-  EXPECT_EQ(a1.floor_violations, 0u);
-
-  const FrontendOutcome a4 = RunCasa(4, /*seed=*/3, Frontend(), WriteBack());
-  const FrontendOutcome b4 = RunCasa(4, /*seed=*/3, Frontend(), WriteBack());
-  EXPECT_EQ(a4.fingerprint, b4.fingerprint);
-  EXPECT_EQ(a4.floor_violations, 0u);
-  EXPECT_EQ(a4.requests_completed, 2000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -175,13 +148,13 @@ TEST(NvmeFrontend, QueueDepthBackpressureParksExcessCommands) {
   // One queue of depth 1 against iodepth 16: nearly every submission finds
   // the SQ full and waits in host software — and still everything completes.
   const FrontendOutcome a =
-      RunCasa(1, /*seed=*/4, Frontend(/*queues=*/1, /*qd=*/1));
+      RunCasa(/*seed=*/4, Frontend(/*queues=*/1, /*qd=*/1));
   EXPECT_EQ(a.requests_completed, 2000u);
   EXPECT_GT(a.nvme.qd_stalls, 0u);
 }
 
 TEST(NvmeFrontend, DoorbellBatchingCollapsesSubmissionEvents) {
-  const FrontendOutcome a = RunCasa(1, /*seed=*/5, Frontend());
+  const FrontendOutcome a = RunCasa(/*seed=*/5, Frontend());
   // Commands posted while a ring event is pending ride it instead of
   // scheduling their own: strictly fewer doorbells than commands.
   EXPECT_GT(a.nvme.coalesced_commands, 0u);
@@ -193,7 +166,7 @@ TEST(NvmeFrontend, DoorbellBatchingCollapsesSubmissionEvents) {
 TEST(NvmeFrontend, InterruptCoalescingDrainsCompletionBatches) {
   NvmeQueueConfig nq = Frontend();
   nq.irq_threshold = 4;
-  const FrontendOutcome a = RunCasa(1, /*seed=*/6, nq);
+  const FrontendOutcome a = RunCasa(/*seed=*/6, nq);
   EXPECT_GT(a.nvme.coalesced_cqes, 0u);
   EXPECT_LT(a.nvme.interrupts, a.nvme.commands);
 }

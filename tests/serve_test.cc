@@ -1,6 +1,6 @@
 // Serving-frontend tests (src/serve/): the arrival determinism contract
-// (identical sequences per (seed), shard-count invariant, bursts and ramps
-// included), the coordinated-omission rule in the open-loop Driver, the
+// (identical sequences per (seed), device-frontend invariant, bursts and
+// ramps included), the coordinated-omission rule in the open-loop Driver, the
 // admission policies (FIFO order, DRR byte-proportional shares, in-flight
 // caps, gray shedding), tenant parsing/regions, and the end-to-end
 // DRR-beats-FIFO isolation property the tenant_isolation bench plots.
@@ -303,21 +303,19 @@ TEST(Driver, ClosedLoopHasNoQueueDelayHistogram) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeFrontend: determinism, shard invariance, isolation, QoS.
+// ServeFrontend: determinism, frontend invariance, isolation, QoS.
 
 struct ServeOutcome {
   std::vector<uint64_t> fingerprints;
   std::vector<TenantReport> reports;
 };
 
-ServeOutcome RunServe(int shards, uint64_t seed, AdmissionPolicy policy,
-                      bool qos = false, bool fail_slow = false,
-                      bool nvme = false) {
+ServeOutcome RunServe(uint64_t seed, AdmissionPolicy policy, bool qos = false,
+                      bool fail_slow = false, bool nvme = false) {
   Simulator sim;
   PlatformConfig config;
   config.zns = ZnsConfig::Zn540(/*num_zones=*/64, /*zone_capacity_blocks=*/1024);
   config.seed = seed;
-  config.shards = shards;
   if (nvme) {
     config.zns.nvme.enabled = true;
     config.zns.nvme.num_queues = 4;
@@ -360,9 +358,9 @@ ServeOutcome RunServe(int shards, uint64_t seed, AdmissionPolicy policy,
   return outcome;
 }
 
-TEST(ServeFrontend, RunsAreByteIdenticalPerSeedAndShardCount) {
-  const ServeOutcome a = RunServe(1, 11, AdmissionPolicy::kDrr);
-  const ServeOutcome b = RunServe(1, 11, AdmissionPolicy::kDrr);
+TEST(ServeFrontend, RunsAreByteIdenticalPerSeed) {
+  const ServeOutcome a = RunServe(11, AdmissionPolicy::kDrr);
+  const ServeOutcome b = RunServe(11, AdmissionPolicy::kDrr);
   EXPECT_EQ(a.fingerprints, b.fingerprints);
   ASSERT_EQ(a.reports.size(), b.reports.size());
   for (size_t i = 0; i < a.reports.size(); ++i) {
@@ -377,32 +375,8 @@ TEST(ServeFrontend, RunsAreByteIdenticalPerSeedAndShardCount) {
               b.reports[i].report.read_latency.Percentile(99.9));
   }
 
-  const ServeOutcome c = RunServe(1, 12, AdmissionPolicy::kDrr);
+  const ServeOutcome c = RunServe(12, AdmissionPolicy::kDrr);
   EXPECT_NE(a.fingerprints, c.fingerprints);
-}
-
-TEST(ServeFrontend, ArrivalSequenceIsShardCountInvariant) {
-  // Arrivals are a pure function of (seed, tenant): moving the platform from
-  // the single-clock engine to 4 PDES shards must not move a single arrival,
-  // bursts and ramps included. (Completion interleaving may differ; the
-  // arrival fingerprint is the invariant the frontend pins.)
-  const ServeOutcome sharded1 = RunServe(1, 21, AdmissionPolicy::kDrr);
-  const ServeOutcome sharded4 = RunServe(4, 21, AdmissionPolicy::kDrr);
-  EXPECT_EQ(sharded1.fingerprints, sharded4.fingerprints);
-  ASSERT_EQ(sharded1.reports.size(), sharded4.reports.size());
-  for (size_t i = 0; i < sharded1.reports.size(); ++i) {
-    EXPECT_EQ(sharded1.reports[i].arrivals, sharded4.reports[i].arrivals);
-  }
-
-  // And a sharded run is itself deterministic.
-  const ServeOutcome again = RunServe(4, 21, AdmissionPolicy::kDrr);
-  EXPECT_EQ(sharded4.fingerprints, again.fingerprints);
-  for (size_t i = 0; i < sharded4.reports.size(); ++i) {
-    EXPECT_EQ(sharded4.reports[i].report.requests_completed,
-              again.reports[i].report.requests_completed);
-    EXPECT_EQ(sharded4.reports[i].report.elapsed_ns,
-              again.reports[i].report.elapsed_ns);
-  }
 }
 
 TEST(ServeFrontend, ArrivalSequenceIsInvariantUnderNvmeQueueFrontend) {
@@ -410,8 +384,8 @@ TEST(ServeFrontend, ArrivalSequenceIsInvariantUnderNvmeQueueFrontend) {
   // (batched doorbells, coalesced interrupts) reshapes every completion
   // time — but arrivals are a pure function of (seed, tenant) and must not
   // move. Completion-dependent fields (latency, throughput) may differ.
-  const ServeOutcome legacy = RunServe(1, 31, AdmissionPolicy::kDrr);
-  const ServeOutcome queued = RunServe(1, 31, AdmissionPolicy::kDrr,
+  const ServeOutcome legacy = RunServe(31, AdmissionPolicy::kDrr);
+  const ServeOutcome queued = RunServe(31, AdmissionPolicy::kDrr,
                                        /*qos=*/false, /*fail_slow=*/false,
                                        /*nvme=*/true);
   EXPECT_EQ(legacy.fingerprints, queued.fingerprints);
@@ -420,21 +394,10 @@ TEST(ServeFrontend, ArrivalSequenceIsInvariantUnderNvmeQueueFrontend) {
     EXPECT_EQ(legacy.reports[i].arrivals, queued.reports[i].arrivals);
   }
 
-  // The queued serve path is itself deterministic, at 1 and 4 shards.
-  const ServeOutcome queued_again = RunServe(1, 31, AdmissionPolicy::kDrr,
+  // The queued serve path is itself deterministic.
+  const ServeOutcome queued_again = RunServe(31, AdmissionPolicy::kDrr,
                                              false, false, /*nvme=*/true);
   EXPECT_EQ(queued.fingerprints, queued_again.fingerprints);
-  const ServeOutcome q4a = RunServe(4, 31, AdmissionPolicy::kDrr, false,
-                                    false, /*nvme=*/true);
-  const ServeOutcome q4b = RunServe(4, 31, AdmissionPolicy::kDrr, false,
-                                    false, /*nvme=*/true);
-  EXPECT_EQ(q4a.fingerprints, q4b.fingerprints);
-  for (size_t i = 0; i < q4a.reports.size(); ++i) {
-    EXPECT_EQ(q4a.reports[i].report.requests_completed,
-              q4b.reports[i].report.requests_completed);
-    EXPECT_EQ(q4a.reports[i].report.elapsed_ns,
-              q4b.reports[i].report.elapsed_ns);
-  }
 }
 
 TEST(ServeFrontend, DrrIsolatesLatencyTenantBetterThanFifo) {
@@ -524,7 +487,7 @@ TEST(ServeFrontend, QosComposesWithHealthPlane) {
   // device underneath at the same time; the composed stack must still drain
   // every admitted request.
   const ServeOutcome outcome =
-      RunServe(1, 31, AdmissionPolicy::kDrr, /*qos=*/true, /*fail_slow=*/true);
+      RunServe(31, AdmissionPolicy::kDrr, /*qos=*/true, /*fail_slow=*/true);
   for (const TenantReport& report : outcome.reports) {
     EXPECT_GT(report.report.requests_completed, 0u);
     EXPECT_LE(report.hedge_wins, report.hedged_reads);

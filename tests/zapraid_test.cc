@@ -26,7 +26,7 @@ ZnsConfig DevConfig(uint64_t seed, uint32_t num_zones = 48,
 
 struct Fixture {
   Simulator sim;
-  FaultInjector fault{&sim};
+  FaultInjector fault;
   std::vector<std::unique_ptr<ZnsDevice>> devs;
   std::unique_ptr<ZapRaid> array;
 
@@ -615,7 +615,7 @@ TEST(ZapRaid, HedgedReadsSurviveSuspectMemberDeath) {
 // than fabricating sibling chunks through a XOR that covers the lost one.
 TEST(ZapRaid, RecoveryRejectsTornRowParity) {
   Simulator sim;
-  FaultInjector fault(&sim);
+  FaultInjector fault;
   fault.SetFailSlow(1, 25.0);  // device 1 lags: its programs tear at the cut
   std::vector<std::unique_ptr<ZnsDevice>> devs;
   std::vector<ZnsDevice*> ptrs;

@@ -6,8 +6,7 @@
 //             [--requests=N] [--iodepth=N] [--size-kb=N] [--seconds=S]
 //             [--zones=N] [--zone-mb=N] [--zrwa-kb=N] [--num-parity=M]
 //             [--full-geometry] [--deviation=P] [--expose-channels]
-//             [--verify] [--seeds=N] [--threads=T] [--shards=N]
-//             [--bench-metric=ID]
+//             [--verify] [--seeds=N] [--threads=T] [--bench-metric=ID]
 //             [--tenants=SPEC] [--admission=fifo|drr] [--qos]
 //             [--fail-device=D@T] [--fail-slow=D:X] [--rebuild]
 //             [--fail-slow-ramp=D:X@S+DUR] [--fail-slow-duty=D:X@P/ON]
@@ -30,19 +29,11 @@
 // a per-seed row plus the mean; --threads caps runner concurrency (default:
 // BIZA_THREADS env or hardware concurrency).
 //
-// --shards=N parallelizes a SINGLE run across N per-SSD logical clocks
-// (sharded PDES, src/sim/shard_router.h; default: BIZA_SIM_SHARDS env, else
-// 1 = the bit-identical single-clock engine). Sharded runs are deterministic
-// for a fixed (seed, shard count) but order completions differently from the
-// single-clock engine, so numbers are comparable only at equal shard counts.
-// Incompatible with the observability flags (hooks fire on shard threads);
-// forced back to 1 with a warning when both are given.
-//
 // --bench-metric=ID wraps the whole invocation in a BenchMetricScope so one
-// machine-readable "BENCH_METRIC {...}" line (wall-clock, events, events/s,
-// shard count) is printed for tools/run_benches.sh to collect.
+// machine-readable "BENCH_METRIC {...}" line (wall-clock, events, events/s)
+// is printed for tools/run_benches.sh to collect.
 //
-// Multi-tenant serving frontend (src/serve, DESIGN.md §8):
+// Multi-tenant serving frontend (src/serve, DESIGN.md §7):
 //   --tenants=SPEC      replace the single driver with open-loop tenant
 //                       classes through the admission queue. SPEC is a
 //                       comma list of class[:weight[:iops]] with class in
@@ -141,7 +132,6 @@ struct Options {
   bool verify = false;
   int seeds = 1;
   int threads = 0;  // 0 = DefaultExperimentThreads()
-  int shards = 0;   // 0 = BIZA_SIM_SHARDS env, 1 = single-clock engine
   std::string bench_metric;  // non-empty: print a BENCH_METRIC line
 
   // NVMe queue-pair frontend (src/nvme). 0 queues = the legacy jittered
@@ -224,7 +214,7 @@ void PrintUsage() {
       "            --zones=N --zone-mb=N --zrwa-kb=N --num-parity=M\n"
       "            --full-geometry (904 zones x 1077 MiB, real ZN540)\n"
       "            --deviation=P --expose-channels --verify\n"
-      "            --seeds=N --threads=T --shards=N --bench-metric=ID\n"
+      "            --seeds=N --threads=T --bench-metric=ID\n"
       "nvme      : --queues=N --qd=N (modeled SQ/CQ pairs; 0 = legacy\n"
       "            jittered dispatch) --irq-threshold=N --irq-timer-us=U\n"
       "hostbuf   : --hostbuf-kb=N (NVRAM pool, 0 = off)\n"
@@ -324,7 +314,6 @@ std::unique_ptr<WorkloadGenerator> MakeWorkload(const std::string& name,
 struct RunResult {
   std::string platform_name;
   uint64_t capacity_blocks = 0;
-  int shards = 1;  // effective shard count after Platform::Create clamping
   DriverReport report;
   WaBreakdown wa;
   std::map<std::string, SimTime> cpu;
@@ -381,7 +370,6 @@ RunResult RunExperiment(const Options& opt, uint64_t seed_offset) {
   config.biza.num_parity = opt.num_parity;
   config.seed += seed_offset;
   config.zns.seed += seed_offset;
-  config.shards = opt.shards;
   if (opt.nvme_queues > 0) {
     NvmeQueueConfig nq;
     nq.enabled = true;
@@ -587,7 +575,6 @@ RunResult RunExperiment(const Options& opt, uint64_t seed_offset) {
   platform->Quiesce(&sim);
   result.platform_name = platform->name();
   result.capacity_blocks = target->capacity_blocks();
-  result.shards = platform->shards();
   RecordSimEvents(sim, result.report);
   if (opt.nvme_queues > 0) {
     result.have_nvme = true;
@@ -884,12 +871,6 @@ int main(int argc, char** argv) {
       opt.seeds = std::max(1, atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--threads", &value)) {
       opt.threads = atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      opt.shards = atoi(value.c_str());
-      if (opt.shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
     } else if (ParseFlag(argv[i], "--bench-metric", &value)) {
       opt.bench_metric = value;
     } else if (ParseFlag(argv[i], "--queues", &value)) {
@@ -1018,12 +999,6 @@ int main(int argc, char** argv) {
     // BenchMetricScope) truthful for --bench-metric runs.
     setenv("BIZA_FULL_GEOMETRY", "1", 1);
   }
-  if (opt.shards > 1 && opt.ObservabilityOn()) {
-    std::fprintf(stderr,
-                 "warning: observability hooks fire on shard threads; "
-                 "--shards forced to 1\n");
-    opt.shards = 1;
-  }
   // Scope whose destructor prints the BENCH_METRIC line after all runs.
   std::unique_ptr<BenchMetricScope> metric;
   if (!opt.bench_metric.empty()) {
@@ -1042,12 +1017,11 @@ int main(int argc, char** argv) {
       RunExperiments(std::move(jobs), opt.threads);
 
   std::printf("platform %-16s capacity %.0f MiB  (%u zones x %llu MiB, "
-              "ZRWA %llu KiB, m=%d, shards=%d)\n",
+              "ZRWA %llu KiB, m=%d)\n",
               results[0].platform_name.c_str(),
               static_cast<double>(results[0].capacity_blocks) * 4 / 1024,
               opt.zones, static_cast<unsigned long long>(opt.zone_mb),
-              static_cast<unsigned long long>(opt.zrwa_kb), opt.num_parity,
-              results[0].shards);
+              static_cast<unsigned long long>(opt.zrwa_kb), opt.num_parity);
 
   double mean_write = 0.0, mean_read = 0.0, mean_wa = 0.0;
   for (int s = 0; s < opt.seeds; ++s) {
