@@ -221,13 +221,13 @@ GrayResult RunGrayCase(PlatformKind kind, GrayMode mode, uint64_t seed) {
   result.p999_us =
       static_cast<double>(report.read_latency.Percentile(99.9)) / 1e3;
   if (platform->biza() != nullptr) {
-    const BizaStats& stats = platform->biza()->stats();
-    result.hedged = static_cast<double>(stats.hedged_reads);
-    result.recon_around = static_cast<double>(stats.recon_around_reads);
+    const ReadMitigationStats& m = platform->biza()->stats().mitigation;
+    result.hedged = static_cast<double>(m.hedged_reads);
+    result.recon_around = static_cast<double>(m.recon_around_reads);
   } else if (platform->mdraid() != nullptr) {
-    const MdraidStats& stats = platform->mdraid()->stats();
-    result.hedged = static_cast<double>(stats.hedged_reads);
-    result.recon_around = static_cast<double>(stats.recon_around_reads);
+    const ReadMitigationStats& m = platform->mdraid()->stats().mitigation;
+    result.hedged = static_cast<double>(m.hedged_reads);
+    result.recon_around = static_cast<double>(m.recon_around_reads);
   }
   if (platform->health() != nullptr) {
     result.gray_transitions =

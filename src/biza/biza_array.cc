@@ -123,16 +123,7 @@ void BizaArray::AttachObservability(Observability* obs) {
                       [this] { return stats_.write_stalls; });
   reg.RegisterCounter("biza.busy_skips", [this] { return stats_.busy_skips; });
   // Gray-failure mitigation plane.
-  reg.RegisterCounter("biza.health.hedged_reads",
-                      [this] { return stats_.hedged_reads; });
-  reg.RegisterCounter("biza.health.hedge_recon_wins",
-                      [this] { return stats_.hedge_recon_wins; });
-  reg.RegisterCounter("biza.health.recon_around_reads",
-                      [this] { return stats_.recon_around_reads; });
-  reg.RegisterCounter("biza.health.probe_reads",
-                      [this] { return stats_.health_probe_reads; });
-  reg.RegisterCounter("biza.health.recon_fallbacks",
-                      [this] { return stats_.recon_fallbacks; });
+  stats_.mitigation.Register(reg, "biza");
   reg.RegisterCounter("biza.health.steered_parity_stripes",
                       [this] { return stats_.steered_parity_stripes; });
   reg.RegisterCounter("biza.health.gray_channel_skips",
@@ -1163,6 +1154,24 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       state->cb(state->error, std::move(state->out));
     }
   };
+  // Re-dispatches blocks [at, at + n) through SubmitRead, whose fresh BMT
+  // lookup re-decides their path. Takes the join as arguments so that the
+  // hot-path closures carrying this lambda hold no extra references.
+  auto redispatch = [this, lbn](std::shared_ptr<ReadState> join,
+                                auto release_join, uint64_t at, uint64_t n) {
+    stats_.user_read_blocks -= n;  // the re-dispatch re-counts them
+    SubmitRead(lbn + at, n,
+               [join, at, release_join](const Status& s,
+                                        std::vector<uint64_t> p) {
+                 if (!s.ok() && join->error.ok()) {
+                   join->error = s;
+                 }
+                 for (size_t j = 0; j < p.size(); ++j) {
+                   join->out[at + j] = p[j];
+                 }
+                 release_join();
+               });
+  };
 
   uint64_t i = 0;
   while (i < nblocks) {
@@ -1319,125 +1328,55 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       continue;
     }
 
-    // Gray-failure mitigation: a gray target device is reconstructed around
-    // outright (except for scheduled probes); a suspect one gets a hedged
-    // read — direct read raced against a reconstruct fired after the hedge
-    // delay, first completion wins. Either path needs a cleanly
-    // reconstructable stripe (CanMitigateRead); otherwise fall through to
-    // the plain read.
-    if (health_ != nullptr) {
-      const DeviceHealth dh = health_->state(device);
-      if ((dh == DeviceHealth::kGray || dh == DeviceHealth::kSuspect) &&
-          CanMitigateRead(entry)) {
-        const uint64_t out_at = i;
-        const uint64_t target = lbn + i;
-        const bool probe =
-            dh == DeviceHealth::kGray && health_->ProbeDue(device);
-        state->pending++;
-        if (dh == DeviceHealth::kGray && !probe) {
-          // Reconstruct-around: skip the gray device entirely.
-          stats_.recon_around_reads++;
-          ReconstructChunk(
-              target, entry,
-              [this, state, out_at, target, release](const Status& status,
-                                                     uint64_t pattern) {
-                if (status.ok()) {
-                  state->out[out_at] = pattern;
-                  release();
-                  return;
-                }
-                // Sources changed in flight (GC/overwrite): re-dispatch the
-                // block; the fresh BMT lookup re-decides the path.
-                stats_.recon_fallbacks++;
-                stats_.user_read_blocks--;  // re-dispatch re-counts it
-                SubmitRead(target, 1,
-                           [state, out_at, release](const Status& s,
-                                                    std::vector<uint64_t> p) {
-                             if (!s.ok() && state->error.ok()) {
-                               state->error = s;
-                             }
-                             if (!p.empty()) {
-                               state->out[out_at] = p[0];
-                             }
-                             release();
-                           });
-              });
-          i++;
-          continue;
-        }
-        // Hedged read (suspect device, or a gray-device probe raced at
-        // delay 0 so the user never waits on the probe). The hedge timer is
-        // a sim event — deterministic per seed.
-        stats_.hedged_reads++;
-        if (probe) {
-          stats_.health_probe_reads++;
-        }
-        struct Hedge {
-          bool done = false;
-        };
-        auto hedge = std::make_shared<Hedge>();
-        DeviceRead(
-            device, entry.pa, 1, 0,
-            [this, state, hedge, out_at, target, device, release](
-                const Status& status, std::vector<uint64_t> pats) {
-              if (hedge->done) {
-                return;  // the reconstruct already delivered
-              }
-              hedge->done = true;
-              if (status.ok() && !pats.empty()) {
-                state->out[out_at] = pats[0];
-                release();
-                return;
-              }
-              if (status.code() == ErrorCode::kUnavailable) {
-                OnDeviceUnavailable(device);
-                stats_.user_read_blocks--;  // re-dispatch re-counts it
-                SubmitRead(target, 1,
-                           [state, out_at, release](const Status& s,
-                                                    std::vector<uint64_t> p) {
-                             if (!s.ok() && state->error.ok()) {
-                               state->error = s;
-                             }
-                             if (!p.empty()) {
-                               state->out[out_at] = p[0];
-                             }
-                             release();
-                           });
-                return;
-              }
-              if (state->error.ok()) {
-                state->error = status;
-              }
-              release();
-            });
-        const SimTime delay = probe ? 0 : health_->HedgeDelayNs(device);
-        sim_->Schedule(delay, [this, hedge, state, out_at, target, entry,
-                               release]() {
-          if (hedge->done) {
-            return;
-          }
-          // Revalidate before spending the reconstruct: the mapping or the
-          // stripe may have changed while the timer was pending.
-          const BmtEntry cur = BmtGet(target);
-          if (cur.pa != entry.pa || cur.sn != entry.sn ||
-              !CanMitigateRead(cur)) {
-            return;  // the direct leg still owns delivery
-          }
-          ReconstructChunk(target, cur,
-                           [this, hedge, state, out_at, release](
-                               const Status& status, uint64_t pattern) {
-                             if (hedge->done || !status.ok()) {
-                               return;  // direct leg owns delivery
-                             }
-                             hedge->done = true;
-                             stats_.hedge_recon_wins++;
-                             state->out[out_at] = pattern;
-                             release();
-                           });
-        });
-        i++;
-        continue;
-      }
+    state->pending++;
+    const uint64_t out_at = i;
+    // Gray-failure mitigation (DESIGN.md §6): a suspect or gray device's
+    // block is raced against, or rebuilt from, its stripe peers.
+    if (MitigateRead(sim_, health_, device, &stats_.mitigation, [&] {
+          const uint64_t target = lbn + i;
+          return ReadLegs{
+              .can_reconstruct =
+                  [this, target, entry] {
+                    // The mapping or the stripe may have changed since the
+                    // block was looked up.
+                    const BmtEntry cur = BmtGet(target);
+                    return cur.pa == entry.pa && cur.sn == entry.sn &&
+                           CanMitigateRead(cur);
+                  },
+              .direct =
+                  [this, device, entry](ReadLegs::Done done) {
+                    DeviceRead(device, entry.pa, 1, 0,
+                               [done = std::move(done)](
+                                   const Status& s, std::vector<uint64_t> p) {
+                                 done(s, p.empty() ? 0 : p[0]);
+                               });
+                  },
+              .reconstruct =
+                  [this, target, entry](ReadLegs::Done done) {
+                    ReconstructChunk(target, entry, std::move(done));
+                  },
+              .deliver =
+                  [state, out_at, release](const Status& s, uint64_t pattern) {
+                    if (s.ok()) {
+                      state->out[out_at] = pattern;
+                    } else if (state->error.ok()) {
+                      state->error = s;
+                    }
+                    release();
+                  },
+              .fallback =
+                  [redispatch, state, release, out_at] {
+                    redispatch(state, release, out_at, 1);
+                  },
+              .redrive =
+                  [this, device, redispatch, state, release, out_at] {
+                    OnDeviceUnavailable(device);
+                    redispatch(state, release, out_at, 1);
+                  },
+          };
+        })) {
+      i++;
+      continue;
     }
 
     // Merge a physically-contiguous run (same device and zone).
@@ -1449,12 +1388,9 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       }
       run++;
     }
-    state->pending++;
-    const uint64_t out_at = i;
-    const uint64_t run_lbn = lbn + i;
     DeviceRead(
         device, entry.pa, run, 0,
-        [this, state, out_at, run, run_lbn, device, release](
+        [this, state, out_at, run, device, release, redispatch](
             const Status& status, std::vector<uint64_t> pats) {
           if (status.ok()) {
             for (size_t j = 0; j < pats.size(); ++j) {
@@ -1467,18 +1403,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
             // The device died under this read: flag it and re-dispatch the
             // run through the degraded-reconstruction path above.
             OnDeviceUnavailable(device);
-            stats_.user_read_blocks -= run;  // re-dispatch re-counts them
-            SubmitRead(run_lbn, run,
-                       [state, out_at, release](const Status& s,
-                                                std::vector<uint64_t> rpats) {
-                         if (!s.ok() && state->error.ok()) {
-                           state->error = s;
-                         }
-                         for (size_t j = 0; j < rpats.size(); ++j) {
-                           state->out[out_at + j] = rpats[j];
-                         }
-                         release();
-                       });
+            redispatch(state, release, out_at, run);
             return;
           }
           if (state->error.ok()) {
@@ -1923,113 +1848,78 @@ void BizaArray::RebuildStep() {
     }
   };
   auto batch = std::make_shared<BatchJoin>(this);
-  if (config_.batched_gc_io) {
-    // Snapshot the batch's still-eligible queue entries, read them with one
-    // array read per contiguous-lbn run, and re-home every surviving chunk
-    // through a single gather write — one stripe-append burst and one parity
-    // refresh instead of one array request per chunk.
-    std::vector<std::pair<uint64_t, BmtEntry>> items;
-    while (rebuild_cursor_ < rebuild_queue_.size() &&
-           items.size() < config_.rebuild_batch_stripes) {
-      const uint64_t lbn = rebuild_queue_[rebuild_cursor_++];
-      const BmtEntry entry = BmtGet(lbn);
-      if (entry.pa == kInvalidPa || !StripeNeedsRebuild(entry.sn)) {
-        continue;  // overwritten or already re-homed
-      }
-      items.emplace_back(lbn, entry);
-    }
-    // The gather flushes when the last run-read callback releases it; the
-    // write callback then keeps the BatchJoin alive until the migration
-    // lands, preserving the legacy throttle timing.
-    struct RebuildGather {
-      BizaArray* array;
-      std::shared_ptr<BatchJoin> batch;
-      std::vector<uint64_t> lbns;
-      std::vector<uint64_t> patterns;
-      ~RebuildGather() {
-        if (lbns.empty()) {
-          return;
-        }
-        array->rebuild_.chunks_migrated += lbns.size();
-        auto b = batch;
-        array->SubmitWriteGather(std::move(lbns), std::move(patterns),
-                                 [b](const Status&) {}, WriteTag::kGcData);
-      }
-    };
-    auto gather = std::make_shared<RebuildGather>();
-    gather->array = this;
-    gather->batch = batch;
-    uint64_t idx = 0;
-    while (idx < items.size()) {
-      uint64_t run = 1;
-      while (idx + run < items.size() &&
-             items[idx + run].first == items[idx].first + run) {
-        run++;
-      }
-      const uint64_t start_lbn = items[idx].first;
-      std::vector<BmtEntry> snap(run);
-      for (uint64_t j = 0; j < run; ++j) {
-        snap[j] = items[idx + j].second;
-      }
-      SubmitRead(
-          start_lbn, run,
-          [this, gather, start_lbn, snap = std::move(snap)](
-              const Status& status, std::vector<uint64_t> patterns) {
-            for (size_t j = 0; j < snap.size(); ++j) {
-              const uint64_t lbn = start_lbn + j;
-              uint64_t pattern = 0;
-              if (status.ok() && j < patterns.size()) {
-                pattern = patterns[j];
-              } else {
-                // Unrecoverable chunk (e.g. a second failure under rebuild):
-                // re-home zeros so the rebuild still terminates, and shout.
-                BIZA_LOG_ERROR("rebuild: lbn %llu unreadable (%s) — data loss",
-                               static_cast<unsigned long long>(lbn),
-                               status.ToString().c_str());
-              }
-              const BmtEntry now = BmtGet(lbn);
-              if (now.pa != snap[j].pa || now.sn != snap[j].sn) {
-                continue;  // overwritten while the read was in flight
-              }
-              gather->lbns.push_back(lbn);
-              gather->patterns.push_back(pattern);
-            }
-          });
-      idx += run;
-    }
-    return;
-  }
-  uint64_t dispatched = 0;
+  // Snapshot the batch's still-eligible queue entries, read them with one
+  // array read per contiguous-lbn run, and re-home every surviving chunk
+  // through a single gather write: one stripe-append burst and one parity
+  // refresh per batch.
+  std::vector<std::pair<uint64_t, BmtEntry>> items;
   while (rebuild_cursor_ < rebuild_queue_.size() &&
-         dispatched < config_.rebuild_batch_stripes) {
+         items.size() < config_.rebuild_batch_stripes) {
     const uint64_t lbn = rebuild_queue_[rebuild_cursor_++];
     const BmtEntry entry = BmtGet(lbn);
     if (entry.pa == kInvalidPa || !StripeNeedsRebuild(entry.sn)) {
       continue;  // overwritten or already re-homed
     }
-    dispatched++;
+    items.emplace_back(lbn, entry);
+  }
+  // The gather flushes when the last run-read callback releases it; the
+  // write callback then keeps the BatchJoin alive until the migration
+  // lands, so the throttle interval starts after the batch is durable.
+  struct RebuildGather {
+    BizaArray* array;
+    std::shared_ptr<BatchJoin> batch;
+    std::vector<uint64_t> lbns;
+    std::vector<uint64_t> patterns;
+    ~RebuildGather() {
+      if (lbns.empty()) {
+        return;
+      }
+      array->rebuild_.chunks_migrated += lbns.size();
+      auto b = batch;
+      array->SubmitWriteGather(std::move(lbns), std::move(patterns),
+                               [b](const Status&) {}, WriteTag::kGcData);
+    }
+  };
+  auto gather = std::make_shared<RebuildGather>();
+  gather->array = this;
+  gather->batch = batch;
+  uint64_t idx = 0;
+  while (idx < items.size()) {
+    uint64_t run = 1;
+    while (idx + run < items.size() &&
+           items[idx + run].first == items[idx].first + run) {
+      run++;
+    }
+    const uint64_t start_lbn = items[idx].first;
+    std::vector<BmtEntry> snap(run);
+    for (uint64_t j = 0; j < run; ++j) {
+      snap[j] = items[idx + j].second;
+    }
     SubmitRead(
-        lbn, 1,
-        [this, lbn, entry, batch](const Status& status,
-                                  std::vector<uint64_t> patterns) {
-          uint64_t pattern = 0;
-          if (status.ok() && !patterns.empty()) {
-            pattern = patterns[0];
-          } else {
-            // Unrecoverable chunk (e.g. a second failure under rebuild):
-            // re-home zeros so the rebuild still terminates, and shout.
-            BIZA_LOG_ERROR("rebuild: lbn %llu unreadable (%s) — data loss",
-                           static_cast<unsigned long long>(lbn),
-                           status.ToString().c_str());
+        start_lbn, run,
+        [this, gather, start_lbn, snap = std::move(snap)](
+            const Status& status, std::vector<uint64_t> patterns) {
+          for (size_t j = 0; j < snap.size(); ++j) {
+            const uint64_t lbn = start_lbn + j;
+            uint64_t pattern = 0;
+            if (status.ok() && j < patterns.size()) {
+              pattern = patterns[j];
+            } else {
+              // Unrecoverable chunk (e.g. a second failure under rebuild):
+              // re-home zeros so the rebuild still terminates, and shout.
+              BIZA_LOG_ERROR("rebuild: lbn %llu unreadable (%s) — data loss",
+                             static_cast<unsigned long long>(lbn),
+                             status.ToString().c_str());
+            }
+            const BmtEntry now = BmtGet(lbn);
+            if (now.pa != snap[j].pa || now.sn != snap[j].sn) {
+              continue;  // overwritten while the read was in flight
+            }
+            gather->lbns.push_back(lbn);
+            gather->patterns.push_back(pattern);
           }
-          const BmtEntry now = BmtGet(lbn);
-          if (now.pa != entry.pa || now.sn != entry.sn) {
-            return;  // overwritten while the read was in flight
-          }
-          rebuild_.chunks_migrated++;
-          SubmitWrite(lbn, {pattern}, [batch](const Status&) {},
-                      WriteTag::kGcData);
         });
+    idx += run;
   }
 }
 
@@ -2400,8 +2290,8 @@ void BizaArray::GcStep() {
     auto mjoin = std::make_shared<MigrateJoin>(this);
     gc_pass_failed_ = false;
 
-    // Batched mode collects the batch's surviving data chunks and re-homes
-    // them with one gather write (one partial-parity refresh) after the loop.
+    // Collect the batch's surviving data chunks and re-home them with one
+    // gather write (one partial-parity refresh) after the loop.
     std::vector<uint64_t> gather_lbns;
     std::vector<uint64_t> gather_patterns;
     uint64_t gather_min_off = zone_cap_;
@@ -2477,23 +2367,9 @@ void BizaArray::GcStep() {
           continue;  // overwritten while the batch was reading
         }
         stats_.gc_migrated_data++;
-        if (config_.batched_gc_io) {
-          gather_lbns.push_back(item.oob.lbn);
-          gather_patterns.push_back(pattern);
-          gather_min_off = std::min(gather_min_off, item.offset);
-        } else {
-          const uint64_t moff = item.offset;
-          SubmitWrite(item.oob.lbn, {pattern},
-                      [this, mjoin, moff](const Status& s) {
-                        if (!s.ok()) {
-                          // Not re-homed: the BMT still points into the
-                          // victim, which therefore must not be reset.
-                          gc_scan_ = std::min(gc_scan_, moff);
-                          gc_pass_failed_ = true;
-                        }
-                      },
-                      WriteTag::kGcData);
-        }
+        gather_lbns.push_back(item.oob.lbn);
+        gather_patterns.push_back(pattern);
+        gather_min_off = std::min(gather_min_off, item.offset);
       }
     }
     if (!gather_lbns.empty()) {
@@ -2515,16 +2391,14 @@ void BizaArray::GcStep() {
   };
 
   for (size_t idx = 0; idx < gc_batch->items.size();) {
-    // Batched mode reads each physically-contiguous victim run with one
-    // device command; a failed run read marks every covered block not-ok,
-    // which the rescan rollback then re-attempts individually.
+    // Read each physically-contiguous victim run with one device command;
+    // a failed run read marks every covered block not-ok, which the rescan
+    // rollback then re-attempts individually.
     uint64_t run = 1;
-    if (config_.batched_gc_io) {
-      while (idx + run < gc_batch->items.size() &&
-             gc_batch->items[idx + run].offset ==
-                 gc_batch->items[idx].offset + run) {
-        run++;
-      }
+    while (idx + run < gc_batch->items.size() &&
+           gc_batch->items[idx + run].offset ==
+               gc_batch->items[idx].offset + run) {
+      run++;
     }
     gc_batch->pending++;
     const uint64_t pa =

@@ -42,6 +42,7 @@
 #include "src/biza/zone_scheduler.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
+#include "src/health/read_mitigation.h"
 #include "src/metrics/cpu_account.h"
 #include "src/metrics/observability.h"
 #include "src/metrics/wa_report.h"
@@ -71,11 +72,7 @@ struct BizaStats {
   uint64_t busy_skips = 0;       // zone picks steered off a BUSY channel
 
   // Gray-failure mitigation plane (zero unless a health monitor is attached).
-  uint64_t hedged_reads = 0;          // reads raced against a reconstruct
-  uint64_t hedge_recon_wins = 0;      // races the reconstruct path won
-  uint64_t recon_around_reads = 0;    // gray-device reads reconstructed outright
-  uint64_t health_probe_reads = 0;    // scheduled direct probes of a gray device
-  uint64_t recon_fallbacks = 0;       // reconstructs that fell back to direct
+  ReadMitigationStats mitigation;
   uint64_t steered_parity_stripes = 0;  // stripes re-rolled off gray parity
   uint64_t gray_channel_skips = 0;    // zone picks steered off a gray channel
 };

@@ -41,13 +41,9 @@ struct BizaConfig {
 
   double gc_trigger_free_ratio = 0.20;
   double gc_stop_free_ratio = 0.28;
+  // GC and rebuild read contiguous victim blocks with one device command
+  // per run, and re-home a batch's data chunks through one gather write.
   uint64_t gc_batch_blocks = 16;
-  // Batch GC / rebuild migration I/O: contiguous victim blocks are read with
-  // one device command per run, and a batch's data chunks are re-homed
-  // through one gather write (one partial-parity refresh) instead of one
-  // single-block array request each — O(1) simulator events per batch leg.
-  // Off = the legacy per-chunk paths, kept for equivalence tests.
-  bool batched_gc_io = true;
   // BUSY attribution extensions beyond the paper's GC-destination tag:
   // `busy_tag_victim` also tags the victim zone's channel while it is read
   // (off by default: measurements showed it over-constrains placement);

@@ -98,7 +98,9 @@ ChunkTier GhostCache::OnWrite(uint64_t key) {
       if (node.reaccess >= config_.promote_reaccess) {
         lru_.erase(node.lru_it);
         PromoteToHr(key, node);
-        if (node.has_reuse &&
+        // A key that is the minimum of a full HR evicts itself straight back
+        // to the LRU; it must not then also enter HP.
+        if (node.where == Residence::kHr && node.has_reuse &&
             node.reuse_ewma <= static_cast<double>(config_.hp_reuse_threshold)) {
           hr_.erase({node.reaccess, key});
           PromoteToHp(key, node);

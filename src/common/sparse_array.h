@@ -106,14 +106,6 @@ class ChunkedArray {
     }
   }
 
-  // Force-allocate every chunk: the dense reference mode used by the
-  // sparse-vs-dense equivalence tests.
-  void PreallocateAll() {
-    for (uint64_t c = 0; c < chunks_.size(); ++c) {
-      (void)Mut(c * chunk_size_);
-    }
-  }
-
   // Smallest index >= i whose chunk is allocated, or size(). Scans (OOB
   // recovery, GC liveness) hop over unwritten regions chunk-by-chunk.
   uint64_t SkipUnallocated(uint64_t i) const {

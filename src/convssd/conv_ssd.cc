@@ -28,10 +28,6 @@ ConvSsd::ConvSsd(Simulator* sim, const ConvSsdConfig& config)
       std::min<uint64_t>(config_.pages_per_flash_block, 1024);
   p2l_ = ChunkedArray<uint64_t>(total_pages_, chunk, kUnmapped);
   page_pattern_ = ChunkedArray<uint64_t>(total_pages_, chunk, 0);
-  if (config_.dense_state) {
-    p2l_.PreallocateAll();
-    page_pattern_.PreallocateAll();
-  }
   flash_blocks_.resize(num_flash_blocks_);
   for (uint64_t b = 0; b < num_flash_blocks_; ++b) {
     flash_blocks_[b].channel =
@@ -212,9 +208,8 @@ bool ConvSsd::CollectOne() {
   FlashBlock& vblock = flash_blocks_[victim];
   const int channel = vblock.channel;
   uint64_t migrated = 0;
-  // Batched mode coalesces the migration transfers into one read run off the
-  // victim plus one program run per destination segment, instead of a
-  // page-interleaved read/program pair per live page.
+  // The migration transfers are one read run off the victim plus one
+  // program run per destination segment.
   uint64_t run_pages = 0;
   int run_prog_channel = -1;
   auto flush_runs = [&] {
@@ -250,13 +245,8 @@ bool ConvSsd::CollectOne() {
     l2p_.Set(lbn, new_ppn);
     p2l_.Mut(ppn) = kUnmapped;
     migrated++;
-    if (config_.batched_gc_io) {
-      run_prog_channel = dest.channel;
-      run_pages++;
-    } else {
-      backend_->Read(channel, kBlockSize);
-      backend_->BackgroundProgram(dest.channel, kBlockSize);
-    }
+    run_prog_channel = dest.channel;
+    run_pages++;
   }
   flush_runs();
   stats_.gc_migrated_blocks += migrated;
@@ -269,12 +259,10 @@ bool ConvSsd::CollectOne() {
   vblock.valid_pages = 0;
   free_blocks_++;
   // The erased block's pages are all invalid now: give their chunks back.
-  if (!config_.dense_state) {
-    const uint64_t lo = victim * config_.pages_per_flash_block;
-    const uint64_t hi = lo + config_.pages_per_flash_block;
-    p2l_.ClearRange(lo, hi);
-    page_pattern_.ClearRange(lo, hi);
-  }
+  const uint64_t lo = victim * config_.pages_per_flash_block;
+  const uint64_t hi = lo + config_.pages_per_flash_block;
+  p2l_.ClearRange(lo, hi);
+  page_pattern_.ClearRange(lo, hi);
   return true;
 }
 

@@ -52,17 +52,6 @@ struct ConvSsdConfig {
   NvmeQueueConfig nvme;
   uint64_t seed = 1;
 
-  // Model GC transfers as channel runs (one ReadRun + one ProgramRun per
-  // migrated segment) instead of page-interleaved singles. Content, mapping
-  // and WA accounting are identical either way; only the die-rotation order
-  // of the migration arithmetic differs. Off = the legacy per-page model,
-  // kept for equivalence tests.
-  bool batched_gc_io = true;
-
-  // Dense reference mode: preallocate the physical-page tables up front (the
-  // pre-sparse layout) instead of growing them with written data.
-  bool dense_state = false;
-
   static NandTimingConfig ConvTiming() {
     NandTimingConfig t;
     // SN640: 2250 MB/s write, 3331 MB/s read (Table 5), same flash basis.

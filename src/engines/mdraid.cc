@@ -60,16 +60,7 @@ void Mdraid::AttachObservability(Observability* obs) {
                       [this] { return stats_.write_retries; });
   reg.RegisterCounter("mdraid.rebuilt_blocks",
                       [this] { return stats_.rebuilt_blocks; });
-  reg.RegisterCounter("mdraid.health.hedged_reads",
-                      [this] { return stats_.hedged_reads; });
-  reg.RegisterCounter("mdraid.health.hedge_recon_wins",
-                      [this] { return stats_.hedge_recon_wins; });
-  reg.RegisterCounter("mdraid.health.recon_around_reads",
-                      [this] { return stats_.recon_around_reads; });
-  reg.RegisterCounter("mdraid.health.probe_reads",
-                      [this] { return stats_.health_probe_reads; });
-  reg.RegisterCounter("mdraid.health.recon_fallbacks",
-                      [this] { return stats_.recon_fallbacks; });
+  stats_.mitigation.Register(reg, "mdraid");
   reg.RegisterGauge("mdraid.dirty_blocks", [this] { return dirty_blocks_; });
   reg.RegisterGauge("mdraid.rebuild_active",
                     [this] { return rebuild_active_ ? 1 : 0; });
@@ -643,6 +634,23 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       state->cb(state->error, std::move(state->out));
     }
   };
+  // Re-dispatches block `at` through SubmitRead, which re-decides its path.
+  // Takes the join as arguments, as in BizaArray::SubmitRead.
+  auto redispatch = [this, lbn](std::shared_ptr<ReadState> join,
+                                auto release_join, uint64_t at) {
+    stats_.user_read_blocks--;  // the re-dispatch re-counts it
+    SubmitRead(lbn + at, 1,
+               [join, at, release_join](const Status& s,
+                                        std::vector<uint64_t> p) {
+                 if (!s.ok() && join->error.ok()) {
+                   join->error = s;
+                 }
+                 if (!p.empty()) {
+                   join->out[at] = p[0];
+                 }
+                 release_join();
+               });
+  };
 
   for (uint64_t i = 0; i < nblocks; ++i) {
     const uint64_t target = lbn + i;
@@ -654,118 +662,50 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       continue;
     }
     const int child = geometry_.DataDrive(stripe, slot);
-    if (!child_failed_[static_cast<size_t>(child)] && health_ != nullptr) {
-      const DeviceHealth dh = health_->state(child);
-      if ((dh == DeviceHealth::kGray || dh == DeviceHealth::kSuspect) &&
-          CanReconstruct(stripe)) {
-        const uint64_t out_at = i;
-        const bool probe =
-            dh == DeviceHealth::kGray && health_->ProbeDue(child);
-        if (dh == DeviceHealth::kGray && !probe) {
-          // Reconstruct-around: serve the block from the survivors so the
-          // gray child's stretched completions never reach the user. On any
-          // recon failure fall back to the direct read — slow beats wrong.
-          stats_.recon_around_reads++;
-          state->pending++;
-          ReconstructBlock(
-              stripe, child,
-              [this, state, out_at, release, stripe, child](
-                  const Status& status, uint64_t value) {
-                if (status.ok()) {
-                  state->out[out_at] = value;
-                  release();
-                  return;
-                }
-                stats_.recon_fallbacks++;
-                ChildRead(child, stripe, 1, 0,
-                          [state, out_at, release](
-                              const Status& s, std::vector<uint64_t> pats) {
-                            if (s.ok() && !pats.empty()) {
-                              state->out[out_at] = pats[0];
-                            } else if (!s.ok() && state->error.ok()) {
-                              state->error = s;
-                            }
-                            release();
-                          });
-              });
-          continue;
-        }
-        // Suspect child (or a gray-child probe): race the direct read
-        // against a reconstruction fired after the hedge delay (delay 0 for
-        // probes — the direct leg must still run so the detector sees the
-        // device recover). First completion wins; the loser is dropped.
-        stats_.hedged_reads++;
-        if (probe) {
-          stats_.health_probe_reads++;
-        }
-        state->pending++;
-        struct Hedge {
-          bool done = false;
-        };
-        auto hedge = std::make_shared<Hedge>();
-        ChildRead(child, stripe, 1, 0,
-                  [this, state, out_at, release, hedge, child, target](
-                      const Status& status, std::vector<uint64_t> patterns) {
-                    if (hedge->done) {
-                      return;
-                    }
-                    hedge->done = true;
-                    if (status.ok()) {
-                      if (!patterns.empty()) {
-                        state->out[out_at] = patterns[0];
-                      }
-                      release();
-                      return;
-                    }
-                    if (status.code() == ErrorCode::kUnavailable) {
-                      OnChildUnavailable(child);
-                      stats_.user_read_blocks--;  // re-dispatch re-counts it
-                      SubmitRead(target, 1,
-                                 [state, out_at, release](
-                                     const Status& s,
-                                     std::vector<uint64_t> pats) {
-                                   if (!s.ok() && state->error.ok()) {
-                                     state->error = s;
-                                   }
-                                   if (!pats.empty()) {
-                                     state->out[out_at] = pats[0];
-                                   }
-                                   release();
-                                 });
-                      return;
-                    }
-                    if (state->error.ok()) {
-                      state->error = status;
-                    }
-                    release();
-                  });
-        const SimTime delay = probe ? 0 : health_->HedgeDelayNs(child);
-        sim_->Schedule(delay, [this, state, out_at, release, hedge, stripe,
-                               child]() {
-          if (hedge->done || !CanReconstruct(stripe)) {
-            return;  // direct leg finishes the block
-          }
-          ReconstructBlock(stripe, child,
-                           [this, state, out_at, release, hedge](
-                               const Status& status, uint64_t value) {
-                             if (hedge->done || !status.ok()) {
-                               return;  // direct leg finishes the block
-                             }
-                             hedge->done = true;
-                             stats_.hedge_recon_wins++;
-                             state->out[out_at] = value;
-                             release();
-                           });
-        });
-        continue;
-      }
-    }
     if (!child_failed_[static_cast<size_t>(child)]) {
       state->pending++;
       const uint64_t out_at = i;
+      // Gray-failure mitigation (DESIGN.md §6): a suspect or gray child's
+      // block is raced against, or rebuilt from, the stripe's survivors.
+      if (MitigateRead(sim_, health_, child, &stats_.mitigation, [&] {
+            auto direct = [this, child, stripe](ReadLegs::Done done) {
+              ChildRead(child, stripe, 1, 0,
+                        [done = std::move(done)](const Status& s,
+                                                 std::vector<uint64_t> p) {
+                          done(s, p.empty() ? 0 : p[0]);
+                        });
+            };
+            auto deliver = [state, out_at, release](const Status& s,
+                                                    uint64_t value) {
+              if (s.ok()) {
+                state->out[out_at] = value;
+              } else if (state->error.ok()) {
+                state->error = s;
+              }
+              release();
+            };
+            return ReadLegs{
+                .can_reconstruct =
+                    [this, stripe] { return CanReconstruct(stripe); },
+                .direct = direct,
+                .reconstruct =
+                    [this, stripe, child](ReadLegs::Done done) {
+                      ReconstructBlock(stripe, child, std::move(done));
+                    },
+                .deliver = deliver,
+                .fallback = [direct, deliver] { direct(deliver); },
+                .redrive =
+                    [this, child, redispatch, state, release, out_at] {
+                      OnChildUnavailable(child);
+                      redispatch(state, release, out_at);
+                    },
+            };
+          })) {
+        continue;
+      }
       ChildRead(
           child, stripe, 1, 0,
-          [this, state, out_at, release, child, target](
+          [this, state, out_at, release, child, redispatch](
               const Status& status, std::vector<uint64_t> patterns) {
             if (status.ok()) {
               if (!patterns.empty()) {
@@ -778,18 +718,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
               // The child died under this read: flag it and re-dispatch the
               // block through the degraded path below.
               OnChildUnavailable(child);
-              stats_.user_read_blocks--;  // re-dispatch re-counts it
-              SubmitRead(target, 1,
-                         [state, out_at, release](const Status& s,
-                                                  std::vector<uint64_t> pats) {
-                           if (!s.ok() && state->error.ok()) {
-                             state->error = s;
-                           }
-                           if (!pats.empty()) {
-                             state->out[out_at] = pats[0];
-                           }
-                           release();
-                         });
+              redispatch(state, release, out_at);
               return;
             }
             if (state->error.ok()) {

@@ -30,6 +30,7 @@
 
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
+#include "src/health/read_mitigation.h"
 #include "src/metrics/cpu_account.h"
 #include "src/metrics/observability.h"
 #include "src/raid/geometry.h"
@@ -71,11 +72,7 @@ struct MdraidStats {
   uint64_t write_retries = 0;
   uint64_t rebuilt_blocks = 0;    // blocks reconstructed onto a replacement
   // Gray-failure mitigation plane (SetHealthMonitor).
-  uint64_t hedged_reads = 0;       // suspect-child reads raced with a recon
-  uint64_t hedge_recon_wins = 0;   // races the reconstruction leg won
-  uint64_t recon_around_reads = 0; // gray-child reads served from survivors
-  uint64_t health_probe_reads = 0; // gray-child reads kept on-device to probe
-  uint64_t recon_fallbacks = 0;    // recons that fell back to a direct read
+  ReadMitigationStats mitigation;
 };
 
 class Mdraid : public BlockTarget {

@@ -2,8 +2,8 @@
 // mitigation plane.
 //
 // A DeviceHealthMonitor ingests per-I/O completion latencies from the
-// engines (BizaArray, Mdraid) — never from wall clocks — and classifies each
-// member device with a hysteresis state machine:
+// engines (BizaArray, Mdraid, ZapRaid) — never from wall clocks — and
+// classifies each member device with a hysteresis state machine:
 //
 //     healthy --hot window--> suspect --gray_windows hot--> gray
 //     gray --recover_windows calm--> recovered (then scored like healthy)
@@ -25,7 +25,8 @@
 // without demoting the whole device.
 //
 // Actions are the callers' job; the monitor only answers questions:
-//   * state(d) / IsGray(d) / ShouldHedge(d) — read-path policy inputs.
+//   * state(d) / IsGray(d) — read-path policy inputs (MitigateRead in
+//     read_mitigation.h hedges suspect devices, reconstructs around gray).
 //   * HedgeDelayNs(d) — deterministic hedge timer: a configured quantile of
 //     the *peer* devices' recent read latencies, times a safety multiplier.
 //   * ProbeDue(d) — every probe_interval-th read against a gray device
@@ -111,10 +112,6 @@ class DeviceHealthMonitor {
 
   DeviceHealth state(int device) const;
   bool IsGray(int device) const { return state(device) == DeviceHealth::kGray; }
-  // Suspect devices get hedged reads; gray devices are reconstructed around.
-  bool ShouldHedge(int device) const {
-    return state(device) == DeviceHealth::kSuspect;
-  }
   bool IsGrayChannel(int device, int channel) const;
 
   // Deterministic hedge delay: hedge_multiplier x the hedge_quantile of the

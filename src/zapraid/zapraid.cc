@@ -530,11 +530,12 @@ void ZapRaid::RequeueOp(int builder, ChunkOp op, uint32_t from_group,
   const uint64_t from_pa = MakePa(from_dev, from_group, op.offset);
   auto retry = std::make_shared<std::function<void()>>();
   auto op_holder = std::make_shared<ChunkOp>(std::move(op));
-  *retry = [this, builder, op_holder, from_pa, retry] {
+  *retry = [this, builder, op_holder, from_pa,
+            weak = std::weak_ptr<std::function<void()>>(retry)] {
     if (!AppendChunk(builder, op_holder->pattern, op_holder->oob,
                      op_holder->tag, op_holder->done, from_pa)) {
       ++stats_.write_stalls;
-      stalled_writes_.push_back([retry] { (*retry)(); });
+      stalled_writes_.push_back([self = weak.lock()] { (*self)(); });
     }
   };
   (*retry)();
@@ -610,7 +611,11 @@ void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
 
   auto pats = std::make_shared<std::vector<uint64_t>>(std::move(patterns));
   auto submit_from = std::make_shared<std::function<void(size_t)>>();
-  *submit_from = [this, join, finish, lbn, pats, tag, submit_from](size_t i) {
+  // Captured weakly: a self-owning closure would never be freed. Whoever
+  // runs it (this frame, or stalled_writes_) holds the strong reference.
+  *submit_from = [this, join, finish, lbn, pats, tag,
+                  weak = std::weak_ptr<std::function<void(size_t)>>(
+                      submit_from)](size_t i) {
     join->dispatching = true;
     for (; i < pats->size(); ++i) {
       OobRecord oob{lbn + i, 0, tag};
@@ -626,7 +631,7 @@ void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
       if (!ok) {
         // No free group: park the rest of the request until GC frees one.
         ++stats_.write_stalls;
-        stalled_writes_.push_back([submit_from, i] { (*submit_from)(i); });
+        stalled_writes_.push_back([self = weak.lock(), i] { (*self)(i); });
         join->dispatching = false;
         MaybeStartGc();
         return;
@@ -884,81 +889,38 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
     return;
   }
 
-  if (health_ != nullptr && health_->IsGray(device)) {
-    // Gray member: reconstruct around it; every probe_interval-th read
-    // still probes it so the detector keeps seeing samples.
-    ++stats_.recon_around_reads;
-    if (health_->ProbeDue(device)) {
-      ++stats_.health_probe_reads;
-      DeviceRead(device, group, row, 1, 0, sim_->Now(),
-                 [](const Status&, std::vector<uint64_t>) {});
-    }
-    ReconstructChunk(entry.pa,
-                     [this, device, group, row, land](const Status& status,
-                                                      uint64_t pattern) {
-                       if (status.ok()) {
-                         land(status, pattern);
-                         return;
-                       }
-                       ++stats_.recon_fallbacks;
-                       DeviceRead(device, group, row, 1, 0, sim_->Now(),
-                                  [land](const Status& st,
-                                         std::vector<uint64_t> patterns) {
-                                    land(st, st.ok() ? patterns[0] : 0);
-                                  });
+  // Gray-failure mitigation (DESIGN.md §6): a suspect or gray member's
+  // chunk is raced against, or rebuilt from, its row's siblings.
+  if (MitigateRead(sim_, health_, device, &stats_.mitigation, [&] {
+        auto direct = [this, device, group, row](ReadLegs::Done done) {
+          DeviceRead(device, group, row, 1, 0, sim_->Now(),
+                     [done = std::move(done)](const Status& status,
+                                              std::vector<uint64_t> patterns) {
+                       done(status, status.ok() ? patterns[0] : 0);
                      });
-    return;
-  }
-
-  if (health_ != nullptr && health_->ShouldHedge(device)) {
-    // Suspect member: direct read plus a delayed reconstruction leg; first
-    // to land wins.
-    ++stats_.hedged_reads;
-    struct Hedge {
-      bool done = false;
-    };
-    auto hedge = std::make_shared<Hedge>();
-    DeviceRead(device, group, row, 1, 0, sim_->Now(),
-               [this, hedge, land, lbn, slot, join, release, device](
-                   const Status& status, std::vector<uint64_t> patterns) {
-                 if (status.code() == ErrorCode::kUnavailable) {
-                   // The suspect died mid-hedge: degrade exactly like the
-                   // normal path, and re-drive the block unless the
-                   // reconstruction leg already served it.
-                   OnDeviceUnavailable(device);
-                   if (hedge->done) {
-                     return;
-                   }
-                   hedge->done = true;
-                   RedriveRead(lbn, slot, join, release);
-                   return;
-                 }
-                 if (hedge->done) {
-                   return;
-                 }
-                 hedge->done = true;
-                 land(status, status.ok() ? patterns[0] : 0);
-               });
-    const Group& grp = groups_[group];
-    const RowMeta meta = grp.rows.size() > row ? grp.rows[row] : RowMeta{};
-    if (CanReconstructRow(grp, meta, device)) {
-      sim_->Schedule(health_->HedgeDelayNs(device),
-                     [this, hedge, land, pa = entry.pa] {
-                       if (hedge->done) {
-                         return;
-                       }
-                       ReconstructChunk(
-                           pa, [this, hedge, land](const Status& status,
-                                                   uint64_t pattern) {
-                             if (hedge->done || !status.ok()) {
-                               return;  // direct leg owns the failure path
-                             }
-                             hedge->done = true;
-                             ++stats_.hedge_recon_wins;
-                             land(status, pattern);
-                           });
-                     });
-    }
+        };
+        return ReadLegs{
+            .can_reconstruct =
+                [this, device, group, row] {
+                  const Group& grp = groups_[group];
+                  const RowMeta meta =
+                      grp.rows.size() > row ? grp.rows[row] : RowMeta{};
+                  return CanReconstructRow(grp, meta, device);
+                },
+            .direct = direct,
+            .reconstruct =
+                [this, pa = entry.pa](ReadLegs::Done done) {
+                  ReconstructChunk(pa, std::move(done));
+                },
+            .deliver = land,
+            .fallback = [direct, land] { direct(land); },
+            .redrive =
+                [this, device, lbn, slot, join, release] {
+                  OnDeviceUnavailable(device);
+                  RedriveRead(lbn, slot, join, release);
+                },
+        };
+      })) {
     return;
   }
 
@@ -1232,12 +1194,13 @@ void ZapRaid::GcAppend(uint64_t lbn, uint32_t wsn, uint64_t pattern,
     }
   };
   auto retry = std::make_shared<std::function<void()>>();
-  *retry = [this, lbn, wsn, pattern, from_pa, done, retry] {
+  *retry = [this, lbn, wsn, pattern, from_pa, done,
+            weak = std::weak_ptr<std::function<void()>>(retry)] {
     // Preserving the original wsn keeps the recovery total order intact:
     // the migrated copy is the *same* version, not a newer one.
     if (!AppendChunk(kGcBuilder, pattern, OobRecord{lbn, wsn, WriteTag::kGcData},
                      WriteTag::kGcData, done, from_pa)) {
-      stalled_writes_.push_back([retry] { (*retry)(); });
+      stalled_writes_.push_back([self = weak.lock()] { (*self)(); });
     }
   };
   (*retry)();
@@ -1446,11 +1409,12 @@ void ZapRaid::RebuildStep() {
       }
       ++rebuild_.chunks_migrated;
       auto retry = std::make_shared<std::function<void()>>();
-      *retry = [this, lbn, pattern, pa = e.pa, retry] {
+      *retry = [this, lbn, pattern, pa = e.pa,
+                weak = std::weak_ptr<std::function<void()>>(retry)] {
         if (!AppendChunk(kGcBuilder, pattern,
                          OobRecord{lbn, 0, WriteTag::kGcData},
                          WriteTag::kGcData, nullptr, pa)) {
-          stalled_writes_.push_back([retry] { (*retry)(); });
+          stalled_writes_.push_back([self = weak.lock()] { (*self)(); });
         }
       };
       (*retry)();
@@ -1636,16 +1600,7 @@ void ZapRaid::AttachObservability(Observability* obs) {
                       [this] { return stats_.read_retries; });
   reg.RegisterCounter("zapraid.write_stalls",
                       [this] { return stats_.write_stalls; });
-  reg.RegisterCounter("zapraid.health.hedged_reads",
-                      [this] { return stats_.hedged_reads; });
-  reg.RegisterCounter("zapraid.health.hedge_recon_wins",
-                      [this] { return stats_.hedge_recon_wins; });
-  reg.RegisterCounter("zapraid.health.recon_around_reads",
-                      [this] { return stats_.recon_around_reads; });
-  reg.RegisterCounter("zapraid.health.probe_reads",
-                      [this] { return stats_.health_probe_reads; });
-  reg.RegisterCounter("zapraid.health.recon_fallbacks",
-                      [this] { return stats_.recon_fallbacks; });
+  stats_.mitigation.Register(reg, "zapraid");
   reg.RegisterCounter("zapraid.health.steered_parity_rows",
                       [this] { return stats_.steered_parity_rows; });
   reg.RegisterGauge("zapraid.gc_active", [this] { return gc_active_ ? 1 : 0; });

@@ -48,6 +48,7 @@
 #include "src/common/sparse_array.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
+#include "src/health/read_mitigation.h"
 #include "src/metrics/cpu_account.h"
 #include "src/metrics/observability.h"
 #include "src/sim/simulator.h"
@@ -72,11 +73,7 @@ struct ZapRaidStats {
   uint64_t read_retries = 0;
   uint64_t write_stalls = 0;      // requests parked awaiting a free group
   // Gray-failure mitigation plane (zero unless a health monitor is attached).
-  uint64_t hedged_reads = 0;
-  uint64_t hedge_recon_wins = 0;
-  uint64_t recon_around_reads = 0;
-  uint64_t health_probe_reads = 0;
-  uint64_t recon_fallbacks = 0;
+  ReadMitigationStats mitigation;
   uint64_t steered_parity_rows = 0;  // rows whose parity was steered to gray
 };
 

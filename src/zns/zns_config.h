@@ -64,13 +64,6 @@ struct ZnsConfig {
 
   uint64_t seed = 1;
 
-  // Dense reference mode: preallocate every zone's per-block state up front
-  // (the pre-sparse layout). Behaviour is identical to the default lazy
-  // chunked state — the sparse-vs-dense equivalence tests assert exactly
-  // that — but resident memory scales with raw capacity, so leave this off
-  // for full-geometry runs.
-  bool dense_state = false;
-
   // Full-size WD Ultrastar DC ZN540: 904 zones x 1077 MiB per the paper's
   // Table 2 (275,712 four-KiB blocks per zone).
   static constexpr uint32_t kFullZn540Zones = 904;

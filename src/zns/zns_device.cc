@@ -40,9 +40,6 @@ ZnsDevice::ZnsDevice(Simulator* sim, const ZnsConfig& config)
       std::min<uint64_t>(config_.zone_capacity_blocks, 1024);
   for (auto& z : zones_) {
     z.blocks = ChunkedArray<Block>(config_.zone_capacity_blocks, chunk);
-    if (config_.dense_state) {
-      z.blocks.PreallocateAll();  // dense reference mode (equivalence tests)
-    }
   }
 }
 
@@ -544,9 +541,6 @@ Status ZnsDevice::ResetZone(uint32_t zone) {
     backend_->Erase(z.channel);
   }
   z.blocks.Clear();  // bulk-free the chunked block state with the erase
-  if (config_.dense_state) {
-    z.blocks.PreallocateAll();
-  }
   z.state = ZoneState::kEmpty;
   z.with_zrwa = false;
   z.flush_ptr = 0;

@@ -186,10 +186,11 @@ void RunTrialT(const TrialOptions& opt, uint64_t* acked_out,
     const auto& bs = array.stats();
     if constexpr (std::is_same_v<Engine, BizaArray>) {
       *mitig_out += bs.steered_parity_stripes + bs.gray_channel_skips +
-                    bs.hedged_reads + bs.recon_around_reads;
+                    bs.mitigation.hedged_reads +
+                    bs.mitigation.recon_around_reads;
     } else {
-      *mitig_out += bs.steered_parity_rows + bs.hedged_reads +
-                    bs.recon_around_reads;
+      *mitig_out += bs.steered_parity_rows + bs.mitigation.hedged_reads +
+                    bs.mitigation.recon_around_reads;
     }
     if (monitor != nullptr) {
       *mitig_out += monitor->stats().suspect_transitions +

@@ -8,8 +8,9 @@
 // The cases cover every completion path a request can take: bare BIZA,
 // BIZA under gray-failure mitigation, BIZA behind NVMe queue pairs and the
 // write-back host buffer, mdraid over conventional SSDs (plain and
-// mitigated), ZapRAID behind NVMe queues, and mdraid over dm-zap. Re-pin a
-// string only for an intended behaviour change, and say so in the commit.
+// mitigated), ZapRAID behind NVMe queues, mitigated ZapRAID, and mdraid over
+// dm-zap. Re-pin a string only for an intended behaviour change, and say so
+// in the commit.
 //
 // Verify failures are recorded, not required to be zero: the driver checks a
 // read against the newest write issued to each block, which a read racing a
@@ -76,12 +77,16 @@ RunOutcome RunCasa(PlatformKind kind, uint64_t seed, bool mitigate = false,
      << report.read_latency.Summary() << '|' << sim.Now() << '|'
      << sim.fired_events() << '|' << platform->FlashProgrammedBlocks();
   out.fingerprint = fp.str();
+  const ReadMitigationStats* m = nullptr;
   if (platform->biza() != nullptr) {
-    const BizaStats& s = platform->biza()->stats();
-    out.mitigated_reads = s.hedged_reads + s.recon_around_reads;
+    m = &platform->biza()->stats().mitigation;
   } else if (platform->mdraid() != nullptr) {
-    const MdraidStats& s = platform->mdraid()->stats();
-    out.mitigated_reads = s.hedged_reads + s.recon_around_reads;
+    m = &platform->mdraid()->stats().mitigation;
+  } else if (platform->zapraid() != nullptr) {
+    m = &platform->zapraid()->stats().mitigation;
+  }
+  if (m != nullptr) {
+    out.mitigated_reads = m->hedged_reads + m->recon_around_reads;
   }
   return out;
 }
@@ -154,6 +159,17 @@ TEST(FingerprintTest, ZapRaidNvmeQueues) {
             "3000|0|12099584|581632|20382033|n=2954 avg=110.0us p50=93.2us "
             "p99=157.7us p99.99=157.7us max=159.1us|n=46 avg=1.2us p50=0.0us "
             "p99=56.7us p99.99=56.7us max=56.7us|20447543|1986|3940");
+}
+
+TEST(FingerprintTest, ZapRaidWebMitigatedGrayDevice) {
+  const RunOutcome out =
+      RunCasa(PlatformKind::kZapRaid, /*seed=*/5, /*mitigate=*/true);
+  EXPECT_GT(out.mitigated_reads, 0u) << "fail-slow device was never mitigated";
+  EXPECT_EQ(out.fingerprint,
+            "3000|0|11661312|78237696|42773264|n=1387 avg=481.0us "
+            "p50=157.7us p99=2850.8us p99.99=3440.6us max=3458.6us|n=1613 "
+            "avg=10.1us p50=0.0us p99=149.5us p99.99=1589.2us max=1599.3us|"
+            "64789060|3112|3796");
 }
 
 TEST(FingerprintTest, MdraidDmzapCasa) {

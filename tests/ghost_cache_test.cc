@@ -138,6 +138,46 @@ TEST(GhostCache, HrEvictsMinReaccess) {
   EXPECT_GE(cache.stats().lru_demotions, 1u);
 }
 
+TEST(GhostCache, SelfEvictedHrPromotionStaysOutOfHp) {
+  // Key 1 reaches the promotion threshold while a full HR holds key 200
+  // with the same reaccess count, so the promotion evicts key 1 itself back
+  // to the LRU. It must not also enter HP: it would then live in both, and
+  // once it aged out of the LRU, HP would keep a key with no node.
+  GhostCacheConfig config;
+  config.lru_entries = 64;
+  config.hr_entries = 1;
+  config.hp_entries = 1;
+  config.promote_reaccess = 2;
+  config.hp_reuse_threshold = 3;
+  GhostCache cache(config);
+  uint64_t fresh = 10000;
+  // Three writes of `key`, `apart` blocks apart (fresh keys in between).
+  auto write_thrice = [&](uint64_t key, int apart) {
+    ChunkTier tier = ChunkTier::kTrivial;
+    for (int w = 0; w < 3; ++w) {
+      for (int gap = 1; w > 0 && gap < apart; ++gap) {
+        cache.OnWrite(fresh++);
+      }
+      tier = cache.OnWrite(key);
+    }
+    return tier;
+  };
+
+  EXPECT_EQ(write_thrice(200, 6), ChunkTier::kHighRevenue);
+  write_thrice(1, 3);
+  EXPECT_EQ(cache.TierOf(1), ChunkTier::kTrivial);
+  EXPECT_EQ(cache.TierOf(200), ChunkTier::kHighRevenue);
+
+  for (int k = 0; k < 80; ++k) {
+    cache.OnWrite(fresh++);  // ages key 1 out of the LRU
+  }
+  EXPECT_EQ(cache.TierOf(1), ChunkTier::kTrivial);
+
+  // Key 5000 displaces key 200 from HR and takes the single HP slot.
+  EXPECT_EQ(write_thrice(5000, 1), ChunkTier::kHighProfit);
+  EXPECT_EQ(cache.TierOf(200), ChunkTier::kTrivial);
+}
+
 TEST(GhostCache, ClockAdvancesPerWrite) {
   GhostCache cache(SmallConfig());
   EXPECT_EQ(cache.clock(), 0u);

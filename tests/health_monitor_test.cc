@@ -67,7 +67,6 @@ TEST(DeviceHealthMonitor, UnseenDevicesAreHealthy) {
   EXPECT_EQ(h.mon.state(99), DeviceHealth::kHealthy);
   EXPECT_FALSE(h.mon.IsGray(3));
   EXPECT_FALSE(h.mon.IsGrayChannel(0, 0));
-  EXPECT_FALSE(h.mon.ShouldHedge(0));
 }
 
 TEST(DeviceHealthMonitor, HysteresisHealthySuspectGray) {
@@ -76,7 +75,6 @@ TEST(DeviceHealthMonitor, HysteresisHealthySuspectGray) {
 
   h.ReadWindow(1, kSlow);  // first hot window
   EXPECT_EQ(h.mon.state(1), DeviceHealth::kSuspect);
-  EXPECT_TRUE(h.mon.ShouldHedge(1));
   EXPECT_FALSE(h.mon.IsGray(1));
 
   h.ReadWindow(1, kSlow);  // second hot window: still only suspect
@@ -85,7 +83,6 @@ TEST(DeviceHealthMonitor, HysteresisHealthySuspectGray) {
   h.ReadWindow(1, kSlow);  // third hot window crosses gray_windows
   EXPECT_EQ(h.mon.state(1), DeviceHealth::kGray);
   EXPECT_TRUE(h.mon.IsGray(1));
-  EXPECT_FALSE(h.mon.ShouldHedge(1));  // gray is reconstructed around, not hedged
 
   EXPECT_EQ(h.mon.stats().suspect_transitions, 1u);
   EXPECT_EQ(h.mon.stats().gray_transitions, 1u);

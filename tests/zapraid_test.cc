@@ -480,7 +480,8 @@ TEST(ZapRaid, GrayMemberMitigationsEngage) {
   const ZapRaidStats& zs = f.array->stats();
   EXPECT_GT(monitor.stats().suspect_transitions + monitor.stats().gray_transitions,
             0u);
-  EXPECT_GT(zs.hedged_reads + zs.recon_around_reads + zs.steered_parity_rows,
+  EXPECT_GT(zs.mitigation.hedged_reads + zs.mitigation.recon_around_reads +
+                zs.steered_parity_rows,
             0u);
 }
 
@@ -575,13 +576,14 @@ TEST(ZapRaid, HedgedReadsSurviveSuspectMemberDeath) {
   }
   f.FlushSync();
   // Warm the detector until hedging engages.
-  for (int pass = 0; pass < 4 && f.array->stats().hedged_reads == 0; ++pass) {
+  for (int pass = 0;
+       pass < 4 && f.array->stats().mitigation.hedged_reads == 0; ++pass) {
     for (uint64_t lbn = 0; lbn < kSpan; ++lbn) {
       auto r = f.ReadSync(lbn, 1);
       ASSERT_TRUE(r.ok());
     }
   }
-  ASSERT_GT(f.array->stats().hedged_reads, 0u);
+  ASSERT_GT(f.array->stats().mitigation.hedged_reads, 0u);
   // Kill the suspect before a full wave of reads goes out, with no
   // intervening IO: the engine still treats device 2 as a live suspect, so
   // every read homed there takes the hedged path and its direct leg fails

@@ -101,6 +101,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/rss.h"
+#include "src/health/read_mitigation.h"
 #include "src/metrics/observability.h"
 #include "src/metrics/wa_report.h"
 #include "src/serve/serve_frontend.h"
@@ -337,11 +338,7 @@ struct RunResult {
   // Gray-failure mitigation outcome (only meaningful with --mitigate).
   bool have_health = false;
   HealthStats health_stats;
-  uint64_t hedged_reads = 0;
-  uint64_t hedge_recon_wins = 0;
-  uint64_t recon_around_reads = 0;
-  uint64_t probe_reads = 0;
-  uint64_t recon_fallbacks = 0;
+  ReadMitigationStats mitigation;
   uint64_t steered_parity_stripes = 0;
   uint64_t gray_channel_skips = 0;
 
@@ -615,11 +612,7 @@ RunResult RunExperiment(const Options& opt, uint64_t seed_offset) {
     result.degraded_reads = bs.degraded_reads;
     result.read_retries = bs.read_retries;
     result.write_retries = bs.write_retries;
-    result.hedged_reads = bs.hedged_reads;
-    result.hedge_recon_wins = bs.hedge_recon_wins;
-    result.recon_around_reads = bs.recon_around_reads;
-    result.probe_reads = bs.health_probe_reads;
-    result.recon_fallbacks = bs.recon_fallbacks;
+    result.mitigation = bs.mitigation;
     result.steered_parity_stripes = bs.steered_parity_stripes;
     result.gray_channel_skips = bs.gray_channel_skips;
   } else if (platform->mdraid() != nullptr) {
@@ -627,21 +620,13 @@ RunResult RunExperiment(const Options& opt, uint64_t seed_offset) {
     result.degraded_writes = ms.degraded_writes;
     result.read_retries = ms.read_retries;
     result.write_retries = ms.write_retries;
-    result.hedged_reads = ms.hedged_reads;
-    result.hedge_recon_wins = ms.hedge_recon_wins;
-    result.recon_around_reads = ms.recon_around_reads;
-    result.probe_reads = ms.health_probe_reads;
-    result.recon_fallbacks = ms.recon_fallbacks;
+    result.mitigation = ms.mitigation;
   } else if (platform->zapraid() != nullptr) {
     const ZapRaidStats& zs = platform->zapraid()->stats();
     result.degraded_reads = zs.degraded_reads;
     result.read_retries = zs.read_retries;
     result.write_retries = zs.write_retries;
-    result.hedged_reads = zs.hedged_reads;
-    result.hedge_recon_wins = zs.hedge_recon_wins;
-    result.recon_around_reads = zs.recon_around_reads;
-    result.probe_reads = zs.health_probe_reads;
-    result.recon_fallbacks = zs.recon_fallbacks;
+    result.mitigation = zs.mitigation;
     result.steered_parity_stripes = zs.steered_parity_rows;
   }
   if (platform->health() != nullptr) {
@@ -781,11 +766,14 @@ void PrintResult(const Options& opt, const RunResult& result) {
     std::printf("  mitigate: hedged=%llu hedge_wins=%llu recon_around=%llu "
                 "probes=%llu fallbacks=%llu steered_stripes=%llu "
                 "chan_skips=%llu\n",
-                static_cast<unsigned long long>(result.hedged_reads),
-                static_cast<unsigned long long>(result.hedge_recon_wins),
-                static_cast<unsigned long long>(result.recon_around_reads),
-                static_cast<unsigned long long>(result.probe_reads),
-                static_cast<unsigned long long>(result.recon_fallbacks),
+                static_cast<unsigned long long>(result.mitigation.hedged_reads),
+                static_cast<unsigned long long>(
+                    result.mitigation.hedge_recon_wins),
+                static_cast<unsigned long long>(
+                    result.mitigation.recon_around_reads),
+                static_cast<unsigned long long>(result.mitigation.probe_reads),
+                static_cast<unsigned long long>(
+                    result.mitigation.recon_fallbacks),
                 static_cast<unsigned long long>(result.steered_parity_stripes),
                 static_cast<unsigned long long>(result.gray_channel_skips));
   }
