@@ -50,6 +50,7 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
       static_cast<double>(data_blocks) * config_.exposed_capacity_ratio);
 
   zones_.resize(static_cast<size_t>(n_));
+  free_zones_.assign(static_cast<size_t>(n_), num_zones_);
   groups_.resize(static_cast<size_t>(n_));
   device_failed_.assign(static_cast<size_t>(n_), false);
   config_.detector.num_channels = dev_config.timing.num_channels;
@@ -290,7 +291,7 @@ bool BizaArray::ReplenishGroup(int device, GroupKind kind, bool emergency) {
                      status.ToString().c_str());
       return false;
     }
-    z.use = ZoneUse::kActive;
+    SetZoneUse(device, zone, ZoneUse::kActive);
     z.sched = std::make_unique<ZoneScheduler>(
         devices_[static_cast<size_t>(device)], zone, config_.max_io_retries,
         config_.retry_backoff_base_ns, &stats_.write_retries);
@@ -460,7 +461,7 @@ void BizaArray::MaybeFinishSeal(int device, uint32_t zone) {
     return;
   }
   z.seal_pending = false;
-  z.use = ZoneUse::kSealed;
+  SetZoneUse(device, zone, ZoneUse::kSealed);
   z.sched.reset();  // releases the window bookkeeping; zone is immutable now
   // A newly sealed zone may be the GC victim that parked writes are
   // waiting for.
@@ -1776,8 +1777,9 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
   std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
 
   // Fresh bookkeeping for the (empty) replacement.
-  for (DevZone& z : zones_[static_cast<size_t>(device)]) {
-    z.use = ZoneUse::kFree;
+  for (uint32_t zone = 0; zone < num_zones_; ++zone) {
+    DevZone& z = ZoneOf(device, zone);
+    SetZoneUse(device, zone, ZoneUse::kFree);
     z.valid = 0;
     z.sched.reset();
     z.seal_pending = false;
@@ -1941,14 +1943,16 @@ void BizaArray::FinishRebuild() {
 // Garbage collection with GC avoidance (§4.3)
 // ---------------------------------------------------------------------------
 
-uint64_t BizaArray::FreeZonesOf(int device) const {
-  uint64_t free = 0;
-  for (const DevZone& z : zones_[static_cast<size_t>(device)]) {
-    if (z.use == ZoneUse::kFree) {
-      free++;
-    }
+void BizaArray::SetZoneUse(int device, uint32_t zone, ZoneUse use) {
+  DevZone& z = ZoneOf(device, zone);
+  uint64_t& free = free_zones_[static_cast<size_t>(device)];
+  if (z.use == ZoneUse::kFree) {
+    free--;
   }
-  return free;
+  if (use == ZoneUse::kFree) {
+    free++;
+  }
+  z.use = use;
 }
 
 std::pair<int, uint32_t> BizaArray::PickGcVictim() const {
@@ -2035,7 +2039,7 @@ bool BizaArray::ForceSealGarbageZone() {
   }
   z.sched.reset();
   z.seal_pending = false;
-  z.use = ZoneUse::kSealed;
+  SetZoneUse(best_device, best_zone, ZoneUse::kSealed);
   return true;
 }
 
@@ -2155,7 +2159,7 @@ void BizaArray::FinishGcVictim() {
   }
   (void)devices_[static_cast<size_t>(gc_device_)]->ResetZone(gc_victim_zone_);
   detectors_[static_cast<size_t>(gc_device_)]->OnZoneReset(gc_victim_zone_);
-  vz.use = ZoneUse::kFree;
+  SetZoneUse(gc_device_, gc_victim_zone_, ZoneUse::kFree);
   vz.valid = 0;
   vz.epoch++;  // in-flight recons sourcing this zone must now fail validation
   stats_.gc_zone_resets++;
@@ -2575,12 +2579,13 @@ Status BizaArray::Recover() {
       const ZoneInfo info = dev->Report(zone);
       // Anything not EMPTY is sealed (step 0 finished all open zones, so an
       // open-but-never-written zone is now FULL with high_water 0).
-      z.use = info.state == ZoneState::kEmpty ? ZoneUse::kFree
-                                              : ZoneUse::kSealed;
+      SetZoneUse(d, zone,
+                 info.state == ZoneState::kEmpty ? ZoneUse::kFree
+                                                 : ZoneUse::kSealed);
       if (z.use == ZoneUse::kSealed && z.valid == 0) {
         // Fully dead (or empty-finished) zone: reclaim immediately.
         BIZA_RETURN_IF_ERROR(dev->ResetZone(zone));
-        z.use = ZoneUse::kFree;
+        SetZoneUse(d, zone, ZoneUse::kFree);
       }
     }
     for (auto& group : groups_[static_cast<size_t>(d)]) {

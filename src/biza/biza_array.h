@@ -161,7 +161,9 @@ class BizaArray : public BlockTarget {
 
   // Test hooks.
   uint64_t DebugBmtPa(uint64_t lbn) const;
-  uint64_t FreeZonesOf(int device) const;
+  uint64_t FreeZonesOf(int device) const {
+    return free_zones_[static_cast<size_t>(device)];
+  }
 
  private:
   static constexpr uint64_t kInvalidPa = ~0ULL;
@@ -251,6 +253,9 @@ class BizaArray : public BlockTarget {
   DevZone& ZoneOf(int device, uint32_t zone) {
     return zones_[static_cast<size_t>(device)][zone];
   }
+  // The only writer of DevZone::use: keeps free_zones_ in step with every
+  // transition so the per-write GC trigger reads a counter, not the zones.
+  void SetZoneUse(int device, uint32_t zone, ZoneUse use);
 
   // Opens a fresh zone (with ZRWA) into the group; returns false when the
   // device has no free zones. GC-destination and parity groups may dip into
@@ -376,6 +381,7 @@ class BizaArray : public BlockTarget {
   std::vector<uint64_t> ComputeParities(const std::vector<uint64_t>& data) const;
 
   std::vector<std::vector<DevZone>> zones_;          // [device][zone]
+  std::vector<uint64_t> free_zones_;  // [device] zones with use == kFree
   std::vector<std::array<ZoneGroup, kNumGroups>> groups_;  // [device]
   std::vector<std::unique_ptr<GhostCache>> ghost_;   // one (array-wide)
   std::vector<std::unique_ptr<ChannelDetector>> detectors_;  // per device

@@ -127,7 +127,18 @@ void ZoneScheduler::SubmitWrite(uint64_t offset,
   }
   queue_.push_back(std::move(job));
   AdvanceWindow();
-  Pump();
+  // Only the new job can be dispatchable. The last pass left every older
+  // job blocked, and queuing a job unblocks none of them. The slide just
+  // made can only admit blocks allocated since the last AdvanceWindow: that
+  // call stopped either with every allocated block inside the window or
+  // at a block that is still not durable or still pending (only a
+  // completion changes that), in which case nothing slid now. Older jobs
+  // cover only blocks allocated before that call.
+  if (CanDispatch(queue_.back())) {
+    Job back = std::move(queue_.back());
+    queue_.pop_back();
+    Dispatch(std::move(back));
+  }
 }
 
 void ZoneScheduler::SetInflightCap(uint64_t cap) {
@@ -158,10 +169,23 @@ bool ZoneScheduler::CanDispatch(const Job& job) const {
   return true;
 }
 
+bool ZoneScheduler::QueuedWithin(uint64_t from, uint64_t to) const {
+  assert(to <= pending_.size() || from >= to);
+  for (uint64_t b = from; b < to; ++b) {
+    if (pending_[b] != inflight_cnt_[b]) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void ZoneScheduler::Pump() {
   // Dispatch every queued job that fits the current window. Jobs beyond the
   // window stay queued in FIFO order; within the window arbitrary dispatch
-  // order is safe (see header).
+  // order is safe (see header). Dispatching only raises inflight_ and
+  // inflight_cnt_, so a job passed over here stays blocked until a cap
+  // change or a completion unblocks it: after a pass, no queued job can be
+  // dispatched. SubmitWrite and the completion handler rely on that.
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (CanDispatch(*it)) {
       Job job = std::move(*it);
@@ -226,6 +250,11 @@ void ZoneScheduler::Dispatch(Job job) {
               });
           return;
         }
+        // Re-pump only if this completion can unblock a queued job: the
+        // in-flight cap stops binding, a queued job covers the completed
+        // blocks, or the window slides over blocks a queued job covers.
+        const bool cap_released =
+            inflight_cap_ != 0 && inflight_ == inflight_cap_;
         inflight_--;
         for (uint64_t i = 0; i < n; ++i) {
           pending_[offset + i]--;
@@ -237,8 +266,13 @@ void ZoneScheduler::Dispatch(Job job) {
                          static_cast<unsigned long long>(offset),
                          status.ToString().c_str());
         }
+        const uint64_t old_start = win_start_;
         AdvanceWindow();
-        Pump();
+        if (cap_released || QueuedWithin(offset, offset + n) ||
+            QueuedWithin(old_start + zrwa_blocks_,
+                         win_start_ + zrwa_blocks_)) {
+          Pump();
+        }
         cb(status);
       });
 }

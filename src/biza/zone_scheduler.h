@@ -134,6 +134,9 @@ class ZoneScheduler {
 
   bool FitsWindow(const Job& job) const;
   bool CanDispatch(const Job& job) const;
+  // True when a queued (not yet dispatched) job covers a block in
+  // [from, to): pending_ counts queued + in-flight writes per block.
+  bool QueuedWithin(uint64_t from, uint64_t to) const;
   void Pump();
   void Dispatch(Job job);
   void AdvanceWindow();

@@ -152,16 +152,6 @@ class SparseTable {
     Rehash(kMinSlots);
   }
 
-  void Reserve(size_t n) {
-    size_t want = kMinSlots;
-    while (want * 7 / 8 < n) {
-      want <<= 1;
-    }
-    if (want > slots_.size()) {
-      Rehash(want);
-    }
-  }
-
   // Pointer to the value, or nullptr when absent. Never allocates.
   V* Find(uint64_t key) {
     Slot& slot = Probe(key);

@@ -17,22 +17,13 @@ DmZap::DmZap(Simulator* sim, ZonedTarget* backend, const DmZapConfig& config)
       static_cast<double>(total_blocks) * config_.exposed_capacity_ratio);
   l2p_.assign(exposed_blocks_, kUnmapped);
   zones_.resize(backend_->num_zones());
+  free_zones_ = zones_.size();
   for (auto& z : zones_) {
     z.rmap.assign(zone_cap_, kUnmapped);
   }
   zone_queues_.resize(backend_->num_zones());
   config_.max_open_data_zones =
       std::min(config_.max_open_data_zones, backend_->max_open_zones());
-}
-
-uint64_t DmZap::FreeZones() const {
-  uint64_t free = 0;
-  for (const auto& z : zones_) {
-    if (!z.open && !z.sealed && z.wptr == 0) {
-      free++;
-    }
-  }
-  return free;
 }
 
 void DmZap::Invalidate(uint64_t lbn) {
@@ -60,19 +51,15 @@ uint64_t DmZap::PickZoneForWrite(uint64_t want_blocks, bool for_gc) {
   // Keep the open-zone budget saturated: the authors' revision writes ALL
   // open zones in parallel (§5.1), so parallelism requires the full set to
   // be open, not lazily grown.
-  while (static_cast<int>(open_zones_.size()) < budget) {
-    uint32_t found = UINT32_MAX;
-    for (uint32_t zone = 0; zone < zones_.size(); ++zone) {
-      ZoneMeta& z = zones_[zone];
-      if (!z.open && !z.sealed && z.wptr == 0) {
-        found = zone;
-        break;
-      }
-    }
-    if (found == UINT32_MAX) {
-      break;
+  while (static_cast<int>(open_zones_.size()) < budget && free_zones_ > 0) {
+    // Open the lowest-numbered free zone (the counter says one exists).
+    uint32_t found = 0;
+    while (zones_[found].open || zones_[found].sealed ||
+           zones_[found].wptr != 0) {
+      ++found;
     }
     zones_[found].open = true;
+    free_zones_--;
     open_zones_.push_back(found);
   }
   // Round-robin across the open set for parallelism.
@@ -374,6 +361,7 @@ void DmZap::GcStep() {
       (void)backend_->ResetZone(victim);
       vz = ZoneMeta{};
       vz.rmap.assign(zone_cap_, kUnmapped);
+      free_zones_++;
       stats_.gc_zone_resets++;
       gc_victim_ = kUnmapped;
       RetryStalled();

@@ -102,7 +102,7 @@ class DmZap : public BlockTarget {
   void GcStep();
   uint64_t PickVictim() const;
 
-  uint64_t FreeZones() const;
+  uint64_t FreeZones() const { return free_zones_; }
   uint64_t MapOf(uint64_t lbn) const { return l2p_[lbn]; }
   void Invalidate(uint64_t lbn);
 
@@ -114,6 +114,9 @@ class DmZap : public BlockTarget {
 
   std::vector<uint64_t> l2p_;  // lbn -> zone * zone_cap + offset
   std::vector<ZoneMeta> zones_;
+  // Zones neither open nor sealed (wptr 0): moved only where a zone opens
+  // and where GC resets one, so the per-write GC trigger never scans.
+  uint64_t free_zones_ = 0;
   std::vector<uint32_t> open_zones_;  // data zones currently open
   std::deque<std::deque<WriteJob>> zone_queues_;
   size_t open_rr_ = 0;

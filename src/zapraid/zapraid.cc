@@ -36,18 +36,18 @@ ZapRaid::ZapRaid(Simulator* sim, std::vector<ZnsDevice*> devices,
       config_.exposed_capacity_ratio * static_cast<double>(num_zones_) *
       static_cast<double>(zone_cap_) * static_cast<double>(k_));
   groups_.resize(num_zones_);
+  free_groups_ = num_zones_;
   device_failed_.assign(static_cast<size_t>(n_), false);
-  l2p_.Reserve(exposed_blocks_);
 }
 
-uint64_t ZapRaid::FreeGroupCount() const {
-  uint64_t free = 0;
-  for (const Group& g : groups_) {
-    if (g.use == GroupUse::kFree) {
-      ++free;
-    }
+void ZapRaid::SetGroupUse(Group& grp, GroupUse use) {
+  if (grp.use == GroupUse::kFree) {
+    --free_groups_;
   }
-  return free;
+  if (use == GroupUse::kFree) {
+    ++free_groups_;
+  }
+  grp.use = use;
 }
 
 bool ZapRaid::EnsureBuilderOpen(int b) {
@@ -58,7 +58,7 @@ bool ZapRaid::EnsureBuilderOpen(int b) {
   // User appends stall rather than dip into the GC reserve; the GC/rebuild
   // frontier only needs one free group to make forward progress.
   const uint64_t reserve = (b == kUserBuilder) ? config_.reserved_groups : 0;
-  if (FreeGroupCount() <= reserve) {
+  if (free_groups_ <= reserve) {
     return false;
   }
   std::vector<int> members;
@@ -81,7 +81,7 @@ bool ZapRaid::EnsureBuilderOpen(int b) {
     return false;
   }
   Group& grp = groups_[group];
-  grp.use = GroupUse::kOpen;
+  SetGroupUse(grp, GroupUse::kOpen);
   grp.valid = 0;
   grp.data_chunks = 0;
   grp.members = 0;
@@ -297,7 +297,7 @@ void ZapRaid::SealGroup(int b) {
   }
   CloseRowEarly(b);
   Group& grp = groups_[bd.group];
-  grp.use = GroupUse::kSealed;
+  SetGroupUse(grp, GroupUse::kSealed);
   // Trailing sentinel per member zone: FINISH the zone once its queue
   // drains, releasing the device's open-zone resources.
   for (int d : bd.members) {
@@ -1007,7 +1007,7 @@ void ZapRaid::MaybeStartGc() {
     return;
   }
   const double free_ratio =
-      static_cast<double>(FreeGroupCount()) / static_cast<double>(num_zones_);
+      static_cast<double>(free_groups_) / static_cast<double>(num_zones_);
   if (free_ratio >= config_.gc_trigger_free_ratio && stalled_writes_.empty()) {
     return;
   }
@@ -1245,7 +1245,7 @@ void ZapRaid::FinishGcVictim() {
         ++stats_.gc_zone_resets;
       }
     }
-    grp.use = GroupUse::kFree;
+    SetGroupUse(grp, GroupUse::kFree);
     grp.valid = 0;
     grp.data_chunks = 0;
     grp.members = 0;
@@ -1256,7 +1256,7 @@ void ZapRaid::FinishGcVictim() {
   }
   RetryStalled();
   const double free_ratio =
-      static_cast<double>(FreeGroupCount()) / static_cast<double>(num_zones_);
+      static_cast<double>(free_groups_) / static_cast<double>(num_zones_);
   if (free_ratio < config_.gc_stop_free_ratio) {
     const int victim = PickGcVictim();
     if (victim >= 0) {
@@ -1461,6 +1461,7 @@ Status ZapRaid::Recover() {
   pending_.clear();
   active_io_.clear();
   for (Group& g : groups_) {
+    SetGroupUse(g, GroupUse::kFree);
     g = Group{};
   }
   // Quiesce zone state: crash-interrupted zones are finished so their
@@ -1504,7 +1505,7 @@ Status ZapRaid::Recover() {
         if (grp.rows.empty()) {
           grp.rows.assign(zone_cap_, RowMeta{});
         }
-        grp.use = GroupUse::kSealed;
+        SetGroupUse(grp, GroupUse::kSealed);
         grp.members |= Bit(d);
         RowMeta& row = grp.rows[off];
         if (oob->lbn == kPadLbn) {
@@ -1607,7 +1608,7 @@ void ZapRaid::AttachObservability(Observability* obs) {
   reg.RegisterGauge("zapraid.rebuild_active",
                     [this] { return rebuild_.active ? 1 : 0; });
   reg.RegisterGauge("zapraid.free_groups",
-                    [this] { return static_cast<int64_t>(FreeGroupCount()); });
+                    [this] { return static_cast<int64_t>(free_groups_); });
   h_write_ = reg.Histogram("zapraid.write_latency_ns");
   h_read_ = reg.Histogram("zapraid.read_latency_ns");
   span_write_ = obs_->tracer.Intern("zapraid.write");
@@ -1630,7 +1631,5 @@ uint64_t ZapRaid::ResidentStateBytes() const {
 }
 
 uint64_t ZapRaid::DebugL2pPa(uint64_t lbn) const { return l2p_.Get(lbn).pa; }
-
-uint64_t ZapRaid::FreeGroups() const { return FreeGroupCount(); }
 
 }  // namespace biza

@@ -148,7 +148,7 @@ class ZapRaid : public BlockTarget {
 
   // Test hooks.
   uint64_t DebugL2pPa(uint64_t lbn) const;
-  uint64_t FreeGroups() const;
+  uint64_t FreeGroups() const { return free_groups_; }
 
  private:
   static constexpr uint64_t kInvalidPa = ~0ULL;
@@ -262,7 +262,9 @@ class ZapRaid : public BlockTarget {
            (rebuild_.active && rebuild_.device == device);
   }
   Group& GroupOf(uint32_t g) { return groups_[g]; }
-  uint64_t FreeGroupCount() const;
+  // The only writer of Group::use: keeps free_groups_ in step with every
+  // transition so the per-write GC trigger reads a counter, not the groups.
+  void SetGroupUse(Group& grp, GroupUse use);
 
   // Frontier machinery.
   bool EnsureBuilderOpen(int b);
@@ -351,6 +353,7 @@ class ZapRaid : public BlockTarget {
   SparseTable<L2pEntry> l2p_;
   uint32_t next_wsn_ = 1;
   std::vector<Group> groups_;
+  uint64_t free_groups_ = 0;  // groups with use == kFree
   std::unordered_map<uint32_t, std::shared_ptr<GroupIo>> active_io_;
   Builder builders_[kNumBuilders];
   // In-flight write content served to reads before the program lands (the

@@ -24,6 +24,18 @@ ZnsConfig DevConfig(uint64_t seed, uint32_t num_zones = 48,
   return config;
 }
 
+// Zones the device reports EMPTY: the recount FreeZonesOf's counter must
+// match after every transition (open, seal, GC reset, replace, recover).
+uint64_t EmptyZones(const ZnsDevice& dev) {
+  uint64_t empty = 0;
+  for (uint32_t zone = 0; zone < dev.config().num_zones; ++zone) {
+    if (dev.Report(zone).state == ZoneState::kEmpty) {
+      empty++;
+    }
+  }
+  return empty;
+}
+
 struct Fixture {
   Simulator sim;
   // Attached to every device: an empty plan injects nothing and draws no
@@ -184,6 +196,9 @@ TEST(BizaArray, SequentialThenOverwriteTriggersGcAndReclaims) {
   f.sim.RunUntilIdle();
   EXPECT_GT(f.array->stats().gc_runs, 0u);
   EXPECT_GT(f.array->stats().gc_zone_resets, 0u);
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_EQ(f.array->FreeZonesOf(d), EmptyZones(*f.devs[d])) << "dev " << d;
+  }
   // Integrity after GC.
   Rng rng(8);
   for (int i = 0; i < 200; ++i) {
@@ -289,6 +304,9 @@ TEST(BizaArray, RecoveryRebuildsMappingsFromOob) {
     ASSERT_TRUE(status.ok());
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], expected) << "lbn " << lbn;
+  }
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_EQ(recovered.FreeZonesOf(d), EmptyZones(*f.devs[d])) << "dev " << d;
   }
   // BMT agrees with the pre-crash engine.
   int checked = 0;
@@ -503,6 +521,11 @@ TEST(BizaArray, OnlineRebuildRestoresRedundancy) {
   EXPECT_GT(f.array->rebuild().passes, 0u);
   EXPECT_GT(f.array->rebuild().finished_ns, f.array->rebuild().started_ns);
   EXPECT_GT(f.array->stats().degraded_reads, 0u);
+  // Device 1 is now the spare at the back of devs.
+  for (int d = 0; d < 4; ++d) {
+    const ZnsDevice& dev = d == 1 ? *f.devs.back() : *f.devs[d];
+    EXPECT_EQ(f.array->FreeZonesOf(d), EmptyZones(dev)) << "dev " << d;
+  }
 
   // Everything readable on the healthy array.
   for (uint64_t lbn = 0; lbn < truth.size(); lbn += 13) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/units.h"
 #include "src/fault/fault_injector.h"
 #include "src/health/device_health.h"
 #include "src/sim/simulator.h"
@@ -22,6 +23,23 @@ ZnsConfig DevConfig(uint64_t seed, uint32_t num_zones = 48,
   ZnsConfig config = ZnsConfig::Zn540(num_zones, zone_cap);
   config.seed = seed;
   return config;
+}
+
+// Groups whose zone is EMPTY on every member: the recount FreeGroups()'s
+// counter must match at every quiesce point (group g is zone g on each
+// member).
+uint64_t EmptyGroups(const std::vector<ZnsDevice*>& members) {
+  uint64_t empty = 0;
+  for (uint32_t g = 0; g < members[0]->config().num_zones; ++g) {
+    bool all_empty = true;
+    for (const ZnsDevice* dev : members) {
+      all_empty = all_empty && dev->Report(g).state == ZoneState::kEmpty;
+    }
+    if (all_empty) {
+      empty++;
+    }
+  }
+  return empty;
 }
 
 struct Fixture {
@@ -140,6 +158,28 @@ TEST(ZapRaid, RandomWorkloadIntegrity) {
   }
 }
 
+// Mapping state scales with written data, not with the ~2 TiB exposed
+// span: a full-geometry ZN540 array (904 zones x 1077 MiB x 4) constructs,
+// serves a few thousand scattered writes and keeps its tables small.
+TEST(ZapRaid, FullGeometryStateScalesWithWrittenData) {
+  Fixture f({}, ZnsConfig::kFullZn540Zones, ZnsConfig::kFullZn540ZoneBlocks);
+  Rng rng(29);
+  std::unordered_map<uint64_t, uint64_t> truth;
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t lbn = rng.Uniform(f.array->capacity_blocks());
+    const uint64_t pattern = rng.Next() | 1;
+    truth[lbn] = pattern;
+    ASSERT_TRUE(f.WriteSync(lbn, {pattern}).ok());
+  }
+  for (const auto& [lbn, pattern] : truth) {
+    auto r = f.ReadSync(lbn, 1);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ((*r)[0], pattern) << "lbn " << lbn;
+  }
+  // One open group's row metadata (~2.1 MiB) plus a 3000-entry L2P.
+  EXPECT_LT(f.array->ResidentStateBytes(), 8 * kMiB);
+}
+
 TEST(ZapRaid, ParityOverheadIsOneOverK) {
   Fixture f;
   // Fill whole rows only: 3 data + 1 parity per row, no pads, no GC.
@@ -188,6 +228,9 @@ TEST(ZapRaid, OverwriteTriggersGcAndReclaims) {
   EXPECT_GT(f.array->stats().gc_migrated_data, 0u);
   EXPECT_GT(f.array->stats().gc_zone_resets, 0u);
   EXPECT_GT(f.array->FreeGroups(), 0u);
+  EXPECT_EQ(f.array->FreeGroups(),
+            EmptyGroups({f.devs[0].get(), f.devs[1].get(), f.devs[2].get(),
+                         f.devs[3].get()}));
   for (uint64_t lbn = 0; lbn < span; ++lbn) {
     auto r = f.ReadSync(lbn, 1);
     ASSERT_TRUE(r.ok());
@@ -275,6 +318,10 @@ TEST(ZapRaid, OnlineRebuildRestoresRedundancy) {
   f.sim.RunUntilIdle();
   ASSERT_FALSE(f.array->rebuild().active);
   EXPECT_GT(f.array->rebuild().chunks_migrated, 0u);
+  // Member 1 is now the spare at the back of devs.
+  EXPECT_EQ(f.array->FreeGroups(),
+            EmptyGroups({f.devs[0].get(), f.devs.back().get(),
+                         f.devs[2].get(), f.devs[3].get()}));
 
   // Prove the rebuilt copies are real: fail a *different* member, forcing
   // every read through either direct chunks or single-failure parity paths.
@@ -520,6 +567,7 @@ TEST(ZapRaid, RecoveryRebuildsMappingsFromStripeHeaders) {
   rc.recover_mode = true;
   ZapRaid recovered(&sim, ptrs, rc);
   ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.FreeGroups(), EmptyGroups(ptrs));
   for (uint64_t lbn = 0; lbn < truth.size(); ++lbn) {
     Status status = InternalError("pending");
     std::vector<uint64_t> out;
@@ -552,6 +600,7 @@ TEST(ZapRaid, RecoveryRebuildsMappingsFromStripeHeaders) {
     ASSERT_TRUE(status.ok());
     ASSERT_EQ(out[0], lbn * 13);
   }
+  EXPECT_EQ(recovered.FreeGroups(), EmptyGroups(ptrs));
 }
 
 // A hedged read's direct leg can complete kUnavailable when the suspect

@@ -3,9 +3,12 @@
 // scheduled write ever faults, while a naive parallel writer does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/biza/zone_scheduler.h"
+#include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/zns/zns_device.h"
 
@@ -216,6 +219,77 @@ TEST(ZoneScheduler, ConcurrentSameBlockUpdatesApplyInOrder) {
   auto pattern = f.dev->ReadPatternSync(0, off);
   ASSERT_TRUE(pattern.ok());
   EXPECT_EQ(*pattern, 50u);
+}
+
+// Pins the exact dispatch behaviour of Pump: which queued jobs reach the
+// device, in what order and at what virtual time. Appends run past the
+// window, hot in-place updates pile up on the same blocks at its head,
+// dispatch jitter reorders completions, and an in-flight cap comes and goes
+// mid-run. Every completion hashes (offset, length, virtual time) in
+// completion order; after every submit and completion the queue depth and
+// in-flight count join the hash, so a job dispatched one event early or
+// late, or out of FIFO order, changes it. The literal was captured from the
+// rescan-on-every-event scheduler this event-driven one replaced.
+TEST(ZoneScheduler, DispatchSequencePinned) {
+  Fixture f(DeviceConfig(/*jitter=*/30 * kMicrosecond, /*seed=*/7));
+  Rng rng(2024);
+  uint64_t hash = 14695981039346656037ULL;  // FNV-1a
+  auto mix = [&](uint64_t v) { hash = (hash ^ v) * 1099511628211ULL; };
+  auto snapshot = [&] {
+    mix(f.sim.Now());
+    mix(f.sched->queue_depth());
+    mix(f.sched->inflight());
+  };
+  int submitted = 0;
+  int completed = 0;
+  auto submit = [&](uint64_t offset, uint64_t n) {
+    std::vector<uint64_t> patterns(n);
+    for (uint64_t& p : patterns) {
+      p = rng.Next();
+    }
+    submitted++;
+    f.sched->SubmitWrite(offset, std::move(patterns), {},
+                         [&, offset, n](const Status& s) {
+                           EXPECT_TRUE(s.ok());
+                           completed++;
+                           mix(offset);
+                           mix(n);
+                           snapshot();
+                         });
+    snapshot();
+  };
+  for (int round = 0; round < 300; ++round) {
+    if (round == 80) {
+      f.sched->SetInflightCap(3);
+    } else if (round == 160) {
+      f.sched->SetInflightCap(0);
+    } else if (round == 220) {
+      f.sched->SetInflightCap(1);
+    }
+    const uint64_t ops = 1 + rng.Uniform(6);
+    for (uint64_t i = 0; i < ops; ++i) {
+      const uint64_t n = 1 + rng.Uniform(8);
+      if (rng.Uniform(3) == 0 && f.sched->free_blocks() >= n) {
+        submit(f.sched->Allocate(n), n);  // may land past the window
+        continue;
+      }
+      // In-place update inside a 16-block hot set at the window's head.
+      const uint64_t head = f.sched->win_start();
+      const uint64_t hot_end = std::min(f.sched->alloc_ptr(), head + 16);
+      if (hot_end <= head) {
+        continue;
+      }
+      const uint64_t offset = head + rng.Uniform(hot_end - head);
+      submit(offset, std::min<uint64_t>(1 + rng.Uniform(4), hot_end - offset));
+    }
+    f.sim.RunFor(rng.Uniform(40 * kMicrosecond));
+  }
+  f.sim.RunUntilIdle();
+  EXPECT_EQ(completed, submitted);
+  EXPECT_TRUE(f.sched->Idle());
+  EXPECT_EQ(f.dev->stats().write_failures, 0u);
+  EXPECT_EQ(submitted, 1065);
+  EXPECT_EQ(hash, 0x7c12858aac73e730ULL);
 }
 
 }  // namespace
