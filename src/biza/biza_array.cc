@@ -535,24 +535,6 @@ void BizaArray::RecordCompletion(int device, uint32_t zone,
 // Write path
 // ---------------------------------------------------------------------------
 
-// Shared completion for all device writes spawned by one block request.
-struct BizaArray::WriteJoin {
-  int pending = 1;
-  BlockTarget::WriteCallback cb;
-  Status first_error;
-
-  void Fail(const Status& status) {
-    if (first_error.ok()) {
-      first_error = status;
-    }
-  }
-  void Release() {
-    if (--pending == 0) {
-      cb(first_error);
-    }
-  }
-};
-
 void BizaArray::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                             WriteCallback cb, WriteTag tag) {
   DoSubmitWrite(lbn, {}, std::move(patterns), std::move(cb), tag);
@@ -584,19 +566,16 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     cb(OutOfRangeError("biza write beyond exposed capacity"));
     return;
   }
-  cpu_.Charge("biza", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   const bool is_gc_write =
       tag == WriteTag::kGcData || tag == WriteTag::kGcParity;
   if (!is_gc_write) {
     stats_.user_written_blocks += nblocks;
   }
 
-  auto join = std::make_shared<WriteJoin>();
-  join->cb = std::move(cb);
   if (obs_ != nullptr) {
     const SimTime start = sim_->Now();
-    join->cb = [this, start, lbn, nblocks,
-                cb = std::move(join->cb)](const Status& status) {
+    cb = [this, start, lbn, nblocks, cb = std::move(cb)](const Status& status) {
       const SimTime end = sim_->Now();
       h_write_->Record(end - start);
       if (obs_->tracer.Armed(start)) {
@@ -607,7 +586,9 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       cb(status);
     };
   }
-  auto release = [join]() { join->Release(); };
+  // Legs: device writes, the parity writes of a degraded stripe, and a
+  // stalled remainder.
+  std::shared_ptr<WriteJoin> join = MakeJoin(std::move(cb));
 
   bool builder_touched[kNumBuilders] = {};
 
@@ -626,20 +607,17 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     if (batch.sched == nullptr) {
       return;
     }
-    join->pending++;
+    join->Add();
     const uint32_t zone = batch.sched->zone();
     const SimTime submitted = sim_->Now();
     batch.sched->SubmitWrite(
         batch.start, std::move(batch.patterns), std::move(batch.oobs),
         [this, join, device, zone, submitted](const Status& status) {
-          if (!status.ok()) {
-            if (status.code() == ErrorCode::kUnavailable) {
-              OnDeviceUnavailable(device);
-            }
-            join->Fail(status);
+          if (status.code() == ErrorCode::kUnavailable) {
+            OnDeviceUnavailable(device);
           }
           RecordCompletion(device, zone, submitted);
-          join->Release();
+          join->Done(status);
         });
     batch = Batch{};
   };
@@ -662,7 +640,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       builder_class = kGcBuilder;
       group = kGroupGcDest;
     } else if (config_.enable_selector) {
-      cpu_.Charge("biza", config_.costs.ghost_cache_op_ns);
+      cpu_.Charge(config_.costs.ghost_cache_op_ns);
       switch (ghost_[0]->OnWrite(target)) {
         case ChunkTier::kHighProfit:
           group = kGroupZrwa;
@@ -685,7 +663,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
 
     // 2. In-place ZRWA update when both the chunk and its stripe parity are
     //    still inside their sliding windows (§4.1's relaxation).
-    cpu_.Charge("biza", config_.costs.map_lookup_ns);
+    cpu_.Charge(config_.costs.map_lookup_ns);
     const BmtEntry entry = BmtGet(target);
     // Stripes awaiting rebuild are pinned out-of-place: an in-place update
     // would keep the stale stripe alive and the rebuild sweep could never
@@ -712,24 +690,21 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
               break;
             }
           }
-          join->pending++;
+          join->Add();
           const int device = PaDevice(entry.pa);
           const uint32_t zone = dsched->zone();
           const SimTime submitted = sim_->Now();
           stats_.inplace_updates++;
-          cpu_.Charge("biza", config_.costs.scheduler_op_ns);
+          cpu_.Charge(config_.costs.scheduler_op_ns);
           dsched->SubmitWrite(
               doff, {pattern},
               {OobRecord{target, entry.sn, tag}},
-              [this, join, release, device, zone, submitted](const Status& s) {
-                if (!s.ok()) {
-                  if (s.code() == ErrorCode::kUnavailable) {
-                    OnDeviceUnavailable(device);
-                  }
-                  join->Fail(s);
+              [this, join, device, zone, submitted](const Status& s) {
+                if (s.code() == ErrorCode::kUnavailable) {
+                  OnDeviceUnavailable(device);
                 }
                 RecordCompletion(device, zone, submitted);
-                release();
+                join->Done(s);
               });
           for (int b = 0; b < kNumBuilders; ++b) {
             if (&builders_[b] == owner) {
@@ -755,25 +730,21 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
           const uint64_t old_data = dsched->PatternAt(doff);
           const int slot =
               m_ == 1 ? 0 : geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
-          cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                                  (kBlockSize / kKiB) *
-                                  static_cast<SimTime>(m_));
+          cpu_.Charge(config_.costs.parity_xor_ns_per_kib *
+                      (kBlockSize / kKiB) * static_cast<SimTime>(m_));
           stats_.inplace_updates++;
           const int ddev = PaDevice(entry.pa);
           const uint32_t dzone = dsched->zone();
           const SimTime submitted = sim_->Now();
-          join->pending += 1 + m_;
+          join->Add(1 + m_);
           dsched->SubmitWrite(
               doff, {pattern}, {OobRecord{target, entry.sn, tag}},
-              [this, join, release, ddev, dzone, submitted](const Status& s) {
-                if (!s.ok()) {
-                  if (s.code() == ErrorCode::kUnavailable) {
-                    OnDeviceUnavailable(ddev);
-                  }
-                  join->Fail(s);
+              [this, join, ddev, dzone, submitted](const Status& s) {
+                if (s.code() == ErrorCode::kUnavailable) {
+                  OnDeviceUnavailable(ddev);
                 }
                 RecordCompletion(ddev, dzone, submitted);
-                release();
+                join->Done(s);
               });
           for (int row = 0; row < m_; ++row) {
             const uint64_t ppa = SmtAt(entry.sn, row);
@@ -792,15 +763,12 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
                 poff, {new_parity},
                 {OobRecord{kParityLbnBase | (parity_version_++ & 0xFFFFFFFFULL),
                            entry.sn, WriteTag::kParity}},
-                [this, join, release, pdev, pzone, submitted](const Status& s) {
-                  if (!s.ok()) {
-                    if (s.code() == ErrorCode::kUnavailable) {
-                      OnDeviceUnavailable(pdev);
-                    }
-                    join->Fail(s);
+                [this, join, pdev, pzone, submitted](const Status& s) {
+                  if (s.code() == ErrorCode::kUnavailable) {
+                    OnDeviceUnavailable(pdev);
                   }
                   RecordCompletion(pdev, pzone, submitted);
-                  release();
+                  join->Done(s);
                 });
           }
           continue;
@@ -872,7 +840,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       // its content survives only XOR-ed into the stripe parity, and the
       // write may not be acknowledged until that parity is durable. The
       // phantom PA routes later reads of this chunk to the degraded path.
-      cpu_.Charge("biza", config_.costs.map_update_ns);
+      cpu_.Charge(config_.costs.map_update_ns);
       InvalidateChunk(target);
       const uint64_t pa = PhantomPa(device);
       BmtSet(target, BmtEntry{pa, builder.sn});
@@ -915,7 +883,8 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
           join->Fail(ResourceExhaustedError("biza: array is full"));
           break;
         }
-        // Park the remainder until GC or a zone seal frees space.
+        // Park the remainder until GC or a zone seal frees space; it holds
+        // one leg of the join until its own retry completes.
         const uint64_t rem_lbn = lbn + i;
         std::vector<uint64_t> rem(patterns.begin() + static_cast<long>(i),
                                   patterns.end());
@@ -926,18 +895,12 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
         }
         stats_.user_written_blocks -= rem.size();  // retry re-counts them
         stats_.write_stalls++;
-        join->pending++;
+        join->Add();
         stalled_writes_.push_back(
             [this, rem_lbn, rem_lbns = std::move(rem_lbns),
              rem = std::move(rem), tag, join]() mutable {
               DoSubmitWrite(rem_lbn, std::move(rem_lbns), std::move(rem),
-                            [join](const Status& status) {
-                              if (!status.ok()) {
-                                join->Fail(status);
-                              }
-                              join->Release();
-                            },
-                            tag);
+                            Leg(std::move(join)), tag);
             });
         ArmStallTimer();
         break;
@@ -947,7 +910,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     const uint64_t off = sched->Allocate(1);
     const uint64_t pa = MakePa(device, sched->zone(), off, zone_cap_);
 
-    cpu_.Charge("biza", config_.costs.map_update_ns);
+    cpu_.Charge(config_.costs.map_update_ns);
     InvalidateChunk(target);
     BmtSet(target, BmtEntry{pa, builder.sn});
     ZoneOf(device, sched->zone()).valid++;
@@ -957,7 +920,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     builder.patterns.push_back(pattern);
     builder.lbns.push_back(target);
     stats_.appended_chunks++;
-    cpu_.Charge("biza", config_.costs.scheduler_op_ns);
+    cpu_.Charge(config_.costs.scheduler_op_ns);
 
     // Batch contiguous writes per device.
     Batch& dev_batch = batches[static_cast<size_t>(device)];
@@ -994,7 +957,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     }
   }
 
-  join->Release();
+  join->Done();  // the dispatch guard
   MaybeStartGc();
 }
 
@@ -1012,8 +975,8 @@ std::vector<uint64_t> BizaArray::ComputeParities(
 
 void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
                                   const std::shared_ptr<WriteJoin>& join) {
-  cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                          (kBlockSize / kKiB) * static_cast<SimTime>(m_));
+  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+              static_cast<SimTime>(m_));
   const std::vector<uint64_t> parities = ComputeParities(builder.patterns);
   const bool final = static_cast<int>(builder.patterns.size()) == k_;
   // A degraded stripe's phantom chunks live ONLY in the parity, so the
@@ -1048,7 +1011,7 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
       const uint32_t zone = psched->zone();
       const SimTime submitted = sim_->Now();
       if (join_parity) {
-        join->pending++;
+        join->Add();
       }
       psched->SubmitWrite(
           poff, {parity}, {oob},
@@ -1061,10 +1024,7 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
             }
             RecordCompletion(pdevice, zone, submitted);
             if (join_parity) {
-              if (!s.ok()) {
-                join->Fail(s);
-              }
-              join->Release();
+              join->Done(s);
             }
           });
     } else {
@@ -1087,7 +1047,7 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
       const uint32_t zone = sched->zone();
       const SimTime submitted = sim_->Now();
       if (join_parity) {
-        join->pending++;
+        join->Add();
       }
       sched->SubmitWrite(
           off, {parity}, {oob},
@@ -1100,10 +1060,7 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
             }
             RecordCompletion(pdevice, zone, submitted);
             if (join_parity) {
-              if (!s.ok()) {
-                join->Fail(s);
-              }
-              join->Release();
+              join->Done(s);
             }
           });
     }
@@ -1124,22 +1081,13 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("biza read beyond exposed capacity"), {});
     return;
   }
-  cpu_.Charge("biza", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
-  struct ReadState {
-    std::vector<uint64_t> out;
-    int pending = 1;
-    Status error;
-    ReadCallback cb;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->out.assign(nblocks, 0);
-  state->cb = std::move(cb);
   if (obs_ != nullptr) {
     const SimTime start = sim_->Now();
-    state->cb = [this, start, lbn, nblocks, cb = std::move(state->cb)](
-                    const Status& status, std::vector<uint64_t> out) {
+    cb = [this, start, lbn, nblocks, cb = std::move(cb)](
+             const Status& status, std::vector<uint64_t> out) {
       const SimTime end = sim_->Now();
       h_read_->Record(end - start);
       if (obs_->tracer.Armed(start)) {
@@ -1150,37 +1098,17 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       cb(status, std::move(out));
     };
   }
-  auto release = [state]() {
-    if (--state->pending == 0) {
-      state->cb(state->error, std::move(state->out));
-    }
-  };
-  // Re-dispatches blocks [at, at + n) through SubmitRead, whose fresh BMT
-  // lookup re-decides their path. Takes the join as arguments so that the
-  // hot-path closures carrying this lambda hold no extra references.
-  auto redispatch = [this, lbn](std::shared_ptr<ReadState> join,
-                                auto release_join, uint64_t at, uint64_t n) {
-    stats_.user_read_blocks -= n;  // the re-dispatch re-counts them
-    SubmitRead(lbn + at, n,
-               [join, at, release_join](const Status& s,
-                                        std::vector<uint64_t> p) {
-                 if (!s.ok() && join->error.ok()) {
-                   join->error = s;
-                 }
-                 for (size_t j = 0; j < p.size(); ++j) {
-                   join->out[at + j] = p[j];
-                 }
-                 release_join();
-               });
-  };
+  // Legs: device runs, degraded reconstructions and mitigated reads. A run
+  // whose path fails under it is re-dispatched through SubmitRead, whose
+  // fresh BMT lookup re-decides the path; its result lands as a run leg.
+  auto join = MakeReadJoin(nblocks, std::move(cb));
 
   uint64_t i = 0;
   while (i < nblocks) {
-    cpu_.Charge("biza", config_.costs.map_lookup_ns);
+    cpu_.Charge(config_.costs.map_lookup_ns);
     const BmtEntry entry = BmtGet(lbn + i);
     if (entry.pa == kInvalidPa) {
-      state->out[i] = 0;
-      i++;
+      i++;  // never written: reads as zero
       continue;
     }
     const int device = PaDevice(entry.pa);
@@ -1189,33 +1117,21 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       // chunks (degraded writes) are ALWAYS read this way — they were never
       // written anywhere and exist only XOR-ed into the parity.
       stats_.degraded_reads++;
-      cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                              (kBlockSize / kKiB) * static_cast<SimTime>(k_));
+      cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+                  static_cast<SimTime>(k_));
       const uint64_t out_at = i;
-      state->pending++;
+      i++;
       if (m_ == 1) {
         const uint64_t parity0 = SmtAt(entry.sn, 0);
         if (parity0 == kInvalidPa ||
             device_failed_[static_cast<size_t>(PaDevice(parity0))]) {
           // No surviving parity: the chunk is unrecoverable.
-          if (state->error.ok()) {
-            state->error = DataLossError("biza: degraded read without parity");
-          }
-          release();
-          i++;
+          join->Fail(DataLossError("biza: degraded read without parity"));
           continue;
         }
         // XOR reconstruction: accumulate every surviving member.
-        struct Recon {
-          uint64_t acc = 0;
-          int pending = 0;
-          bool dispatched = false;
-        };
-        auto recon = std::make_shared<Recon>();
-        auto recon_release = [state, recon, out_at, release]() {
-          state->out[out_at] = recon->acc;
-          release();
-        };
+        join->Add();
+        auto recon = MakeJoin(uint64_t{0}, BlockLeg(join, out_at));
         std::vector<uint64_t> members;
         for (int slot = 0; slot < k_; ++slot) {
           const uint64_t pa = StripeDataPa(entry.sn, slot);
@@ -1226,115 +1142,97 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
         }
         members.push_back(parity0);
         for (uint64_t pa : members) {
-          recon->pending++;
+          recon->Add();
           DeviceRead(PaDevice(pa), pa, 1, 0,
-                     [state, recon, recon_release](
-                         const Status& status, std::vector<uint64_t> pats) {
+                     [recon](const Status& status, std::vector<uint64_t> pats) {
                        if (status.ok() && !pats.empty()) {
-                         recon->acc ^= pats[0];
-                       } else if (state->error.ok()) {
-                         state->error = status.ok()
-                                            ? DataLossError("short recon read")
-                                            : status;
+                         recon->data ^= pats[0];
+                       } else {
+                         recon->Fail(status.ok()
+                                         ? DataLossError("short recon read")
+                                         : status);
                        }
-                       if (--recon->pending == 0 && recon->dispatched) {
-                         recon_release();
-                       }
+                       recon->Done();
                      });
         }
-        recon->dispatched = true;
-        if (recon->pending == 0) {
-          recon_release();
-        }
-        i++;
+        recon->Done();
         continue;
       }
       // Reed-Solomon reconstruction (m >= 2): gather slot-identified shards
       // from every non-failed member, then decode. Unfilled data slots are
       // zero by the padding convention; members on failed devices are the
       // erasures. Handles MULTIPLE simultaneous device failures up to m.
-      struct RsRecon {
+      struct RsShards {
         std::vector<uint64_t> shards;
         std::vector<bool> present;
-        int pending = 1;
-        int target_slot = 0;
       };
-      auto recon = std::make_shared<RsRecon>();
-      recon->shards.assign(static_cast<size_t>(k_ + m_), 0);
-      recon->present.assign(static_cast<size_t>(k_ + m_), true);
-      recon->target_slot = geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
-      auto rs_release = [this, state, recon, out_at, release]() {
-        if (--recon->pending != 0) {
-          return;
-        }
-        const Status status =
-            rs_->ReconstructPatterns(recon->shards, recon->present);
-        if (status.ok()) {
-          state->out[out_at] =
-              recon->shards[static_cast<size_t>(recon->target_slot)];
-        } else {
-          BIZA_LOG_ERROR("RS reconstruction failed: %s",
-                         status.ToString().c_str());
-          if (state->error.ok()) {
-            state->error = status;
-          }
-        }
-        release();
+      const int target_slot =
+          geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
+      join->Add();
+      auto recon = MakeJoin(
+          RsShards{std::vector<uint64_t>(static_cast<size_t>(k_ + m_), 0),
+                   std::vector<bool>(static_cast<size_t>(k_ + m_), true)},
+          [this, target_slot, deliver = BlockLeg(join, out_at)](
+              const Status& status, RsShards rs) {
+            const Status decoded =
+                rs_->ReconstructPatterns(rs.shards, rs.present);
+            if (!decoded.ok()) {
+              BIZA_LOG_ERROR("RS reconstruction failed: %s",
+                             decoded.ToString().c_str());
+            }
+            deliver(status.ok() ? decoded : status,
+                    rs.shards[static_cast<size_t>(target_slot)]);
+          });
+      std::vector<bool>& present = recon->data.present;
+      present[static_cast<size_t>(target_slot)] = false;
+      auto read_shard = [this, &recon](uint64_t pa, size_t shard) {
+        recon->Add();
+        DeviceRead(PaDevice(pa), pa, 1, 0,
+                   [recon, shard](const Status& status,
+                                  std::vector<uint64_t> pats) {
+                     if (status.ok() && !pats.empty()) {
+                       recon->data.shards[shard] = pats[0];
+                     }
+                     recon->Done(status);
+                   });
       };
-      recon->present[static_cast<size_t>(recon->target_slot)] = false;
       for (int slot = 0; slot < k_; ++slot) {
         const uint64_t pa = StripeDataPa(entry.sn, slot);
-        if (slot == recon->target_slot || pa == kInvalidPa) {
+        if (slot == target_slot || pa == kInvalidPa) {
           continue;  // target erasure, or zero-padded unfilled slot
         }
         if (IsPhantomPa(pa) ||
             device_failed_[static_cast<size_t>(PaDevice(pa))]) {
-          recon->present[static_cast<size_t>(slot)] = false;
+          present[static_cast<size_t>(slot)] = false;
           continue;
         }
-        recon->pending++;
-        DeviceRead(PaDevice(pa), pa, 1, 0,
-                   [state, recon, rs_release, slot](
-                       const Status& status, std::vector<uint64_t> pats) {
-                     if (status.ok() && !pats.empty()) {
-                       recon->shards[static_cast<size_t>(slot)] = pats[0];
-                     } else if (state->error.ok() && !status.ok()) {
-                       state->error = status;
-                     }
-                     rs_release();
-                   });
+        read_shard(pa, static_cast<size_t>(slot));
       }
       for (int row = 0; row < m_; ++row) {
         const uint64_t pa = SmtAt(entry.sn, row);
         const size_t shard = static_cast<size_t>(k_ + row);
         if (pa == kInvalidPa ||
             device_failed_[static_cast<size_t>(PaDevice(pa))]) {
-          recon->present[shard] = false;
+          present[shard] = false;
           continue;
         }
-        recon->pending++;
-        DeviceRead(PaDevice(pa), pa, 1, 0,
-                   [state, recon, rs_release, shard](
-                       const Status& status, std::vector<uint64_t> pats) {
-                     if (status.ok() && !pats.empty()) {
-                       recon->shards[shard] = pats[0];
-                     } else if (state->error.ok() && !status.ok()) {
-                       state->error = status;
-                     }
-                     rs_release();
-                   });
+        read_shard(pa, shard);
       }
-      rs_release();
-      i++;
+      recon->Done();
       continue;
     }
 
-    state->pending++;
+    join->Add();
     const uint64_t out_at = i;
+    const uint64_t target = lbn + i;
     // Gray-failure mitigation (DESIGN.md §6): a suspect or gray device's
     // block is raced against, or rebuilt from, its stripe peers.
     if (MitigateRead(sim_, health_, device, &stats_.mitigation, [&] {
-          const uint64_t target = lbn + i;
+          // Re-dispatch for the fallback and the redrive.
+          auto redispatch = [this, target, leg = RunLeg(join, out_at)] {
+            stats_.user_read_blocks--;  // the re-dispatch re-counts it
+            SubmitRead(target, 1, leg);
+          };
           return ReadLegs{
               .can_reconstruct =
                   [this, target, entry] {
@@ -1356,23 +1254,12 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                   [this, target, entry](ReadLegs::Done done) {
                     ReconstructChunk(target, entry, std::move(done));
                   },
-              .deliver =
-                  [state, out_at, release](const Status& s, uint64_t pattern) {
-                    if (s.ok()) {
-                      state->out[out_at] = pattern;
-                    } else if (state->error.ok()) {
-                      state->error = s;
-                    }
-                    release();
-                  },
-              .fallback =
-                  [redispatch, state, release, out_at] {
-                    redispatch(state, release, out_at, 1);
-                  },
+              .deliver = BlockLeg(join, out_at),
+              .fallback = redispatch,
               .redrive =
-                  [this, device, redispatch, state, release, out_at] {
+                  [this, device, redispatch] {
                     OnDeviceUnavailable(device);
-                    redispatch(state, release, out_at, 1);
+                    redispatch();
                   },
           };
         })) {
@@ -1389,32 +1276,22 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       }
       run++;
     }
-    DeviceRead(
-        device, entry.pa, run, 0,
-        [this, state, out_at, run, device, release, redispatch](
-            const Status& status, std::vector<uint64_t> pats) {
-          if (status.ok()) {
-            for (size_t j = 0; j < pats.size(); ++j) {
-              state->out[out_at + j] = pats[j];
-            }
-            release();
-            return;
-          }
-          if (status.code() == ErrorCode::kUnavailable) {
-            // The device died under this read: flag it and re-dispatch the
-            // run through the degraded-reconstruction path above.
-            OnDeviceUnavailable(device);
-            redispatch(state, release, out_at, run);
-            return;
-          }
-          if (state->error.ok()) {
-            state->error = status;
-          }
-          release();
-        });
+    DeviceRead(device, entry.pa, run, 0,
+               [this, leg = RunLeg(join, out_at), target, run, device](
+                   const Status& status, std::vector<uint64_t> pats) {
+                 if (status.code() == ErrorCode::kUnavailable) {
+                   // The device died under this read: flag it and
+                   // re-dispatch the run through the degraded path above.
+                   OnDeviceUnavailable(device);
+                   stats_.user_read_blocks -= run;  // re-counted there
+                   SubmitRead(target, run, leg);
+                   return;
+                 }
+                 leg(status, std::move(pats));
+               });
     i += run;
   }
-  release();
+  join->Done();  // the dispatch guard
 }
 
 void BizaArray::FlushBuffers(std::function<void()> done) {
@@ -1567,18 +1444,10 @@ void BizaArray::ReconstructChunk(
     uint64_t pattern = 0;  // PatternAt snapshot (active sources only)
   };
   struct Recon {
-    uint64_t lbn = 0;
-    BmtEntry entry;
     std::vector<Source> sources;
     std::vector<uint64_t> got;
-    int pending = 1;
-    Status error;
-    std::function<void(const Status&, uint64_t)> cb;
   };
-  auto recon = std::make_shared<Recon>();
-  recon->lbn = lbn;
-  recon->entry = entry;
-  recon->cb = std::move(cb);
+  Recon recon;
 
   auto snapshot = [this, &recon](uint64_t pa, int slot) {
     Source src;
@@ -1591,7 +1460,7 @@ void BizaArray::ReconstructChunk(
     if (src.active) {
       src.pattern = z.sched->PatternAt(PaOffset(pa));
     }
-    recon->sources.push_back(src);
+    recon.sources.push_back(src);
   };
   for (int slot = 0; slot < k_; ++slot) {
     const uint64_t pa = StripeDataPa(entry.sn, slot);
@@ -1602,28 +1471,26 @@ void BizaArray::ReconstructChunk(
   for (int row = 0; row < m_; ++row) {
     snapshot(SmtAt(entry.sn, row), k_ + row);
   }
-  recon->got.assign(recon->sources.size(), 0);
-  cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                          (kBlockSize / kKiB) * static_cast<SimTime>(k_));
+  recon.got.assign(recon.sources.size(), 0);
+  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+              static_cast<SimTime>(k_));
 
-  auto finish = [this, recon]() {
-    if (--recon->pending != 0) {
-      return;
-    }
-    if (!recon->error.ok()) {
-      recon->cb(recon->error, 0);
+  auto finish = [this, lbn, entry, cb = std::move(cb)](const Status& error,
+                                                       const Recon& read) {
+    if (!error.ok()) {
+      cb(error, 0);
       return;
     }
     // Completion-time revalidation (see the defense note above).
-    const BmtEntry cur = BmtGet(recon->lbn);
-    bool valid = cur.pa == recon->entry.pa && cur.sn == recon->entry.sn;
-    for (const Source& src : recon->sources) {
+    const BmtEntry cur = BmtGet(lbn);
+    bool valid = cur.pa == entry.pa && cur.sn == entry.sn;
+    for (const Source& src : read.sources) {
       if (!valid) {
         break;
       }
       const uint64_t table_pa =
-          src.slot < k_ ? StripeDataPa(recon->entry.sn, src.slot)
-                        : SmtAt(recon->entry.sn, src.slot - k_);
+          src.slot < k_ ? StripeDataPa(entry.sn, src.slot)
+                        : SmtAt(entry.sn, src.slot - k_);
       const DevZone& z =
           zones_[static_cast<size_t>(PaDevice(src.pa))][PaZone(src.pa)];
       valid = table_pa == src.pa && z.epoch == src.epoch;
@@ -1636,51 +1503,50 @@ void BizaArray::ReconstructChunk(
       }
     }
     if (!valid) {
-      recon->cb(FailedPreconditionError("recon sources changed in flight"),
+      cb(FailedPreconditionError("recon sources changed in flight"),
                 0);
       return;
     }
     if (m_ == 1) {
       uint64_t acc = 0;
-      for (uint64_t pat : recon->got) {
+      for (uint64_t pat : read.got) {
         acc ^= pat;
       }
-      recon->cb(OkStatus(), acc);
+      cb(OkStatus(), acc);
       return;
     }
     std::vector<uint64_t> shards(static_cast<size_t>(k_ + m_), 0);
     std::vector<bool> present(static_cast<size_t>(k_ + m_), true);
     const int target_slot =
-        geometry_.DataSlotOf(recon->entry.sn, PaDevice(recon->entry.pa));
+        geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
     present[static_cast<size_t>(target_slot)] = false;
-    for (size_t s = 0; s < recon->sources.size(); ++s) {
-      shards[static_cast<size_t>(recon->sources[s].slot)] = recon->got[s];
+    for (size_t s = 0; s < read.sources.size(); ++s) {
+      shards[static_cast<size_t>(read.sources[s].slot)] = read.got[s];
     }
     const Status status = rs_->ReconstructPatterns(shards, present);
     if (!status.ok()) {
-      recon->cb(status, 0);
+      cb(status, 0);
       return;
     }
-    recon->cb(OkStatus(), shards[static_cast<size_t>(target_slot)]);
+    cb(OkStatus(), shards[static_cast<size_t>(target_slot)]);
   };
 
-  for (size_t s = 0; s < recon->sources.size(); ++s) {
-    const Source& src = recon->sources[s];
-    recon->pending++;
-    DeviceRead(PaDevice(src.pa), src.pa, 1, 0,
-               [recon, finish, s](const Status& status,
-                                  std::vector<uint64_t> pats) {
+  auto join = MakeJoin(std::move(recon), std::move(finish));
+  for (size_t s = 0; s < join->data.sources.size(); ++s) {
+    const uint64_t pa = join->data.sources[s].pa;
+    join->Add();
+    DeviceRead(PaDevice(pa), pa, 1, 0,
+               [join, s](const Status& status, std::vector<uint64_t> pats) {
                  if (status.ok() && !pats.empty()) {
-                   recon->got[s] = pats[0];
-                 } else if (recon->error.ok()) {
-                   recon->error = status.ok()
-                                      ? DataLossError("short recon read")
-                                      : status;
+                   join->data.got[s] = pats[0];
+                 } else {
+                   join->Fail(status.ok() ? DataLossError("short recon read")
+                                          : status);
                  }
-                 finish();
+                 join->Done();
                });
   }
-  finish();
+  join->Done();  // the dispatch guard
 }
 
 // ---------------------------------------------------------------------------
@@ -2248,20 +2114,15 @@ void BizaArray::GcStep() {
     return;
   }
 
-  struct GcBatch {
+  struct GcRead {
     std::vector<Item> items;
     std::vector<uint64_t> patterns;
     std::vector<char> ok;  // read succeeded; never migrate unread content
-    int pending = 0;
-    bool dispatched = false;
   };
-  auto gc_batch = std::make_shared<GcBatch>();
-  gc_batch->items = batch;
-  gc_batch->patterns.assign(batch.size(), 0);
-  gc_batch->ok.assign(batch.size(), 0);
+  const size_t count = batch.size();
   const SimTime step_start = sim_->Now();
 
-  auto rewrite = [this, gc_batch, step_start]() {
+  auto rewrite = [this, step_start](const Status&, const GcRead& read) {
     if (obs_ != nullptr && obs_->tracer.Armed(step_start)) {
       obs_->tracer.Record(Tracer::kLaneEngine, span_gc_step_, step_start,
                           sim_->Now(), key_device_, gc_device_, key_zone_,
@@ -2300,18 +2161,18 @@ void BizaArray::GcStep() {
     std::vector<uint64_t> gather_patterns;
     uint64_t gather_min_off = zone_cap_;
     uint64_t rescan = zone_cap_;
-    for (size_t idx = 0; idx < gc_batch->items.size(); ++idx) {
-      if (gc_batch->ok[idx] == 0) {
+    for (size_t idx = 0; idx < read.items.size(); ++idx) {
+      if (read.ok[idx] == 0) {
         // Read failed even after retries: never migrate unread content.
         // Roll the scan cursor back so the block is re-attempted before the
         // victim zone can be declared empty and reset.
-        rescan = std::min(rescan, gc_batch->items[idx].offset);
+        rescan = std::min(rescan, read.items[idx].offset);
         continue;
       }
-      const Item& item = gc_batch->items[idx];
+      const Item& item = read.items[idx];
       const uint64_t pa =
           MakePa(gc_device_, gc_victim_zone_, item.offset, zone_cap_);
-      const uint64_t pattern = gc_batch->patterns[idx];
+      const uint64_t pattern = read.patterns[idx];
       if (IsParityLbn(item.oob.lbn)) {
         // Parity migration: stays on the same device (fault isolation),
         // moves into the GC destination zone. SMT/stripe index follow.
@@ -2394,41 +2255,40 @@ void BizaArray::GcStep() {
     }
   };
 
-  for (size_t idx = 0; idx < gc_batch->items.size();) {
+  // The rewrite runs once every run read has landed.
+  auto gc_read = MakeJoin(GcRead{std::move(batch),
+                                 std::vector<uint64_t>(count, 0),
+                                 std::vector<char>(count, 0)},
+                          std::move(rewrite));
+  const std::vector<Item>& items = gc_read->data.items;
+  for (size_t idx = 0; idx < items.size();) {
     // Read each physically-contiguous victim run with one device command;
     // a failed run read marks every covered block not-ok, which the rescan
     // rollback then re-attempts individually.
     uint64_t run = 1;
-    while (idx + run < gc_batch->items.size() &&
-           gc_batch->items[idx + run].offset ==
-               gc_batch->items[idx].offset + run) {
+    while (idx + run < items.size() &&
+           items[idx + run].offset == items[idx].offset + run) {
       run++;
     }
-    gc_batch->pending++;
+    gc_read->Add();
     const uint64_t pa =
-        MakePa(gc_device_, gc_victim_zone_, gc_batch->items[idx].offset,
-               zone_cap_);
+        MakePa(gc_device_, gc_victim_zone_, items[idx].offset, zone_cap_);
     DeviceRead(gc_device_, pa, run, 0,
-               [this, gc_batch, idx, run, rewrite](
-                   const Status& status, std::vector<uint64_t> pats) {
+               [this, gc_read, idx, run](const Status& status,
+                                         std::vector<uint64_t> pats) {
                  if (status.ok() && pats.size() >= run) {
                    for (uint64_t j = 0; j < run; ++j) {
-                     gc_batch->patterns[idx + j] = pats[j];
-                     gc_batch->ok[idx + j] = 1;
+                     gc_read->data.patterns[idx + j] = pats[j];
+                     gc_read->data.ok[idx + j] = 1;
                    }
                  } else if (status.code() == ErrorCode::kUnavailable) {
                    OnDeviceUnavailable(gc_device_);
                  }
-                 if (--gc_batch->pending == 0 && gc_batch->dispatched) {
-                   rewrite();
-                 }
+                 gc_read->Done();
                });
     idx += run;
   }
-  gc_batch->dispatched = true;
-  if (gc_batch->pending == 0) {
-    rewrite();
-  }
+  gc_read->Done();  // the dispatch guard
 }
 
 // ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@
 #include "src/common/sparse_array.h"
 #include "src/biza/ghost_cache.h"
 #include "src/biza/zone_scheduler.h"
+#include "src/engines/join.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -238,9 +239,8 @@ class BizaArray : public BlockTarget {
     bool degraded = false;               // some slot skipped a dead member
   };
 
-  // Shared completion join for all device writes of one block request
-  // (defined in the .cc).
-  struct WriteJoin;
+  // Shared completion join for all device writes of one block request.
+  using WriteJoin = Join<WriteCallback>;
 
   // Common body of SubmitWrite / SubmitWriteGather. An empty `gather_lbns`
   // means targets are contiguous from `lbn`; otherwise gather_lbns[i] is the

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "src/common/logging.h"
+#include "src/engines/join.h"
 
 namespace biza {
 
@@ -64,13 +65,7 @@ void ZoneScheduler::SubmitWrite(uint64_t offset,
   // A job wider than the ZRWA window could never fit it: split into
   // window-sized pieces whose completions are joined.
   if (patterns.size() > zrwa_blocks_) {
-    struct SplitJoin {
-      int pending = 0;
-      Status first_error;
-      WriteCallback cb;
-    };
-    auto join = std::make_shared<SplitJoin>();
-    join->cb = std::move(cb);
+    auto join = MakeJoin(std::move(cb));
     const uint64_t total = patterns.size();
     for (uint64_t at = 0; at < total; at += zrwa_blocks_) {
       const uint64_t take = std::min<uint64_t>(zrwa_blocks_, total - at);
@@ -81,17 +76,11 @@ void ZoneScheduler::SubmitWrite(uint64_t offset,
         part_oobs.assign(oobs.begin() + static_cast<long>(at),
                          oobs.begin() + static_cast<long>(at + take));
       }
-      join->pending++;
+      join->Add();
       SubmitWrite(offset + at, std::move(part), std::move(part_oobs),
-                  [join](const Status& status) {
-                    if (!status.ok() && join->first_error.ok()) {
-                      join->first_error = status;
-                    }
-                    if (--join->pending == 0) {
-                      join->cb(join->first_error);
-                    }
-                  });
+                  Leg(join));
     }
+    join->Done();  // the dispatch guard
     return;
   }
   if (offset < win_start_) {

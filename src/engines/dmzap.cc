@@ -6,6 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
+#include "src/engines/join.h"
 
 namespace biza {
 
@@ -81,19 +82,15 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     cb(OutOfRangeError("dm-zap write beyond exposed capacity"));
     return;
   }
-  cpu_.Charge("dmzap", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   if (tag == WriteTag::kData) {
     stats_.user_written_blocks += n;  // note: retried remainders re-count;
                                       // WA reporting uses workload counters
   }
 
-  // Split the request into zone-contiguous segments.
-  struct Join {
-    int pending = 0;
-    WriteCallback cb;
-  };
-  auto join = std::make_shared<Join>();
-  join->cb = std::move(cb);
+  // Split the request into zone-contiguous segments; a remainder parked
+  // for a free zone counts as one more leg.
+  auto join = MakeJoin(std::move(cb));
 
   uint64_t done = 0;
   const bool for_gc = tag == WriteTag::kGcData || tag == WriteTag::kGcParity;
@@ -114,20 +111,15 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
         const uint64_t rem_lbn = lbn + done;
         std::vector<uint64_t> rem(patterns.begin() + static_cast<long>(done),
                                   patterns.end());
-        join->pending++;
+        join->Add();
         stalled_writes_.push_back(
             [this, rem_lbn, rem = std::move(rem), tag, join]() mutable {
-              SubmitWrite(rem_lbn, std::move(rem),
-                          [join](const Status&) {
-                            if (--join->pending == 0) {
-                              join->cb(OkStatus());
-                            }
-                          },
-                          tag);
+              SubmitWrite(rem_lbn, std::move(rem), Leg(std::move(join)), tag);
             });
-      } else if (join->pending == 0) {
-        join->cb(ResourceExhaustedError("dm-zap out of zones"));
+      } else {
+        join->Fail(ResourceExhaustedError("dm-zap out of zones"));
       }
+      join->Done();  // the dispatch guard
       return;
     }
     ZoneMeta& z = zones_[zone];
@@ -141,7 +133,7 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     job.lbns.resize(take);
     for (uint64_t i = 0; i < take; ++i) {
       const uint64_t target = lbn + done + i;
-      cpu_.Charge("dmzap", config_.costs.map_update_ns);
+      cpu_.Charge(config_.costs.map_update_ns);
       Invalidate(target);
       l2p_[target] = zone * zone_cap_ + z.wptr + i;
       z.rmap[z.wptr + i] = target;
@@ -149,15 +141,12 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     }
     z.valid += take;
     z.wptr += take;
-    join->pending++;
-    job.done = [join]() {
-      if (--join->pending == 0) {
-        join->cb(OkStatus());
-      }
-    };
+    join->Add();
+    job.done = [join]() { join->Done(); };
     EnqueueZoneWrite(static_cast<uint32_t>(zone), std::move(job));
     done += take;
   }
+  join->Done();  // the dispatch guard
   MaybeStartGc();
 }
 
@@ -180,7 +169,7 @@ void DmZap::PumpZone(uint32_t zone) {
   // zone's previous dispatch — overlapping waiters don't multiply it.
   const SimTime wait = sim_->Now() - job.enqueued_at;
   const SimTime wall = sim_->Now() - z.last_dispatch;
-  cpu_.Charge("dmzap", wait < wall ? wait : wall);
+  cpu_.Charge(wait < wall ? wait : wall);
   z.last_dispatch = sim_->Now();
   const uint64_t offset = job.offset;
   const WriteTag tag = job.tag;
@@ -224,26 +213,17 @@ void DmZap::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("dm-zap read beyond exposed capacity"), {});
     return;
   }
-  cpu_.Charge("dmzap", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
-  struct ReadState {
-    std::vector<uint64_t> out;
-    int pending = 0;
-    bool dispatched_all = false;
-    ReadCallback cb;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->out.assign(nblocks, 0);
-  state->cb = std::move(cb);
+  auto join = MakeReadJoin(nblocks, std::move(cb));
 
   uint64_t i = 0;
   while (i < nblocks) {
-    cpu_.Charge("dmzap", config_.costs.map_lookup_ns);
+    cpu_.Charge(config_.costs.map_lookup_ns);
     const uint64_t loc = l2p_[lbn + i];
     if (loc == kUnmapped) {
-      state->out[i] = 0;  // unwritten blocks read as zero
-      i++;
+      i++;  // unwritten blocks read as zero
       continue;
     }
     // Extend a physically-contiguous run.
@@ -254,26 +234,11 @@ void DmZap::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     }
     const uint32_t zone = static_cast<uint32_t>(loc / zone_cap_);
     const uint64_t offset = loc % zone_cap_;
-    state->pending++;
-    const uint64_t out_at = i;
-    backend_->SubmitZoneRead(
-        zone, offset, run,
-        [state, out_at](const Status& status, std::vector<uint64_t> patterns) {
-          if (status.ok()) {
-            for (size_t j = 0; j < patterns.size(); ++j) {
-              state->out[out_at + j] = patterns[j];
-            }
-          }
-          if (--state->pending == 0 && state->dispatched_all) {
-            state->cb(OkStatus(), std::move(state->out));
-          }
-        });
+    join->Add();
+    backend_->SubmitZoneRead(zone, offset, run, RunLeg(join, i));
     i += run;
   }
-  state->dispatched_all = true;
-  if (state->pending == 0) {
-    state->cb(OkStatus(), std::move(state->out));
-  }
+  join->Done();  // the dispatch guard
 }
 
 // ---------------------------------------------------------------------------
@@ -383,65 +348,39 @@ void DmZap::GcStep() {
     return;
   }
 
-  // Read the batch (per-run reads), then rewrite through the normal
+  // Read the batch (one read per block), then rewrite through the normal
   // allocation path and continue.
-  struct GcBatch {
-    std::vector<uint64_t> lbns;
-    std::vector<uint64_t> patterns;
-    int pending = 0;
-    bool dispatched_all = false;
-  };
-  auto batch = std::make_shared<GcBatch>();
-  batch->lbns = lbns;
-  batch->patterns.assign(lbns.size(), 0);
-
-  auto rewrite = [this, batch]() {
+  auto rewrite = [this, lbns = std::move(lbns)](
+                     const Status&, std::vector<uint64_t> patterns) {
     // Re-check liveness: the user may have overwritten blocks mid-read.
-    int outstanding = 0;
     auto finish = std::make_shared<std::function<void()>>([this]() {
       sim_->Schedule(0, [this]() { GcStep(); });
     });
     struct Waiter {
-      int n = 0;
       std::shared_ptr<std::function<void()>> finish;
       ~Waiter() { (*finish)(); }
     };
     auto waiter = std::make_shared<Waiter>();
     waiter->finish = finish;
-    for (size_t i = 0; i < batch->lbns.size(); ++i) {
-      const uint64_t lbn = batch->lbns[i];
+    for (size_t i = 0; i < lbns.size(); ++i) {
+      const uint64_t lbn = lbns[i];
       const uint64_t loc = l2p_[lbn];
       if (loc == kUnmapped ||
           loc / zone_cap_ != gc_victim_) {
         continue;  // overwritten during migration
       }
-      outstanding++;
       stats_.gc_migrated_blocks++;
-      SubmitWrite(lbn, {batch->patterns[i]},
-                  [waiter](const Status&) {}, WriteTag::kGcData);
+      SubmitWrite(lbn, {patterns[i]}, [waiter](const Status&) {},
+                  WriteTag::kGcData);
     }
-    (void)outstanding;
   };
-
+  auto batch =
+      MakeJoin(std::vector<uint64_t>(offsets.size(), 0), std::move(rewrite));
   for (size_t i = 0; i < offsets.size(); ++i) {
-    batch->pending++;
-    const size_t at = i;
-    backend_->SubmitZoneRead(
-        victim, offsets[i], 1,
-        [batch, at, rewrite](const Status& status,
-                             std::vector<uint64_t> patterns) {
-          if (status.ok() && !patterns.empty()) {
-            batch->patterns[at] = patterns[0];
-          }
-          if (--batch->pending == 0 && batch->dispatched_all) {
-            rewrite();
-          }
-        });
+    batch->Add();
+    backend_->SubmitZoneRead(victim, offsets[i], 1, RunLeg(batch, i));
   }
-  batch->dispatched_all = true;
-  if (batch->pending == 0) {
-    rewrite();
-  }
+  batch->Done();  // the dispatch guard
 }
 
 }  // namespace biza

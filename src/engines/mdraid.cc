@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/common/logging.h"
+#include "src/engines/join.h"
 #include "src/raid/reed_solomon.h"
 
 namespace biza {
@@ -91,39 +92,32 @@ bool Mdraid::CanReconstruct(uint64_t stripe) const {
 
 void Mdraid::ReconstructBlock(uint64_t stripe, int child,
                               std::function<void(const Status&, uint64_t)> cb) {
-  cpu_.Charge("mdraid", config_.costs.parity_xor_ns_per_kib *
-                            (kBlockSize / kKiB) * static_cast<SimTime>(k_));
+  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+              static_cast<SimTime>(k_));
   recon_active_[stripe]++;
-  struct Recon {
-    uint64_t acc = 0;
-    int pending = 0;
-    Status error;
-  };
-  auto recon = std::make_shared<Recon>();
-  recon->pending = n_ - 1;
-  auto finish = [this, stripe, recon, cb = std::move(cb)]() {
+  // XOR of the other n-1 children's blocks.
+  auto recon = MakeJoin(uint64_t{0}, [this, stripe, cb = std::move(cb)](
+                                         const Status& status, uint64_t acc) {
     OnReconDone(stripe);
-    cb(recon->error, recon->acc);
-  };
+    cb(status, acc);
+  });
   for (int other = 0; other < n_; ++other) {
     if (other == child) {
       continue;
     }
+    recon->Add();
     ChildRead(other, stripe, 1, 0,
-              [recon, finish](const Status& status,
-                              std::vector<uint64_t> patterns) {
+              [recon](const Status& status, std::vector<uint64_t> patterns) {
                 if (status.ok() && !patterns.empty()) {
-                  recon->acc ^= patterns[0];
-                } else if (recon->error.ok()) {
-                  recon->error = status.ok()
-                                     ? DataLossError("short recon read")
-                                     : status;
+                  recon->data ^= patterns[0];
+                } else {
+                  recon->Fail(status.ok() ? DataLossError("short recon read")
+                                          : status);
                 }
-                if (--recon->pending == 0) {
-                  finish();
-                }
+                recon->Done();
               });
   }
+  recon->Done();  // the dispatch guard
 }
 
 void Mdraid::OnReconDone(uint64_t stripe) {
@@ -190,7 +184,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   // array lock and lands in the stripe cache (write-back).
   SimTime lock_done = sim_->Now();
   for (uint64_t i = 0; i < n; ++i) {
-    cpu_.Charge("mdraid", config_.costs.stripe_cache_op_ns);
+    cpu_.Charge(config_.costs.stripe_cache_op_ns);
     lock_done = lock_.OccupyFor(sim_->Now(), config_.lock_ns_per_page);
     const uint64_t target = lbn + i;
     const uint64_t stripe = StripeOf(target);
@@ -204,7 +198,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     entry.patterns[static_cast<size_t>(slot)] = patterns[i];
     TouchLru(stripe);
   }
-  cpu_.Charge("mdraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
 
   // Backpressure: above the high watermark kick a flush; if the cache is
   // entirely full, stall the completion until a flush frees space.
@@ -330,26 +324,8 @@ void Mdraid::FlushLruBatch(std::function<void()> done) {
 
 void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
                             std::function<void()> done) {
-  struct FlushState {
-    int pending = 1;
-    std::function<void()> done;
-    std::vector<uint64_t> flushed;  // stripes pinned in flushing_stripes_
-  };
-  auto state = std::make_shared<FlushState>();
-  state->done = std::move(done);
-  auto release = [this, state]() {
-    if (--state->pending == 0) {
-      for (uint64_t s : state->flushed) {
-        flushing_stripes_.erase(s);
-      }
-      state->done();
-    }
-  };
-
   // Stage 1: collect the stripe work and detach it from the cache, then
-  // issue reconstruct-reads for partially-dirty stripes. The work list and
-  // the join continuation must be fully built BEFORE any read is issued —
-  // children may complete reads synchronously.
+  // issue reconstruct-reads for partially-dirty stripes.
   struct StripeWork {
     uint64_t stripe;
     std::vector<uint64_t> patterns;  // full k slots after reads
@@ -360,12 +336,7 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
     int recon_slot = -1;
     uint64_t recon_acc = 0;
   };
-  auto works = std::make_shared<std::vector<StripeWork>>();
-  struct ReadJoin {
-    int pending = 1;
-    std::function<void()> then;
-  };
-  auto read_join = std::make_shared<ReadJoin>();
+  std::vector<StripeWork> works;  // stripes pinned in flushing_stripes_
 
   struct NeededRead {
     size_t work_index;
@@ -433,19 +404,18 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
         const bool fold = work.recon_slot >= 0;
         if (fill || fold) {
           reads.push_back(
-              NeededRead{works->size(), slot, child, stripe, fill, fold});
+              NeededRead{works.size(), slot, child, stripe, fill, fold});
         }
       }
       if (work.recon_slot >= 0) {
         const int pchild = geometry_.ParityDrive(stripe);
         reads.push_back(
-            NeededRead{works->size(), -1, pchild, stripe, false, true});
+            NeededRead{works.size(), -1, pchild, stripe, false, true});
       }
     } else {
       stats_.full_stripe_flushes++;
     }
-    works->push_back(std::move(work));
-    state->flushed.push_back(stripe);
+    works.push_back(std::move(work));
     flushing_stripes_.insert(stripe);
 
     // Remove from cache now: new writes to the stripe re-enter cleanly.
@@ -454,21 +424,23 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
     cache_.erase(it);
   }
 
-  if (works->empty() && !recon_pinned.empty()) {
+  if (works.empty() && !recon_pinned.empty()) {
     // Everything in this run is pinned by in-flight recons. Park the retry
     // on the recon-drain hook instead of completing now: a synchronous
     // completion would let FlushBuffers re-pick the same stripes in a
     // zero-time loop that never lets the recon reads land.
-    recon_waiters_.push_back(
-        [this, pinned = std::move(recon_pinned), release]() mutable {
-          FlushStripeRun(std::move(pinned), release);
-        });
+    recon_waiters_.push_back([this, pinned = std::move(recon_pinned),
+                              done = std::move(done)]() mutable {
+      FlushStripeRun(std::move(pinned), std::move(done));
+    });
     return;
   }
 
-  // Stage 2 (after reads): compute parity, write dirty data + parity with
-  // per-child merging of contiguous stripes.
-  read_join->then = [this, works, release]() {
+  // Stage 2 (after the reads): compute parity, write dirty data + parity
+  // with per-child merging of contiguous stripes. The write join unpins
+  // the run's stripes and reports the flush done.
+  auto write_back = [this, done = std::move(done)](
+                        const Status&, std::vector<StripeWork> filled) mutable {
     // child -> list of (child_offset, pattern, tag)
     struct PendingWrite {
       uint64_t offset;
@@ -476,15 +448,14 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
       WriteTag tag;
     };
     std::vector<std::vector<PendingWrite>> per_child(static_cast<size_t>(n_));
-    for (StripeWork& work : *works) {
+    for (StripeWork& work : filled) {
       if (work.recon_slot >= 0) {
         // recon_acc = old parity XOR every other data slot's old value =
         // the failed slot's old value; the new parity now covers it.
         work.patterns[static_cast<size_t>(work.recon_slot)] = work.recon_acc;
       }
-      cpu_.Charge("mdraid",
-                  config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
-                      static_cast<SimTime>(k_));
+      cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+                  static_cast<SimTime>(k_));
       const uint64_t parity = XorParity(work.patterns);
       for (int slot = 0; slot < k_; ++slot) {
         if (!work.dirty[static_cast<size_t>(slot)]) {
@@ -510,18 +481,15 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
       }
     }
 
-    struct WriteJoin {
-      int pending = 1;
-      std::function<void()> release;
-    };
-    auto write_join = std::make_shared<WriteJoin>();
-    write_join->release = release;
-    auto wrelease = [write_join]() {
-      if (--write_join->pending == 0) {
-        write_join->release();
-      }
-    };
-
+    auto write_join = MakeJoin(
+        std::move(filled),
+        [this, done = std::move(done)](const Status&,
+                                       const std::vector<StripeWork>& flushed) {
+          for (const StripeWork& work : flushed) {
+            flushing_stripes_.erase(work.stripe);
+          }
+          done();
+        });
     for (int child = 0; child < n_; ++child) {
       auto& writes = per_child[static_cast<size_t>(child)];
       if (writes.empty()) {
@@ -546,9 +514,9 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
         for (size_t w = i; w < j; ++w) {
           patterns.push_back(writes[w].pattern);
         }
-        write_join->pending++;
+        write_join->Add();
         ChildWrite(child, writes[i].offset, std::move(patterns), writes[i].tag,
-                   0, [this, wrelease, child](const Status& status) {
+                   0, [this, write_join, child](const Status& status) {
                      if (!status.ok()) {
                        if (status.code() == ErrorCode::kUnavailable) {
                          // Lost mid-flight: the data stays covered by the
@@ -558,23 +526,25 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
                        BIZA_LOG_ERROR("mdraid child write failed: %s",
                                       status.ToString().c_str());
                      }
-                     wrelease();
+                     write_join->Done();
                    });
         i = j;
       }
     }
-    wrelease();
+    write_join->Done();  // the dispatch guard
   };
 
-  // Now that `works` and `then` are in place, fire the reconstruct-reads.
+  // Children may complete reads synchronously, so the work list and the
+  // stage-2 continuation are in place before the first read is issued.
+  auto read_join = MakeJoin(std::move(works), std::move(write_back));
   for (const NeededRead& need : reads) {
-    read_join->pending++;
+    read_join->Add();
     stats_.rmw_read_blocks++;
     ChildRead(need.child, need.stripe, 1, 0,
-              [this, works, need, read_join](const Status& status,
-                                             std::vector<uint64_t> patterns) {
+              [this, read_join, need](const Status& status,
+                                      std::vector<uint64_t> patterns) {
                 if (status.ok() && !patterns.empty()) {
-                  StripeWork& work = (*works)[need.work_index];
+                  StripeWork& work = read_join->data[need.work_index];
                   if (need.fill) {
                     work.patterns[static_cast<size_t>(need.slot)] = patterns[0];
                   }
@@ -588,14 +558,10 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
                   BIZA_LOG_ERROR("mdraid reconstruct-read failed: %s",
                                  status.ToString().c_str());
                 }
-                if (--read_join->pending == 0) {
-                  read_join->then();
-                }
+                read_join->Done();
               });
   }
-  if (--read_join->pending == 0) {
-    read_join->then();
-  }
+  read_join->Done();  // the dispatch guard
 }
 
 void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
@@ -603,7 +569,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("mdraid read beyond capacity"), {});
     return;
   }
-  cpu_.Charge("mdraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
   if (obs_ != nullptr) {
     const SimTime start = sim_->Now();
@@ -620,37 +586,8 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     };
   }
 
-  struct ReadState {
-    std::vector<uint64_t> out;
-    int pending = 1;
-    Status error;
-    ReadCallback cb;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->out.assign(nblocks, 0);
-  state->cb = std::move(cb);
-  auto release = [state]() {
-    if (--state->pending == 0) {
-      state->cb(state->error, std::move(state->out));
-    }
-  };
-  // Re-dispatches block `at` through SubmitRead, which re-decides its path.
-  // Takes the join as arguments, as in BizaArray::SubmitRead.
-  auto redispatch = [this, lbn](std::shared_ptr<ReadState> join,
-                                auto release_join, uint64_t at) {
-    stats_.user_read_blocks--;  // the re-dispatch re-counts it
-    SubmitRead(lbn + at, 1,
-               [join, at, release_join](const Status& s,
-                                        std::vector<uint64_t> p) {
-                 if (!s.ok() && join->error.ok()) {
-                   join->error = s;
-                 }
-                 if (!p.empty()) {
-                   join->out[at] = p[0];
-                 }
-                 release_join();
-               });
-  };
+  // Legs: child reads, degraded reconstructions and mitigated reads.
+  auto join = MakeReadJoin(nblocks, std::move(cb));
 
   for (uint64_t i = 0; i < nblocks; ++i) {
     const uint64_t target = lbn + i;
@@ -658,12 +595,12 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     const int slot = SlotOf(target);
     auto it = cache_.find(stripe);
     if (it != cache_.end() && it->second.dirty[static_cast<size_t>(slot)]) {
-      state->out[i] = it->second.patterns[static_cast<size_t>(slot)];
+      join->data[i] = it->second.patterns[static_cast<size_t>(slot)];
       continue;
     }
     const int child = geometry_.DataDrive(stripe, slot);
     if (!child_failed_[static_cast<size_t>(child)]) {
-      state->pending++;
+      join->Add();
       const uint64_t out_at = i;
       // Gray-failure mitigation (DESIGN.md §6): a suspect or gray child's
       // block is raced against, or rebuilt from, the stripe's survivors.
@@ -675,15 +612,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                           done(s, p.empty() ? 0 : p[0]);
                         });
             };
-            auto deliver = [state, out_at, release](const Status& s,
-                                                    uint64_t value) {
-              if (s.ok()) {
-                state->out[out_at] = value;
-              } else if (state->error.ok()) {
-                state->error = s;
-              }
-              release();
-            };
+            auto deliver = BlockLeg(join, out_at);
             return ReadLegs{
                 .can_reconstruct =
                     [this, stripe] { return CanReconstruct(stripe); },
@@ -695,43 +624,35 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                 .deliver = deliver,
                 .fallback = [direct, deliver] { direct(deliver); },
                 .redrive =
-                    [this, child, redispatch, state, release, out_at] {
+                    [this, child, target, leg = RunLeg(join, out_at)] {
+                      // Re-dispatched through SubmitRead, which re-decides
+                      // the block's path and re-counts it.
                       OnChildUnavailable(child);
-                      redispatch(state, release, out_at);
+                      stats_.user_read_blocks--;
+                      SubmitRead(target, 1, leg);
                     },
             };
           })) {
         continue;
       }
-      ChildRead(
-          child, stripe, 1, 0,
-          [this, state, out_at, release, child, redispatch](
-              const Status& status, std::vector<uint64_t> patterns) {
-            if (status.ok()) {
-              if (!patterns.empty()) {
-                state->out[out_at] = patterns[0];
-              }
-              release();
-              return;
-            }
-            if (status.code() == ErrorCode::kUnavailable) {
-              // The child died under this read: flag it and re-dispatch the
-              // block through the degraded path below.
-              OnChildUnavailable(child);
-              redispatch(state, release, out_at);
-              return;
-            }
-            if (state->error.ok()) {
-              state->error = status;
-            }
-            release();
-          });
+      ChildRead(child, stripe, 1, 0,
+                [this, leg = RunLeg(join, out_at), child, target](
+                    const Status& status, std::vector<uint64_t> patterns) {
+                  if (status.code() == ErrorCode::kUnavailable) {
+                    // The child died under this read: flag it and
+                    // re-dispatch the block through the degraded path below.
+                    OnChildUnavailable(child);
+                    stats_.user_read_blocks--;  // re-counted there
+                    SubmitRead(target, 1, leg);
+                    return;
+                  }
+                  leg(status, std::move(patterns));
+                });
       continue;
     }
     // Degraded read: reconstruct from the survivors (k-1 data + parity).
-    cpu_.Charge("mdraid",
-                config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
-                    static_cast<SimTime>(k_));
+    cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+                static_cast<SimTime>(k_));
     int failed = 0;
     for (int c = 0; c < n_; ++c) {
       if (child_failed_[static_cast<size_t>(c)]) {
@@ -740,54 +661,34 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     }
     if (failed > 1) {
       // RAID 5 survives one failure; a second makes the block unrecoverable.
-      if (state->error.ok()) {
-        state->error = DataLossError("mdraid: doubly degraded read");
-      }
+      join->Fail(DataLossError("mdraid: doubly degraded read"));
       continue;
     }
-    struct Recon {
-      uint64_t acc = 0;
-      int pending = 0;
-    };
-    auto recon = std::make_shared<Recon>();
-    const uint64_t out_at = i;
-    auto finish_recon = [state, out_at, recon, release]() {
-      state->out[out_at] = recon->acc;
-      release();
-    };
-    state->pending++;
+    join->Add();
+    auto recon = MakeJoin(uint64_t{0}, BlockLeg(join, i));
     for (int other = 0; other < n_; ++other) {
       if (other == child || child_failed_[static_cast<size_t>(other)]) {
         continue;
       }
-      recon->pending++;
-    }
-    for (int other = 0; other < n_; ++other) {
-      if (other == child || child_failed_[static_cast<size_t>(other)]) {
-        continue;
-      }
+      recon->Add();
       ChildRead(other, stripe, 1, 0,
-                [this, state, recon, finish_recon, other](
-                    const Status& status, std::vector<uint64_t> patterns) {
+                [this, recon, other](const Status& status,
+                                     std::vector<uint64_t> patterns) {
                   if (status.ok() && !patterns.empty()) {
-                    recon->acc ^= patterns[0];
+                    recon->data ^= patterns[0];
                   } else {
                     if (status.code() == ErrorCode::kUnavailable) {
                       OnChildUnavailable(other);
                     }
-                    if (state->error.ok()) {
-                      state->error =
-                          status.ok() ? DataLossError("short recon read")
-                                      : status;
-                    }
+                    recon->Fail(status.ok() ? DataLossError("short recon read")
+                                            : status);
                   }
-                  if (--recon->pending == 0) {
-                    finish_recon();
-                  }
+                  recon->Done();
                 });
     }
+    recon->Done();
   }
-  release();
+  join->Done();  // the dispatch guard
 }
 
 void Mdraid::FlushBuffers(std::function<void()> done) {
@@ -949,50 +850,35 @@ void Mdraid::RebuildSweepStep() {
     dispatched++;
     // The replacement's block at offset `stripe` — data or parity role
     // alike — is the XOR of the other n-1 children's blocks there.
-    struct Recon {
-      uint64_t acc = 0;
-      int pending = 0;
-      bool dispatched = false;
-    };
-    auto recon = std::make_shared<Recon>();
     const int child = rebuild_child_;
-    auto finish = [this, stripe, recon, batch, child]() {
-      stats_.rebuilt_blocks++;
-      ChildWrite(child, stripe, {recon->acc}, WriteTag::kData, 0,
-                 [batch](const Status& s) {
-                   if (!s.ok()) {
-                     BIZA_LOG_ERROR("mdraid rebuild write failed: %s",
-                                    s.ToString().c_str());
-                   }
-                 });
-    };
+    auto recon = MakeJoin(
+        uint64_t{0}, [this, stripe, batch, child](const Status&, uint64_t acc) {
+          stats_.rebuilt_blocks++;
+          ChildWrite(child, stripe, {acc}, WriteTag::kData, 0,
+                     [batch](const Status& s) {
+                       if (!s.ok()) {
+                         BIZA_LOG_ERROR("mdraid rebuild write failed: %s",
+                                        s.ToString().c_str());
+                       }
+                     });
+        });
     for (int other = 0; other < n_; ++other) {
       if (other == child || child_failed_[static_cast<size_t>(other)]) {
         continue;
       }
-      recon->pending++;
-    }
-    for (int other = 0; other < n_; ++other) {
-      if (other == child || child_failed_[static_cast<size_t>(other)]) {
-        continue;
-      }
+      recon->Add();
       ChildRead(other, stripe, 1, 0,
-                [recon, finish](const Status& s, std::vector<uint64_t> pats) {
+                [recon](const Status& s, std::vector<uint64_t> pats) {
                   if (s.ok() && !pats.empty()) {
-                    recon->acc ^= pats[0];
+                    recon->data ^= pats[0];
                   } else {
                     BIZA_LOG_ERROR("mdraid rebuild read failed: %s",
                                    s.ToString().c_str());
                   }
-                  if (--recon->pending == 0 && recon->dispatched) {
-                    finish();
-                  }
+                  recon->Done();
                 });
     }
-    recon->dispatched = true;
-    if (recon->pending == 0) {
-      finish();
-    }
+    recon->Done();  // the dispatch guard
   }
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/common/logging.h"
+#include "src/engines/join.h"
 #include "src/raid/reed_solomon.h"
 
 namespace biza {
@@ -96,21 +97,13 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     cb(WriteFailureError("non-sequential logical zone write"));
     return;
   }
-  cpu_.Charge("raizn", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   stats_.user_written_blocks += n;
   lz.wptr += n;
 
-  struct Join {
-    int pending = 1;  // released after the dispatch loop
-    WriteCallback cb;
-  };
-  auto join = std::make_shared<Join>();
-  join->cb = std::move(cb);
-  auto release = [join]() {
-    if (--join->pending == 0) {
-      join->cb(OkStatus());
-    }
-  };
+  // Legs: one physical write per device batch, and a persisted partial
+  // parity.
+  auto join = MakeJoin(std::move(cb));
 
   // Per-device batching: each device's blocks for this request sit at
   // consecutive stripe offsets while the device stays a data drive, so they
@@ -123,7 +116,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     std::vector<OobRecord> oobs;
   };
   std::vector<Batch> batches(static_cast<size_t>(n_));
-  auto flush_device = [this, zone, join, &release, &batches](int device) {
+  auto flush_device = [this, zone, &join, &batches](int device) {
     Batch& b = batches[static_cast<size_t>(device)];
     if (!b.active) {
       return;
@@ -132,8 +125,8 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     job.offset = b.start;
     job.patterns = std::move(b.patterns);
     job.oobs = std::move(b.oobs);
-    join->pending++;
-    job.done = release;
+    join->Add();
+    job.done = [join] { join->Done(); };
     EnqueuePhys(device, zone, std::move(job));
     b = Batch{};
   };
@@ -161,8 +154,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     lz.stripe_buf.push_back(patterns[i]);
     if (static_cast<int>(lz.stripe_buf.size()) == k_) {
       // Stripe sealed: write the final parity to the rotating parity drive.
-      cpu_.Charge("raizn", config_.costs.parity_xor_ns_per_kib *
-                               (kBlockSize / kKiB));
+      cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB));
       const uint64_t parity = XorParity(lz.stripe_buf);
       const int pdrive = geometry_.ParityDrive(gstripe);
       // Order: any earlier data blocks batched for the parity drive must
@@ -185,19 +177,18 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
 
   // Partial tail stripe: persist (or buffer) the partial parity.
   if (!lz.stripe_buf.empty()) {
-    cpu_.Charge("raizn",
-                config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB));
+    cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB));
     const uint64_t pp = XorParity(lz.stripe_buf);
     const uint64_t tail_stripe = GlobalStripe(zone, lz.wptr / static_cast<uint64_t>(k_));
     const int pdrive = geometry_.ParityDrive(tail_stripe);
     if (config_.parity_buffer_entries > 0) {
       BufferPp(zone, tail_stripe, pp, pdrive);
     } else {
-      join->pending++;
-      PersistPp(pdrive, pp, release);
+      join->Add();
+      PersistPp(pdrive, pp, [join] { join->Done(); });
     }
   }
-  release();
+  join->Done();  // the dispatch guard
 }
 
 void Raizn::PersistPp(int device, uint64_t pattern, std::function<void()> done) {
@@ -302,17 +293,9 @@ void Raizn::SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     cb(OutOfRangeError("bad logical zone read"), {});
     return;
   }
-  cpu_.Charge("raizn", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
 
-  struct ReadState {
-    std::vector<uint64_t> out;
-    int pending = 0;
-    bool dispatched_all = false;
-    ReadCallback cb;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->out.assign(nblocks, 0);
-  state->cb = std::move(cb);
+  auto join = MakeReadJoin(nblocks, std::move(cb));
 
   // Gather per-device runs: a device holds consecutive stripes' blocks at
   // consecutive offsets whenever it stays a data drive, so merge greedily.
@@ -322,24 +305,16 @@ void Raizn::SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     const uint64_t stripe = logical / static_cast<uint64_t>(k_);
     const int slot = static_cast<int>(logical % static_cast<uint64_t>(k_));
     const int device = geometry_.DataDrive(GlobalStripe(zone, stripe), slot);
-    state->pending++;
-    const uint64_t out_at = i;
+    join->Add();
     devices_[static_cast<size_t>(device)]->SubmitRead(
         zone, stripe, 1,
-        [state, out_at](const Status& status, ZnsDevice::ReadResult result) {
-          if (status.ok() && !result.patterns.empty()) {
-            state->out[out_at] = result.patterns[0];
-          }
-          if (--state->pending == 0 && state->dispatched_all) {
-            state->cb(OkStatus(), std::move(state->out));
-          }
+        [leg = RunLeg(join, i)](const Status& status,
+                                ZnsDevice::ReadResult result) {
+          leg(status, std::move(result.patterns));
         });
     i++;
   }
-  state->dispatched_all = true;
-  if (state->pending == 0) {
-    state->cb(OkStatus(), std::move(state->out));
-  }
+  join->Done();  // the dispatch guard
 }
 
 Status Raizn::ResetZone(uint32_t zone) {

@@ -1,9 +1,10 @@
 // Host CPU cost accounting (powers the Fig. 17 reproduction).
 //
-// The simulator has no real CPU, so each software layer charges a modelled
-// cost (in simulated ns of CPU work) per operation into a named account.
-// CPU usage% over an interval = charged_ns / interval_ns * 100 (one account
-// may exceed 100% of a core, as with multi-threaded mdraid).
+// The simulator has no real CPU, so each engine charges a modelled cost (in
+// simulated ns of CPU work) per operation into its own account;
+// Platform::CpuBreakdown names the components. CPU usage% over an interval
+// = charged_ns / interval_ns * 100 (one account may exceed 100% of a core,
+// as with multi-threaded mdraid).
 //
 // The cost constants are calibrated to the *relative* message of Fig. 17:
 // dm-zap's single-in-flight spinlock burns the wait time as CPU (it spins),
@@ -14,8 +15,6 @@
 #define BIZA_SRC_METRICS_CPU_ACCOUNT_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "src/common/units.h"
 
@@ -34,17 +33,9 @@ struct CpuCostModel {
 
 class CpuAccount {
  public:
-  void Charge(const std::string& component, SimTime ns) {
-    accounts_[component] += ns;
-    total_ += ns;
-  }
+  void Charge(SimTime ns) { total_ += ns; }
 
   SimTime total() const { return total_; }
-  SimTime of(const std::string& component) const {
-    auto it = accounts_.find(component);
-    return it == accounts_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, SimTime>& accounts() const { return accounts_; }
 
   // Average CPU usage in percent of one core over `interval_ns`.
   double UsagePercent(SimTime interval_ns) const {
@@ -54,13 +45,9 @@ class CpuAccount {
     return static_cast<double>(total_) / static_cast<double>(interval_ns) * 100.0;
   }
 
-  void Reset() {
-    accounts_.clear();
-    total_ = 0;
-  }
+  void Reset() { total_ = 0; }
 
  private:
-  std::map<std::string, SimTime> accounts_;
   SimTime total_ = 0;
 };
 

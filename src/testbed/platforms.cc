@@ -296,25 +296,26 @@ uint64_t Platform::FlashProgrammedBlocks() const {
 
 std::map<std::string, SimTime> Platform::CpuBreakdown() const {
   std::map<std::string, SimTime> out;
-  auto fold = [&out](const CpuAccount& account) {
-    for (const auto& [component, ns] : account.accounts()) {
-      out[component] += ns;
+  // An engine that has charged nothing yet gets no row.
+  auto fold = [&out](const char* component, const CpuAccount& account) {
+    if (account.total() > 0) {
+      out[component] += account.total();
     }
   };
   for (const auto& dz : dmzaps_) {
-    fold(dz->cpu());
+    fold("dmzap", dz->cpu());
   }
   if (raizn_) {
-    fold(raizn_->cpu());
+    fold("raizn", raizn_->cpu());
   }
   if (mdraid_) {
-    fold(mdraid_->cpu());
+    fold("mdraid", mdraid_->cpu());
   }
   if (biza_) {
-    fold(biza_->cpu());
+    fold("biza", biza_->cpu());
   }
   if (zapraid_) {
-    fold(zapraid_->cpu());
+    fold("zapraid", zapraid_->cpu());
   }
   // Modelled kernel-I/O CPU share: per-block submission/completion handling.
   constexpr SimTime kIoNsPerBlock = 400;

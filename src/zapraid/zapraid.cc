@@ -9,6 +9,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
+#include "src/engines/join.h"
 #include "src/raid/reed_solomon.h"
 
 namespace biza {
@@ -161,7 +162,7 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
 
   const bool is_data = (tag == WriteTag::kData || tag == WriteTag::kGcData);
   if (is_data) {
-    cpu_.Charge("zapraid", config_.costs.map_update_ns);
+    cpu_.Charge(config_.costs.map_update_ns);
     const uint64_t pa = MakePa(device, group, row);
     bool mapped = false;
     if (repoint_from != kInvalidPa) {
@@ -226,8 +227,7 @@ void ZapRaid::CloseRow(int b, WriteTag parity_tag) {
   }
   const uint32_t group = bd.group;
   const uint64_t row = bd.row;
-  cpu_.Charge("zapraid",
-              config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
+  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
   const uint64_t parity = XorParity(std::span<const uint64_t>(
       bd.row_patterns.data(), bd.row_patterns.size()));
   if (bd.parity_dev >= 0 && DeviceWritable(bd.parity_dev)) {
@@ -312,7 +312,7 @@ void ZapRaid::SealGroup(int b) {
 
 void ZapRaid::Enqueue(const std::shared_ptr<GroupIo>& io, int device,
                       ChunkOp op) {
-  cpu_.Charge("zapraid", config_.costs.scheduler_op_ns);
+  cpu_.Charge(config_.costs.scheduler_op_ns);
   io->queues[static_cast<size_t>(device)].q.push_back(std::move(op));
   ++queued_ops_;
   Dispatch(io, device);
@@ -579,67 +579,47 @@ void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     cb(OutOfRangeError("zapraid: write beyond exposed capacity"));
     return;
   }
-  cpu_.Charge("zapraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   stats_.user_written_blocks += patterns.size();
 
-  struct WriteJoin {
-    uint64_t pending = 0;
-    bool dispatching = false;
-    Status error;
-    WriteCallback cb;
-    SimTime start = 0;
-  };
-  auto join = std::make_shared<WriteJoin>();
-  join->cb = std::move(cb);
-  join->start = sim_->Now();
-
-  auto finish = [this, join] {
-    if (join->pending != 0 || join->dispatching || !join->cb) {
-      return;
-    }
+  // Acked once every chunk of the request is durable.
+  auto join = MakeJoin([this, start = sim_->Now(), lbn,
+                        nblocks = patterns.size(),
+                        cb = std::move(cb)](const Status& status) {
     if (h_write_ != nullptr) {
-      h_write_->Record(sim_->Now() - join->start);
+      h_write_->Record(sim_->Now() - start);
     }
-    if (obs_ != nullptr && obs_->tracer.Armed(join->start)) {
-      obs_->tracer.Record(Tracer::kLaneEngine, span_write_, join->start,
-                          sim_->Now(), key_lbn_, 0, key_blocks_, 0);
+    if (obs_ != nullptr && obs_->tracer.Armed(start)) {
+      obs_->tracer.Record(Tracer::kLaneEngine, span_write_, start,
+                          sim_->Now(), key_lbn_, static_cast<int64_t>(lbn),
+                          key_blocks_, static_cast<int64_t>(nblocks));
     }
-    WriteCallback done = std::move(join->cb);
-    join->cb = nullptr;
-    done(join->error);
-  };
+    cb(status);
+  });
 
   auto pats = std::make_shared<std::vector<uint64_t>>(std::move(patterns));
   auto submit_from = std::make_shared<std::function<void(size_t)>>();
   // Captured weakly: a self-owning closure would never be freed. Whoever
   // runs it (this frame, or stalled_writes_) holds the strong reference.
-  *submit_from = [this, join, finish, lbn, pats, tag,
+  // Each run holds one count on the join, the dispatch guard or a parked
+  // remainder's leg, and releases it when it stops.
+  *submit_from = [this, join, lbn, pats, tag,
                   weak = std::weak_ptr<std::function<void(size_t)>>(
                       submit_from)](size_t i) {
-    join->dispatching = true;
     for (; i < pats->size(); ++i) {
       OobRecord oob{lbn + i, 0, tag};
-      const bool ok = AppendChunk(
-          TagBuilder(tag), (*pats)[i], oob, tag,
-          [join, finish](const Status& status) {
-            if (!status.ok() && join->error.ok()) {
-              join->error = status;
-            }
-            --join->pending;
-            finish();
-          });
-      if (!ok) {
+      join->Add();
+      if (!AppendChunk(TagBuilder(tag), (*pats)[i], oob, tag, Leg(join))) {
         // No free group: park the rest of the request until GC frees one.
+        // The count just taken is the parked remainder's leg, so the ack
+        // waits for the tail.
         ++stats_.write_stalls;
         stalled_writes_.push_back([self = weak.lock(), i] { (*self)(i); });
-        join->dispatching = false;
         MaybeStartGc();
-        return;
+        break;
       }
-      ++join->pending;
     }
-    join->dispatching = false;
-    finish();
+    join->Done();
   };
   (*submit_from)(0);
   MaybeStartGc();
@@ -658,17 +638,6 @@ void ZapRaid::FlushBuffers(std::function<void()> done) {
 // --------------------------------------------------------------------------
 // Read path.
 // --------------------------------------------------------------------------
-
-// Join state for one SubmitRead: blocks land independently (some from the
-// pending map, some direct, some reconstructed) and the callback fires when
-// the last one resolves.
-struct ZapRaid::ReadJoin {
-  std::vector<uint64_t> out;
-  uint64_t pending = 1;  // +1 dispatch guard, released after the loop
-  Status error;
-  BlockTarget::ReadCallback cb;
-  SimTime start = 0;
-};
 
 void ZapRaid::DeviceRead(
     int device, uint32_t zone, uint64_t offset, uint64_t nblocks, int attempt,
@@ -752,46 +721,31 @@ void ZapRaid::ReconstructChunk(
   if (meta.parity_dev != target) {
     sources.push_back(meta.parity_dev);
   }
-  cpu_.Charge("zapraid",
-              config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
+  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
 
-  struct Recon {
-    uint64_t acc = 0;
-    size_t pending = 0;
-    Status error;
-    uint64_t epoch = 0;
-    std::function<void(const Status&, uint64_t)> cb;
-  };
-  auto st = std::make_shared<Recon>();
-  st->pending = sources.size();
-  st->epoch = grp.epoch;
-  st->cb = std::move(cb);
+  auto recon = MakeJoin(uint64_t{0}, [this, group, epoch = grp.epoch,
+                                      cb = std::move(cb)](const Status& status,
+                                                          uint64_t acc) {
+    // A GC reset recycled the group mid-reconstruction: the XOR mixes two
+    // generations. Fail; callers fall back.
+    if (groups_[group].epoch != epoch) {
+      cb(FailedPreconditionError("zapraid: group recycled during recon"), 0);
+      return;
+    }
+    cb(status, acc);
+  });
   const SimTime start = sim_->Now();
   for (int src : sources) {
+    recon->Add();
     DeviceRead(src, group, row, 1, 0, start,
-               [this, st, group](const Status& status,
-                                 std::vector<uint64_t> patterns) {
-                 if (!status.ok()) {
-                   if (st->error.ok()) {
-                     st->error = status;
-                   }
-                 } else {
-                   st->acc ^= patterns[0];
+               [recon](const Status& status, std::vector<uint64_t> patterns) {
+                 if (status.ok()) {
+                   recon->data ^= patterns[0];
                  }
-                 if (--st->pending != 0) {
-                   return;
-                 }
-                 // A GC reset recycled the group mid-reconstruction: the
-                 // XOR mixes two generations. Fail; callers fall back.
-                 if (groups_[group].epoch != st->epoch) {
-                   st->cb(FailedPreconditionError(
-                              "zapraid: group recycled during recon"),
-                          0);
-                   return;
-                 }
-                 st->cb(st->error, st->acc);
+                 recon->Done(status);
                });
   }
+  recon->Done();  // the dispatch guard
 }
 
 void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
@@ -799,85 +753,65 @@ void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("zapraid: read beyond exposed capacity"), {});
     return;
   }
-  cpu_.Charge("zapraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
-  auto join = std::make_shared<ReadJoin>();
-  join->out.assign(nblocks, 0);
-  join->cb = std::move(cb);
-  join->start = sim_->Now();
-  auto release = [this, join] {
-    if (--join->pending != 0) {
-      return;
-    }
-    if (h_read_ != nullptr) {
-      h_read_->Record(sim_->Now() - join->start);
-    }
-    if (obs_ != nullptr && obs_->tracer.Armed(join->start)) {
-      obs_->tracer.Record(Tracer::kLaneEngine, span_read_, join->start,
-                          sim_->Now(), key_lbn_, 0, key_blocks_,
-                          static_cast<int64_t>(join->out.size()));
-    }
-    join->cb(join->error, std::move(join->out));
-  };
+  // Blocks land independently (some from the pending map, some direct, some
+  // reconstructed); the callback fires when the last one resolves.
+  auto join = MakeReadJoin(
+      nblocks, [this, start = sim_->Now(), lbn, cb = std::move(cb)](
+                   const Status& status, std::vector<uint64_t> out) {
+        if (h_read_ != nullptr) {
+          h_read_->Record(sim_->Now() - start);
+        }
+        if (obs_ != nullptr && obs_->tracer.Armed(start)) {
+          obs_->tracer.Record(Tracer::kLaneEngine, span_read_, start,
+                              sim_->Now(), key_lbn_, static_cast<int64_t>(lbn),
+                              key_blocks_, static_cast<int64_t>(out.size()));
+        }
+        cb(status, std::move(out));
+      });
 
   for (uint64_t i = 0; i < nblocks; ++i) {
-    cpu_.Charge("zapraid", config_.costs.map_lookup_ns);
+    cpu_.Charge(config_.costs.map_lookup_ns);
     const uint64_t cur = lbn + i;
     auto pit = pending_.find(cur);
     if (pit != pending_.end()) {
-      join->out[i] = pit->second.pattern;
+      join->data[i] = pit->second.pattern;
       continue;
     }
     const L2pEntry entry = l2p_.Get(cur);
     if (entry.pa == kInvalidPa) {
       continue;  // never written: reads as zero
     }
-    ++join->pending;
-    ReadBlock(cur, entry, i, join, release);
+    join->Add();
+    ReadBlock(cur, entry, BlockLeg(join, i));
   }
-  release();
+  join->Done();  // the dispatch guard
 }
 
-void ZapRaid::RedriveRead(uint64_t lbn, uint64_t slot,
-                          const std::shared_ptr<ReadJoin>& join,
-                          std::function<void()> release) {
+void ZapRaid::RedriveRead(uint64_t lbn, ReadLegs::Done land) {
   // Re-drive one block after its home member died mid-read. The requeue
   // machinery may already have re-pointed the L2P at a new, not-yet-
   // programmed home, so the host copy in pending_ must be consulted first
   // (exactly as SubmitRead does) before chasing the fresh mapping.
   auto pit = pending_.find(lbn);
   if (pit != pending_.end()) {
-    join->out[slot] = pit->second.pattern;
-    release();
+    land(OkStatus(), pit->second.pattern);
     return;
   }
   const L2pEntry now = l2p_.Get(lbn);
   if (now.pa == kInvalidPa) {
-    join->out[slot] = 0;
-    release();
+    land(OkStatus(), 0);
     return;
   }
-  ReadBlock(lbn, now, slot, join, std::move(release));
+  ReadBlock(lbn, now, std::move(land));
 }
 
-void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
-                        const std::shared_ptr<ReadJoin>& join,
-                        std::function<void()> release) {
+void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, ReadLegs::Done land) {
   const int device = PaDevice(entry.pa);
   const uint32_t group = PaGroup(entry.pa);
   const uint64_t row = PaRow(entry.pa);
-
-  auto land = [join, slot, release](const Status& status, uint64_t pattern) {
-    if (!status.ok()) {
-      if (join->error.ok()) {
-        join->error = status;
-      }
-    } else {
-      join->out[slot] = pattern;
-    }
-    release();
-  };
 
   const bool on_replacement = rebuild_.active && rebuild_.device == device &&
                               entry.wsn >= rebuild_start_wsn_;
@@ -885,7 +819,7 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
     // Degraded read: the chunk's home member is dead (or the chunk predates
     // the replacement swap and still lives only in parity space).
     ++stats_.degraded_reads;
-    ReconstructChunk(entry.pa, land);
+    ReconstructChunk(entry.pa, std::move(land));
     return;
   }
 
@@ -915,9 +849,9 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
             .deliver = land,
             .fallback = [direct, land] { direct(land); },
             .redrive =
-                [this, device, lbn, slot, join, release] {
+                [this, device, lbn, land] {
                   OnDeviceUnavailable(device);
-                  RedriveRead(lbn, slot, join, release);
+                  RedriveRead(lbn, land);
                 },
         };
       })) {
@@ -925,14 +859,14 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
   }
 
   DeviceRead(device, group, row, 1, 0, sim_->Now(),
-             [this, lbn, slot, join, release, land, device](
+             [this, lbn, device, land = std::move(land)](
                  const Status& status, std::vector<uint64_t> patterns) {
                if (status.code() == ErrorCode::kUnavailable) {
                  // Death detected on the read path: degrade and re-drive
                  // this block through the host copy or a fresh lookup (its
                  // home may have moved under the requeue machinery).
                  OnDeviceUnavailable(device);
-                 RedriveRead(lbn, slot, join, release);
+                 RedriveRead(lbn, land);
                  return;
                }
                land(status, status.ok() ? patterns[0] : 0);

@@ -299,20 +299,15 @@ class ZapRaid : public BlockTarget {
   void MaybeFlushDone();
   bool AllIdle() const { return inflight_ == 0 && queued_ops_ == 0; }
 
-  // Read-path helpers.
-  struct ReadJoin;
+  // Read-path helpers; `land` receives the block's status and content.
   // Resolves one block of a SubmitRead: direct read on a healthy home,
   // degraded reconstruction on a dead one, hedged / reconstruct-around
   // variants under health-monitor direction.
-  void ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
-                 const std::shared_ptr<ReadJoin>& join,
-                 std::function<void()> release);
+  void ReadBlock(uint64_t lbn, L2pEntry entry, ReadLegs::Done land);
   // Re-resolves one block after its home member died mid-read: serves the
   // host copy from pending_ when the requeue machinery already re-pointed
   // the L2P at a not-yet-programmed home, else re-drives via ReadBlock.
-  void RedriveRead(uint64_t lbn, uint64_t slot,
-                   const std::shared_ptr<ReadJoin>& join,
-                   std::function<void()> release);
+  void RedriveRead(uint64_t lbn, ReadLegs::Done land);
   void DeviceRead(int device, uint32_t zone, uint64_t offset, uint64_t nblocks,
                   int attempt, SimTime start,
                   std::function<void(const Status&, std::vector<uint64_t>)> cb);

@@ -7,10 +7,12 @@
 #include "src/common/rng.h"
 #include "src/engines/adapters.h"
 #include "src/engines/dmzap.h"
+#include "src/engines/join.h"
 #include "src/engines/mdraid.h"
 #include "src/engines/raizn.h"
 #include "src/fault/fault_injector.h"
 #include "src/sim/simulator.h"
+#include "src/testbed/platforms.h"
 #include "src/zns/zns_device.h"
 
 namespace biza {
@@ -45,6 +47,43 @@ Result<std::vector<uint64_t>> BlockReadSync(Simulator* sim, BlockTarget* t,
     return status;
   }
   return out;
+}
+
+// ---------------------------------------------------------------- join ----
+
+TEST(Join, FiresOnceWhenGuardAndLastLegAreReleased) {
+  int fired = 0;
+  Status seen;
+  auto join = MakeJoin([&](const Status& s) {
+    fired++;
+    seen = s;
+  });
+  join->Add();
+  Leg(join)(OkStatus());  // a leg that completes synchronously
+  EXPECT_EQ(fired, 0);    // the dispatch guard still holds
+  join->Add(2);
+  Leg(join)(DataLossError("first"));
+  join->Done();  // the dispatch guard
+  EXPECT_EQ(fired, 0);
+  Leg(join)(WriteFailureError("second"));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(seen.code(), ErrorCode::kDataLoss);  // the first error wins
+}
+
+TEST(Join, ReadFormFillsRunsAndBlocks) {
+  Status seen = InternalError("never fired");
+  std::vector<uint64_t> got;
+  auto join = MakeReadJoin(5, [&](const Status& s, std::vector<uint64_t> out) {
+    seen = s;
+    got = std::move(out);
+  });
+  join->Add(3);
+  RunLeg(join, 1)(OkStatus(), {7, 8});
+  BlockLeg(join, 4)(OkStatus(), 9);
+  BlockLeg(join, 0)(DataLossError("lost"), 5);  // a failed leg fills nothing
+  join->Done();
+  EXPECT_EQ(seen.code(), ErrorCode::kDataLoss);
+  EXPECT_EQ(got, (std::vector<uint64_t>{0, 7, 8, 0, 9}));
 }
 
 // -------------------------------------------------------------- dm-zap ----
@@ -139,7 +178,7 @@ TEST(DmZap, SpinlockCpuChargedForQueueing) {
                          WriteTag::kData);
   }
   f.sim.RunUntilIdle();
-  EXPECT_GT(f.dmzap->cpu().of("dmzap"), 100 * kMicrosecond);
+  EXPECT_GT(f.dmzap->cpu().total(), 100 * kMicrosecond);
 }
 
 // --------------------------------------------------------------- RAIZN ----
@@ -587,6 +626,35 @@ TEST(Mdraid, StripeCacheAbsorbsHotOverwrites) {
   EXPECT_EQ(f.mdraid->stats().flushed_data_blocks, 0u);
   EXPECT_EQ(f.mdraid->dirty_blocks(), 1u);
   f.sim.RunUntilIdle();
+}
+
+// ------------------------------------------------------------- stacks ----
+
+// A member read error never reads back as OK with wrong data: mdraid over
+// dm-zap recovers through its child retry, dm-zap over RAIZN reports it.
+TEST(EngineStacks, MemberReadErrorNeverReturnsWrongData) {
+  for (PlatformKind kind :
+       {PlatformKind::kMdraidDmzap, PlatformKind::kDmzapRaizn}) {
+    SCOPED_TRACE(PlatformKindName(kind));
+    Simulator sim;
+    PlatformConfig config;
+    config.zns = ZnsConfig::Zn540(/*num_zones=*/32, /*zone_cap=*/512);
+    auto platform = Platform::Create(&sim, kind, config);
+    std::vector<uint64_t> patterns(64);
+    for (uint64_t i = 0; i < patterns.size(); ++i) {
+      patterns[i] = 0xabc000 + i;
+    }
+    ASSERT_TRUE(BlockWriteSync(&sim, platform->block(), 0, patterns).ok());
+    platform->Quiesce(&sim);
+    platform->faults()->AddReadErrors(/*device=*/0, /*count=*/1);
+    auto r = BlockReadSync(&sim, platform->block(), 0, 1);
+    EXPECT_EQ(platform->faults()->stats().injected_read_errors, 1u);
+    if (r.ok()) {
+      EXPECT_EQ((*r)[0], 0xabc000u);
+    }
+    // mdraid retries the failed child read; dm-zap over RAIZN has no retry.
+    EXPECT_EQ(r.ok(), kind == PlatformKind::kMdraidDmzap);
+  }
 }
 
 }  // namespace

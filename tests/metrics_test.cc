@@ -19,30 +19,18 @@
 namespace biza {
 namespace {
 
-TEST(CpuAccount, ChargesAccumulatePerComponent) {
-  CpuAccount account;
-  account.Charge("dmzap", 1000);
-  account.Charge("dmzap", 500);
-  account.Charge("io", 300);
-  EXPECT_EQ(account.of("dmzap"), 1500u);
-  EXPECT_EQ(account.of("io"), 300u);
-  EXPECT_EQ(account.of("unknown"), 0u);
-  EXPECT_EQ(account.total(), 1800u);
-}
-
 TEST(CpuAccount, UsagePercent) {
   CpuAccount account;
-  account.Charge("x", 500000);  // 0.5 ms of CPU over a 1 ms interval = 50%
+  account.Charge(500000);  // 0.5 ms of CPU over a 1 ms interval = 50%
   EXPECT_DOUBLE_EQ(account.UsagePercent(1000000), 50.0);
   EXPECT_DOUBLE_EQ(account.UsagePercent(0), 0.0);
 }
 
 TEST(CpuAccount, ResetClears) {
   CpuAccount account;
-  account.Charge("x", 100);
+  account.Charge(100);
   account.Reset();
   EXPECT_EQ(account.total(), 0u);
-  EXPECT_TRUE(account.accounts().empty());
 }
 
 TEST(WaBreakdown, RatiosNormalizeByUserBlocks) {

@@ -4,7 +4,10 @@
 // online rebuild, gray-member mitigations, and stripe-header recovery.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
 #include "src/health/device_health.h"
+#include "src/metrics/observability.h"
 #include "src/sim/simulator.h"
 #include "src/zapraid/zapraid.h"
 
@@ -236,6 +240,67 @@ TEST(ZapRaid, OverwriteTriggersGcAndReclaims) {
     ASSERT_TRUE(r.ok());
     ASSERT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn;
   }
+}
+
+TEST(ZapRaid, AckWaitsForStalledTail) {
+  // When AppendChunk finds no free group partway through a request, the
+  // rest is parked until GC frees one. The ack must wait for the parked
+  // tail: each writer reads its range back on every ack and must find what
+  // it wrote. 13-block writes do not tile the 768-block group, so requests
+  // straddle group boundaries and some park partway.
+  Fixture f(ZapRaidConfig{}, /*num_zones=*/24, /*zone_cap=*/256);
+  constexpr int kWriters = 8;
+  constexpr uint64_t kBlocks = 13;
+  constexpr uint64_t kAcks = 6000;
+  const uint64_t region = f.array->capacity_blocks() / kWriters;
+  struct Writer {
+    uint64_t lbn = 0;
+    std::vector<uint64_t> wrote;
+  };
+  std::vector<Writer> writers(kWriters);
+  Rng rng(5);
+  uint64_t next_pattern = 1;
+  uint64_t acks = 0;
+  uint64_t failures = 0;
+  uint64_t stale_blocks = 0;
+  std::function<void(int)> issue = [&](int w) {
+    if (acks >= kAcks) {
+      return;
+    }
+    Writer& writer = writers[static_cast<size_t>(w)];
+    writer.lbn = static_cast<uint64_t>(w) * region +
+                 rng.Uniform(region - kBlocks + 1);
+    writer.wrote.resize(kBlocks);
+    for (uint64_t& p : writer.wrote) {
+      p = next_pattern++;
+    }
+    f.array->SubmitWrite(
+        writer.lbn, writer.wrote,
+        [&, w](const Status& s) {
+          acks++;
+          failures += s.ok() ? 0 : 1;
+          const Writer& acked = writers[static_cast<size_t>(w)];
+          f.array->SubmitRead(
+              acked.lbn, kBlocks,
+              [&, w](const Status& rs, std::vector<uint64_t> got) {
+                failures += rs.ok() ? 0 : 1;
+                const Writer& read = writers[static_cast<size_t>(w)];
+                for (uint64_t j = 0; j < kBlocks && j < got.size(); ++j) {
+                  stale_blocks += got[j] != read.wrote[j] ? 1 : 0;
+                }
+                issue(w);
+              });
+        },
+        WriteTag::kData);
+  };
+  for (int w = 0; w < kWriters; ++w) {
+    issue(w);
+  }
+  f.sim.RunUntilIdle();
+  EXPECT_GE(acks, kAcks);
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GT(f.array->stats().write_stalls, 0u);
+  EXPECT_EQ(stale_blocks, 0u);
 }
 
 TEST(ZapRaid, DegradedReadReconstructsFromParity) {
@@ -726,6 +791,41 @@ TEST(ZapRaid, RecoveryRejectsTornRowParity) {
   }
   EXPECT_EQ(wrong, 0u);
   EXPECT_GT(rec.stats().degraded_reads, 0u);
+}
+
+// The exported trace events named `name`, one JSON object each.
+std::vector<std::string> TraceEvents(const std::string& json,
+                                     const std::string& name) {
+  std::vector<std::string> events;
+  const std::string key = "{\"name\":\"" + name + "\"";
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    events.push_back(json.substr(at, json.find("}}", at) + 2 - at));
+  }
+  return events;
+}
+
+TEST(ZapRaid, EngineSpansCarryTheRequest) {
+  Fixture f;
+  Observability obs;
+  obs.tracer.Enable(/*capacity_per_lane=*/64);
+  f.array->AttachObservability(&obs);
+  ASSERT_TRUE(f.WriteSync(4321, {1, 2, 3}).ok());
+  ASSERT_TRUE(f.ReadSync(4320, 5).ok());
+  std::ostringstream trace;
+  obs.tracer.ExportJson(trace, /*pid=*/0, /*leading_comma=*/false);
+  const std::vector<std::string> writes =
+      TraceEvents(trace.str(), "zapraid.write");
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_NE(writes[0].find("\"args\":{\"lbn\":4321,\"blocks\":3}"),
+            std::string::npos)
+      << writes[0];
+  const std::vector<std::string> reads =
+      TraceEvents(trace.str(), "zapraid.read");
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_NE(reads[0].find("\"args\":{\"lbn\":4320,\"blocks\":5}"),
+            std::string::npos)
+      << reads[0];
 }
 
 }  // namespace
