@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/raid/reed_solomon.h"
@@ -22,11 +23,27 @@ bool IsParityLbn(uint64_t lbn) {
   return (lbn & 0xFFFFFFFF00000000ULL) == kParityLbnBase;
 }
 
+// Derives the HP promotion threshold from the total ZRWA size when the
+// caller left it at 0 (paper: 2 x the size of ZRWA).
+BizaConfig WithSelectorThreshold(BizaConfig config,
+                                 const std::vector<ZnsDevice*>& devices) {
+  if (config.ghost.hp_reuse_threshold == 0) {
+    const ZnsConfig& dev_config = devices[0]->config();
+    config.ghost.hp_reuse_threshold =
+        2ULL * dev_config.zrwa_blocks *
+        static_cast<uint64_t>(dev_config.max_open_zones) * devices.size();
+  }
+  return config;
+}
+
 }  // namespace
 
 BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
                      const BizaConfig& config)
-    : sim_(sim), devices_(std::move(devices)), config_(config) {
+    : sim_(sim),
+      devices_(std::move(devices)),
+      config_(WithSelectorThreshold(config, devices_)),
+      ghost_(config_.ghost) {
   n_ = static_cast<int>(devices_.size());
   m_ = config_.num_parity;
   assert(m_ >= 1 && n_ >= m_ + 2 && "need at least m+2 devices");
@@ -63,18 +80,8 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
         static_cast<size_t>(dev_config.timing.num_channels), 0);
   }
 
-  // Derive the HP promotion threshold from the total ZRWA size when the
-  // caller left it at 0 (paper: 2 x the size of ZRWA).
-  if (config_.ghost.hp_reuse_threshold == 0) {
-    config_.ghost.hp_reuse_threshold =
-        2ULL * dev_config.zrwa_blocks *
-        static_cast<uint64_t>(dev_config.max_open_zones) *
-        static_cast<uint64_t>(n_);
-  }
-  ghost_.push_back(std::make_unique<GhostCache>(config_.ghost));
-
   if (!config_.recover_mode) {
-    InitGroups();
+    InitGroups(/*fresh=*/true);
   }
 }
 
@@ -149,6 +156,20 @@ void BizaArray::AttachObservability(Observability* obs) {
   reg.RegisterCounter("biza.detector.confirmed_shortcuts", [detector_sum] {
     return detector_sum(&ChannelDetectorStats::confirmed_shortcuts);
   });
+  // Zone group selector (ghost caches): the tier mix of user writes.
+  const std::pair<const char*, uint64_t GhostCacheStats::*> ghost_counters[] = {
+      {"biza.ghost.lookups", &GhostCacheStats::lookups},
+      {"biza.ghost.lru_hits", &GhostCacheStats::lru_hits},
+      {"biza.ghost.hr_promotions", &GhostCacheStats::hr_promotions},
+      {"biza.ghost.hp_promotions", &GhostCacheStats::hp_promotions},
+      {"biza.ghost.hr_demotions", &GhostCacheStats::hr_demotions},
+      {"biza.ghost.lru_demotions", &GhostCacheStats::lru_demotions},
+  };
+  for (const auto& [name, field] : ghost_counters) {
+    reg.RegisterCounter(name, [this, field] { return ghost_.stats().*field; });
+  }
+  reg.RegisterGauge("biza.ghost.tracked_entries",
+                    [this] { return ghost_.tracked_entries(); });
   // Rebuild plane.
   reg.RegisterCounter("biza.rebuild.chunks_migrated",
                       [this] { return rebuild_.chunks_migrated; });
@@ -215,14 +236,14 @@ void BizaArray::AttachObservability(Observability* obs) {
   }
 }
 
-void BizaArray::InitGroups() {
+void BizaArray::InitGroups(bool fresh) {
   // Open the initial zone groups on every device.
   for (int d = 0; d < n_; ++d) {
-    InitDeviceGroups(d);
+    InitDeviceGroups(d, fresh);
   }
 }
 
-void BizaArray::InitDeviceGroups(int d) {
+void BizaArray::InitDeviceGroups(int d, [[maybe_unused]] bool fresh) {
   const int group_sizes[kNumGroups] = {
       config_.zrwa_group_zones, config_.gc_aware_group_zones,
       config_.trivial_group_zones, config_.parity_group_zones,
@@ -232,7 +253,9 @@ void BizaArray::InitDeviceGroups(int d) {
         static_cast<size_t>(group_sizes[g]);
     for (int i = 0; i < group_sizes[g]; ++i) {
       const bool ok = ReplenishGroup(d, static_cast<GroupKind>(g));
-      assert(ok && "device open-zone budget too small for the group plan");
+      assert((ok || !fresh) &&
+             "group plan exceeds a fresh device's open-zone budget or "
+             "free-zone reserve");
       (void)ok;
     }
   }
@@ -641,7 +664,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       group = kGroupGcDest;
     } else if (config_.enable_selector) {
       cpu_.Charge(config_.costs.ghost_cache_op_ns);
-      switch (ghost_[0]->OnWrite(target)) {
+      switch (ghost_.OnWrite(target)) {
         case ChunkTier::kHighProfit:
           group = kGroupZrwa;
           builder_class = 0;
@@ -1667,7 +1690,7 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
   rebuild_.active = true;
   rebuild_.device = device;
   rebuild_.started_ns = sim_->Now();
-  InitDeviceGroups(device);
+  InitDeviceGroups(device, /*fresh=*/true);
   BIZA_LOG_INFO("biza: rebuilding device %d, %llu chunks queued", device,
                 static_cast<unsigned long long>(rebuild_queue_.size()));
   sim_->Schedule(0, [this]() { RebuildStep(); });
@@ -2452,7 +2475,7 @@ Status BizaArray::Recover() {
       group = ZoneGroup{};
     }
   }
-  InitGroups();
+  InitGroups(/*fresh=*/false);
 
   // Builders were lost with host DRAM; open fresh stripes lazily.
   for (auto& builder : builders_) {
@@ -2470,6 +2493,7 @@ uint64_t BizaArray::ResidentStateBytes() const {
                    smt_.capacity() * sizeof(smt_[0]) +
                    stripe_data_pa_.capacity() * sizeof(stripe_data_pa_[0]) +
                    stripe_live_.capacity() * sizeof(stripe_live_[0]);
+  bytes += ghost_.ResidentBytes();
   for (const ZnsDevice* dev : devices_) {
     bytes += dev->ResidentStateBytes();
   }

@@ -272,8 +272,12 @@ class BizaArray : public BlockTarget {
 
   void InvalidateChunk(uint64_t lbn);
   void InvalidatePa(uint64_t pa);
-  void InitGroups();
-  void InitDeviceGroups(int device);
+  // Opens the zone groups up to their widths. `fresh`: every zone of the
+  // device is free (construction, replacement), so the whole group plan must
+  // fit. After Recover a nearly full device may sit at its free-zone reserve
+  // and open groups short; PickZone tops them up on later picks.
+  void InitGroups(bool fresh);
+  void InitDeviceGroups(int device, bool fresh);
   // `join`, when given, makes the ack wait for the parity writes of a
   // DEGRADED stripe — a skipped chunk's content lives in parity alone, so
   // acking before parity is durable would lose acknowledged data on a crash.
@@ -383,7 +387,7 @@ class BizaArray : public BlockTarget {
   std::vector<std::vector<DevZone>> zones_;          // [device][zone]
   std::vector<uint64_t> free_zones_;  // [device] zones with use == kFree
   std::vector<std::array<ZoneGroup, kNumGroups>> groups_;  // [device]
-  std::vector<std::unique_ptr<GhostCache>> ghost_;   // one (array-wide)
+  GhostCache ghost_;  // the zone group selector (array-wide)
   std::vector<std::unique_ptr<ChannelDetector>> detectors_;  // per device
 
   // Stripe builders: one per data placement class (3 tiers + GC).

@@ -18,13 +18,20 @@
 //
 // The caches store attributes only — no payloads — so a million tracked
 // chunks cost a few tens of MB (7.6 MB in the paper's configuration).
+//
+// Layout: every tracked key owns one slot of a node slab, found through a
+// SparseTable index; the LRU is an intrusive list over slot numbers and HR
+// and HP are indexed binary min-heaps. A write in steady state allocates
+// nothing. Eviction order is exact: HR's top is the least (reaccess, key)
+// and HP's top the greatest (quantized reuse, key), so ties between equal
+// priorities always go to the same key.
 #ifndef BIZA_SRC_BIZA_GHOST_CACHE_H_
 #define BIZA_SRC_BIZA_GHOST_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <set>
-#include <unordered_map>
+#include <vector>
+
+#include "src/common/sparse_array.h"
 
 namespace biza {
 
@@ -64,38 +71,95 @@ class GhostCache {
   ChunkTier TierOf(uint64_t key) const;
 
   const GhostCacheStats& stats() const { return stats_; }
-  uint64_t tracked_entries() const { return nodes_.size(); }
+  uint64_t tracked_entries() const { return index_.size(); }
   uint64_t clock() const { return clock_; }
+
+  // Bytes allocated for the node slab, the key index and both heaps.
+  uint64_t ResidentBytes() const;
 
  private:
   enum class Residence : uint8_t { kLru, kHr, kHp };
+  static constexpr uint32_t kNil = ~0u;
 
   struct Node {
-    Residence where = Residence::kLru;
-    uint32_t reaccess = 0;
-    double reuse_ewma = 0.0;
-    bool has_reuse = false;
+    uint64_t key = 0;
     uint64_t last_clock = 0;
-    std::list<uint64_t>::iterator lru_it;  // valid iff where == kLru
+    double reuse_ewma = 0.0;
+    uint32_t reaccess = 0;
+    uint32_t prev = kNil;   // LRU neighbours, valid iff where == kLru;
+    uint32_t next = kNil;   // `next` also chains the free slots
+    uint32_t heap_pos = 0;  // entry in hr_ or hp_, valid iff where != kLru
+    Residence where = Residence::kLru;
+    bool has_reuse = false;
   };
 
-  // Reuse distance quantized for set ordering (ties broken by key).
+  // A heap position: (priority, tie) compared lexicographically.
+  struct Order {
+    uint64_t priority;
+    uint64_t tie;
+    bool operator<(const Order& o) const {
+      return priority != o.priority ? priority < o.priority : tie < o.tie;
+    }
+  };
+
+  // Binary min-heap of Orders naming slab slots. Every move of an entry
+  // rewrites its node's heap_pos, so any member can be re-keyed or removed
+  // in O(log n).
+  class MinHeap {
+   public:
+    size_t size() const { return entries_.size(); }
+    uint32_t top() const { return entries_[0].slot; }
+    void Push(Order order, uint32_t slot, std::vector<Node>& nodes);
+    void Remove(uint32_t pos, std::vector<Node>& nodes);
+    void Rekey(uint32_t pos, Order order, std::vector<Node>& nodes);
+    uint64_t allocated_bytes() const {
+      return entries_.capacity() * sizeof(Entry);
+    }
+
+   private:
+    struct Entry {
+      Order order;
+      uint32_t slot;
+    };
+    void Place(size_t pos, const Entry& entry, std::vector<Node>& nodes);
+    void SiftUp(size_t pos, std::vector<Node>& nodes);
+    void SiftDown(size_t pos, std::vector<Node>& nodes);
+    std::vector<Entry> entries_;
+  };
+
+  // Reuse distance quantized for heap ordering (ties broken by key).
   static uint64_t Quantize(double reuse) {
     return reuse < 0.0 ? 0 : static_cast<uint64_t>(reuse);
   }
 
+  // HR's top is the least (reaccess, key); HP orders by the complement of
+  // (reuse, key), so its top is the greatest pair.
+  static Order HrOrder(const Node& node) { return {node.reaccess, node.key}; }
+  static Order HpOrder(const Node& node) {
+    return {~Quantize(node.reuse_ewma), ~node.key};
+  }
+
+  uint32_t AllocNode(uint64_t key);
+  void FreeNode(uint32_t slot);
+  void LruLink(uint32_t slot);  // at the front (most recently used)
+  void LruUnlink(uint32_t slot);
+
   void UpdateAttrs(Node& node);
-  void InsertLru(uint64_t key, Node& node);
-  void PromoteToHr(uint64_t key, Node& node);
-  void PromoteToHp(uint64_t key, Node& node);
+  void InsertLru(uint32_t slot);
+  void PromoteToHr(uint32_t slot);
+  void PromoteToHp(uint32_t slot);
   void EvictHrIfFull();
   void EvictHpIfFull();
 
   GhostCacheConfig config_;
-  std::unordered_map<uint64_t, Node> nodes_;
-  std::list<uint64_t> lru_;  // front = most recently used
-  std::set<std::pair<uint32_t, uint64_t>> hr_;  // (reaccess, key), min-evict
-  std::set<std::pair<uint64_t, uint64_t>> hp_;  // (reuse, key), max-evict
+  std::vector<Node> nodes_;      // slab; freed slots chain through `next`
+  uint32_t free_head_ = kNil;
+  SparseTable<uint32_t> index_;  // key -> slot
+  uint32_t lru_head_ = kNil;     // most recently used
+  uint32_t lru_tail_ = kNil;
+  uint64_t lru_size_ = 0;
+  MinHeap hr_;
+  MinHeap hp_;
   uint64_t clock_ = 0;
   GhostCacheStats stats_;
 };

@@ -135,9 +135,11 @@ class ChunkedArray {
 
 // Open-addressing hash map from uint64 keys to V. Linear probing, power-of-2
 // capacity, rehash at 7/8 load. Keys are logical block numbers (< 2^40), so
-// the all-ones key doubles as the empty-slot sentinel. Erase is unsupported:
-// engine tables invalidate entries by overwriting the value, never by
-// removing the key.
+// the all-ones key doubles as the empty-slot sentinel. Erase uses
+// backward-shift deletion, so no tombstones build up and a table whose live
+// set is bounded stays bounded; the table never shrinks. Engine tables still
+// invalidate entries by overwriting the value; the ghost-cache index, whose
+// keys come and go, erases them.
 template <typename V>
 class SparseTable {
  public:
@@ -186,6 +188,33 @@ class SparseTable {
   }
 
   void Set(uint64_t key, V value) { Upsert(key) = std::move(value); }
+
+  // Removes `key`; returns false when it was absent. Each later entry of the
+  // probe cluster that may live in the hole moves back into it, so every
+  // remaining key stays reachable from its home slot without tombstones.
+  bool Erase(uint64_t key) {
+    assert(key != kEmptyKey);
+    const size_t mask = slots_.size() - 1;
+    size_t hole = Hash(key) & mask;
+    while (slots_[hole].key != key) {
+      if (slots_[hole].key == kEmptyKey) {
+        return false;
+      }
+      hole = (hole + 1) & mask;
+    }
+    for (size_t i = (hole + 1) & mask; slots_[i].key != kEmptyKey;
+         i = (i + 1) & mask) {
+      // The entry at i may move back only if its home is not in (hole, i].
+      const size_t home = Hash(slots_[i].key) & mask;
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = std::move(slots_[i]);
+        hole = i;
+      }
+    }
+    slots_[hole] = Slot{};
+    size_--;
+    return true;
+  }
 
   // Visits every populated entry in unspecified (but run-deterministic)
   // order. The callback must not insert.

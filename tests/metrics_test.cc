@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "src/common/histogram.h"
 #include "src/engines/adapters.h"
@@ -210,6 +212,7 @@ struct ObsRun {
   std::string csv;
   uint64_t fired_events = 0;
   uint64_t requests = 0;
+  std::map<std::string, uint64_t> selector;  // biza.ghost.*, write_stalls
 };
 
 ObsRun RunObservedExperiment(bool attach_obs, bool enable_tracer) {
@@ -246,6 +249,12 @@ ObsRun RunObservedExperiment(bool attach_obs, bool enable_tracer) {
     std::ostringstream csv;
     obs.sampler.WriteCsv(csv);
     out.csv = csv.str();
+    for (const StatRegistry::Sample& sample : obs.registry.Collect()) {
+      if (sample.name->rfind("biza.ghost.", 0) == 0 ||
+          *sample.name == "biza.write_stalls") {
+        out.selector[*sample.name] = sample.value;
+      }
+    }
   }
   return out;
 }
@@ -317,6 +326,25 @@ TEST(SamplerTest, DeterministicAcrossRunnerThreadCounts) {
                   std::count(line.begin(), line.end(), ',')) + 1, cols);
   }
   EXPECT_GE(rows, 2u);
+}
+
+TEST(StatRegistryTest, BizaExportsTheSelectorTierMix) {
+  // The zone group selector classifies every submitted user block once (GC
+  // writes bypass it), plus the first block of a write parked for a free
+  // zone once more per park; the sampler CSV carries the same counters.
+  const ObsRun run = RunObservedExperiment(/*attach_obs=*/true,
+                                           /*enable_tracer=*/false);
+  ASSERT_EQ(run.selector.size(), 8u);
+  const uint64_t lookups = run.selector.at("biza.ghost.lookups");
+  const uint64_t in_flight_blocks = 8 * 4;  // iodepth x request size
+  EXPECT_GE(lookups, run.requests * 4);
+  EXPECT_LE(lookups, run.requests * 4 + in_flight_blocks +
+                         run.selector.at("biza.write_stalls"));
+  EXPECT_GT(run.selector.at("biza.ghost.lru_hits"), 0u);
+  EXPECT_GT(run.selector.at("biza.ghost.tracked_entries"), 0u);
+  for (const auto& [name, value] : run.selector) {
+    EXPECT_NE(run.csv.find(name), std::string::npos) << name;
+  }
 }
 
 TEST(ObservabilityNeutrality, AttachedButDarkChangesNothing) {

@@ -1,11 +1,13 @@
 // Tests of the sparse zone/FTL state containers and the batched NAND
 // pipeline: chunk allocation and reclamation, hashed-table behaviour across
-// rehashes, OOB scans over lazily-allocated zones, run-API equivalence with
-// per-page command loops, and batched GC runs checked against truth maps
-// and golden values.
+// rehashes and erases, OOB scans over lazily-allocated zones, run-API
+// equivalence with per-page command loops, and batched GC runs checked
+// against truth maps and golden values.
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +137,78 @@ TEST(SparseTable, SurvivesRehashWithScatteredKeys) {
   });
   EXPECT_EQ(visited, kN);
   EXPECT_GT(table.allocated_bytes(), 0u);
+}
+
+// Randomized insert/overwrite/erase/find against std::unordered_map. Each
+// phase holds the live set at the largest size its table takes without a
+// rehash (14 of 16 slots, then 28/32, 56/64, 112/128), so probe clusters
+// wrap past slot 0 and backward-shift deletion moves entries across the
+// wrap; the next phase's inserts rehash the table between erases.
+TEST(SparseTable, EraseMatchesUnorderedMap) {
+  SparseTable<uint64_t> table;
+  std::unordered_map<uint64_t, uint64_t> truth;
+  Rng rng(77);
+  constexpr uint64_t kUniverse = 256;
+  auto key_of = [](uint64_t i) { return i * 0x9E3779B97F4A7C15ULL; };
+  auto present_key = [&] {
+    return std::next(truth.begin(),
+                     static_cast<long>(rng.Uniform(truth.size())))->first;
+  };
+  auto check_key = [&](uint64_t key) {
+    const uint64_t* v = table.Find(key);
+    auto it = truth.find(key);
+    ASSERT_EQ(v != nullptr, it != truth.end()) << "key " << key;
+    if (v != nullptr) {
+      ASSERT_EQ(*v, it->second) << "key " << key;
+    }
+  };
+  auto check_all = [&] {
+    ASSERT_EQ(table.size(), truth.size());
+    for (uint64_t i = 0; i < kUniverse; ++i) {
+      check_key(key_of(i));
+    }
+    uint64_t visited = 0;
+    table.ForEach([&](uint64_t key, uint64_t& v) {
+      ++visited;
+      EXPECT_EQ(truth.at(key), v);
+    });
+    ASSERT_EQ(visited, truth.size());
+  };
+
+  uint64_t erased = 0;
+  for (const uint64_t cap : {14u, 28u, 56u, 112u}) {
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t r = rng.Uniform(100);
+      uint64_t key = key_of(rng.Uniform(kUniverse));
+      if (r < 55 && truth.size() < cap) {
+        truth[key] = rng.Next();
+        table.Set(key, truth[key]);
+      } else if (r < 70 && !truth.empty()) {
+        key = present_key();
+        truth[key] = rng.Next();
+        table.Set(key, truth[key]);
+      } else {
+        if (r < 95 && !truth.empty()) {
+          key = present_key();
+        }
+        const bool present = truth.erase(key) == 1;
+        ASSERT_EQ(table.Erase(key), present) << "key " << key;
+        erased += present ? 1 : 0;
+      }
+      ASSERT_EQ(table.size(), truth.size());
+      check_key(key);
+      if (op % 64 == 0) {
+        check_all();
+      }
+    }
+    check_all();
+  }
+  EXPECT_GT(erased, 20000u);
+  for (uint64_t i = 0; i < kUniverse; ++i) {
+    table.Erase(key_of(i));
+  }
+  truth.clear();
+  check_all();
 }
 
 // ---------------------------------------------------------------------------
