@@ -1352,7 +1352,7 @@ void BizaArray::DeviceRead(
   devices_[static_cast<size_t>(device)]->SubmitRead(
       PaZone(pa), PaOffset(pa), nblocks,
       [this, device, pa, nblocks, attempt, cb = std::move(cb)](
-          const Status& status, ZnsDevice::ReadResult result) mutable {
+          const Status& status, std::vector<uint64_t> patterns) mutable {
         if (IsRetriable(status) && attempt < config_.max_io_retries) {
           stats_.read_retries++;
           sim_->Schedule(
@@ -1362,7 +1362,7 @@ void BizaArray::DeviceRead(
               });
           return;
         }
-        cb(status, std::move(result.patterns));
+        cb(status, std::move(patterns));
       });
 }
 

@@ -137,9 +137,10 @@ class ChunkedArray {
 // capacity, rehash at 7/8 load. Keys are logical block numbers (< 2^40), so
 // the all-ones key doubles as the empty-slot sentinel. Erase uses
 // backward-shift deletion, so no tombstones build up and a table whose live
-// set is bounded stays bounded; the table never shrinks. Engine tables still
-// invalidate entries by overwriting the value; the ghost-cache index, whose
-// keys come and go, erases them.
+// set is bounded stays bounded; the table never shrinks. Engine mapping
+// tables still invalidate entries by overwriting the value; tables whose
+// keys come and go (the ghost-cache index, ZapRAID's in-flight host copies)
+// erase them.
 template <typename V>
 class SparseTable {
  public:

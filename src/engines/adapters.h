@@ -38,11 +38,7 @@ class ZnsZonedTarget : public ZonedTarget {
 
   void SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
                       ReadCallback cb) override {
-    device_->SubmitRead(zone, offset, nblocks,
-                        [cb = std::move(cb)](const Status& status,
-                                             ZnsDevice::ReadResult result) {
-                          cb(status, std::move(result.patterns));
-                        });
+    device_->SubmitRead(zone, offset, nblocks, std::move(cb));
   }
 
   Status ResetZone(uint32_t zone) override { return device_->ResetZone(zone); }

@@ -306,12 +306,8 @@ void Raizn::SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     const int slot = static_cast<int>(logical % static_cast<uint64_t>(k_));
     const int device = geometry_.DataDrive(GlobalStripe(zone, stripe), slot);
     join->Add();
-    devices_[static_cast<size_t>(device)]->SubmitRead(
-        zone, stripe, 1,
-        [leg = RunLeg(join, i)](const Status& status,
-                                ZnsDevice::ReadResult result) {
-          leg(status, std::move(result.patterns));
-        });
+    devices_[static_cast<size_t>(device)]->SubmitRead(zone, stripe, 1,
+                                                      RunLeg(join, i));
     i++;
   }
   join->Done();  // the dispatch guard

@@ -1,7 +1,6 @@
 #include "src/workload/driver.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 
 #include "src/common/logging.h"
@@ -192,8 +191,8 @@ DriverReport Driver::Run(uint64_t max_requests, SimTime max_duration) {
     IssueLoop();
   }
   sim_->RunUntilIdle();
-  assert(inflight_ == 0);
-  assert(pending_arrivals_.empty());
+  report_.stranded_requests =
+      static_cast<uint64_t>(inflight_) + pending_arrivals_.size();
   report_.elapsed_ns =
       last_completion_ > start_ ? last_completion_ - start_ : 1;
   return report_;

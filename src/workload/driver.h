@@ -39,6 +39,10 @@ struct DriverReport {
   // Open-loop arrivals that found the iodepth cap full and had to wait.
   uint64_t arrivals_deferred = 0;
   uint64_t verify_failures = 0;
+  // Requests issued but never completed, plus open-loop arrivals never
+  // issued, when the event queue drained: nonzero only when the target
+  // parked requests it could never finish (a wedged array).
+  uint64_t stranded_requests = 0;
   SimTime elapsed_ns = 0;
 
   double WriteMBps() const { return ThroughputMBps(bytes_written, elapsed_ns); }

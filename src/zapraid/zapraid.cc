@@ -5,6 +5,7 @@
 #include <cassert>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -90,6 +91,7 @@ bool ZapRaid::EnsureBuilderOpen(int b) {
     grp.members |= Bit(d);
   }
   grp.rows.assign(zone_cap_, RowMeta{});
+  grp.live.assign(zone_cap_, 0);
 
   auto io = std::make_shared<GroupIo>();
   io->group = group;
@@ -188,13 +190,14 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
       mapped = true;
     }
     if (mapped) {
+      grp.live[row] |= Bit(device);
       // Serve reads of the in-flight block from the host copy until the
       // program lands. This covers relocations too: the L2P already points
       // at the new home, whose block is unwritten until the device acks.
       // Monotonic wsn keeps an old requeue from clobbering a newer pending
       // overwrite; a superseded chunk (mapped == false) must never land
       // here — its payload is stale.
-      PendingWrite& pw = pending_[oob.lbn];
+      PendingWrite& pw = pending_.Upsert(oob.lbn);
       if (pw.wsn <= oob.sn) {
         pw = PendingWrite{pattern, oob.sn};
       }
@@ -455,9 +458,9 @@ void ZapRaid::MarkDurable(uint32_t group, int device, const ChunkOp& op) {
   } else {
     row.durable |= Bit(device);
     if (op.tag == WriteTag::kData || op.tag == WriteTag::kGcData) {
-      auto it = pending_.find(op.oob.lbn);
-      if (it != pending_.end() && it->second.wsn == op.oob.sn) {
-        pending_.erase(it);
+      const PendingWrite* pw = pending_.Find(op.oob.lbn);
+      if (pw != nullptr && pw->wsn == op.oob.sn) {
+        pending_.Erase(op.oob.lbn);
       }
     }
   }
@@ -546,9 +549,12 @@ void ZapRaid::InvalidatePa(uint64_t pa) {
     return;
   }
   Group& grp = groups_[PaGroup(pa)];
-  if (grp.valid > 0) {
-    --grp.valid;
-  }
+  const uint64_t row = PaRow(pa);
+  const uint16_t bit = Bit(PaDevice(pa));
+  assert(row < grp.live.size() && (grp.live[row] & bit) != 0 &&
+         "unmapping a chunk that is not live");
+  grp.live[row] &= static_cast<uint16_t>(~bit);
+  --grp.valid;
 }
 
 void ZapRaid::RetryStalled() {
@@ -647,13 +653,13 @@ void ZapRaid::DeviceRead(
       zone, offset, nblocks,
       [this, device, zone, offset, nblocks, attempt, start,
        cb = std::move(cb)](const Status& status,
-                           ZnsDevice::ReadResult result) mutable {
+                           std::vector<uint64_t> patterns) mutable {
         if (status.ok()) {
           if (health_ != nullptr) {
             health_->RecordLatency(device, DeviceHealthMonitor::Kind::kRead,
                                    -1, sim_->Now() - start, sim_->Now());
           }
-          cb(status, std::move(result.patterns));
+          cb(status, std::move(patterns));
           return;
         }
         if (IsRetriable(status) && attempt < config_.max_io_retries) {
@@ -775,9 +781,8 @@ void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   for (uint64_t i = 0; i < nblocks; ++i) {
     cpu_.Charge(config_.costs.map_lookup_ns);
     const uint64_t cur = lbn + i;
-    auto pit = pending_.find(cur);
-    if (pit != pending_.end()) {
-      join->data[i] = pit->second.pattern;
+    if (const PendingWrite* pw = pending_.Find(cur)) {
+      join->data[i] = pw->pattern;
       continue;
     }
     const L2pEntry entry = l2p_.Get(cur);
@@ -795,9 +800,8 @@ void ZapRaid::RedriveRead(uint64_t lbn, ReadLegs::Done land) {
   // machinery may already have re-pointed the L2P at a new, not-yet-
   // programmed home, so the host copy in pending_ must be consulted first
   // (exactly as SubmitRead does) before chasing the fresh mapping.
-  auto pit = pending_.find(lbn);
-  if (pit != pending_.end()) {
-    land(OkStatus(), pit->second.pattern);
+  if (const PendingWrite* pw = pending_.Find(lbn)) {
+    land(OkStatus(), pw->pattern);
     return;
   }
   const L2pEntry now = l2p_.Get(lbn);
@@ -876,8 +880,11 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, ReadLegs::Done land) {
 void ZapRaid::DropBuilderMember(int b, int device) {
   // Removes `device` from builder `b`'s open group: closes the in-progress
   // row (pads out, parity out) so the surviving zones stay row-aligned,
-  // then shrinks the member set; too few members to form stripes seals the
-  // group. No-op when the builder is closed or the device not a member.
+  // then shrinks the builder's member list; too few members to form
+  // stripes seals the group. The group's `members` mask keeps the device:
+  // its zone still holds the rows written before the drop, so GC must not
+  // treat the group as collectable while the device is dead. No-op when
+  // the builder is closed or the device not a member.
   Builder& bd = builders_[b];
   if (!bd.open) {
     return;
@@ -888,7 +895,6 @@ void ZapRaid::DropBuilderMember(int b, int device) {
   }
   CloseRowEarly(b);
   bd.members.erase(std::find(bd.members.begin(), bd.members.end(), device));
-  groups_[bd.group].members &= static_cast<uint16_t>(~Bit(device));
   if (bd.members.size() < 2) {
     SealGroup(b);
   }
@@ -981,6 +987,8 @@ int ZapRaid::PickGcVictim() const {
     if (active_io_.count(g) != 0) {
       continue;  // still draining its zone queues
     }
+    // GcStep cannot read a dead member's chunks, so a group one of whose
+    // chunk holders is down could never be emptied.
     bool member_failed = false;
     for (int d = 0; d < n_; ++d) {
       if ((grp.members & Bit(d)) != 0 &&
@@ -1023,6 +1031,12 @@ void ZapRaid::GcStep() {
     uint64_t lbn;
     uint32_t wsn;
   };
+  unsigned readable = 0;
+  for (int d = 0; d < n_; ++d) {
+    if (!device_failed_[static_cast<size_t>(d)]) {
+      readable |= Bit(d);
+    }
+  }
   std::vector<Cand> cands;
   uint64_t row = gc_row_;
   for (; row < zone_cap_ && cands.size() < config_.gc_batch_chunks; ++row) {
@@ -1030,22 +1044,18 @@ void ZapRaid::GcStep() {
       row = zone_cap_;  // rows fill in order: first empty row == frontier
       break;
     }
-    const RowMeta& meta = grp.rows[row];
-    for (int d = 0; d < n_; ++d) {
-      if ((meta.present & Bit(d)) == 0 ||
-          device_failed_[static_cast<size_t>(d)]) {
-        continue;
+    // Only a chunk that is some LBN's L2P home can be a candidate, so the
+    // live mask skips garbage, pads and parity without reading their OOB.
+    // Live chunks still pass the OOB/L2P test, which keeps the candidates
+    // and their order exactly those of a scan over every present chunk.
+    const unsigned scan = grp.rows[row].present & readable;
+    assert(LiveMaskCovers(victim, row, scan) && "live mask missed a chunk");
+    for (unsigned m = scan & grp.live[row]; m != 0; m &= m - 1) {
+      const int d = std::countr_zero(m);
+      const std::optional<OobRecord> oob = LiveChunkHeader(d, victim, row);
+      if (oob) {
+        cands.push_back(Cand{d, row, oob->lbn, oob->sn});
       }
-      const auto oob = devices_[static_cast<size_t>(d)]->ReadOobSync(victim, row);
-      if (!oob.ok() || !oob->set() || oob->lbn == kPadLbn ||
-          IsParityOobLbn(oob->lbn)) {
-        continue;
-      }
-      const L2pEntry e = l2p_.Get(oob->lbn);
-      if (e.pa != MakePa(d, victim, row) || e.wsn != oob->sn) {
-        continue;  // superseded: garbage, reclaimed with the zone reset
-      }
-      cands.push_back(Cand{d, row, oob->lbn, oob->sn});
     }
   }
   gc_row_ = row;
@@ -1118,6 +1128,31 @@ void ZapRaid::GcStep() {
   }
 }
 
+std::optional<OobRecord> ZapRaid::LiveChunkHeader(int device, uint32_t group,
+                                                  uint64_t row) const {
+  const auto oob =
+      devices_[static_cast<size_t>(device)]->ReadOobSync(group, row);
+  if (!oob.ok() || !oob->set() || oob->lbn == kPadLbn ||
+      IsParityOobLbn(oob->lbn)) {
+    return std::nullopt;
+  }
+  const L2pEntry e = l2p_.Get(oob->lbn);
+  if (e.pa != MakePa(device, group, row) || e.wsn != oob->sn) {
+    return std::nullopt;  // superseded: garbage, reclaimed with the reset
+  }
+  return *oob;
+}
+
+bool ZapRaid::LiveMaskCovers(uint32_t group, uint64_t row,
+                             unsigned devs) const {
+  for (unsigned m = devs & ~groups_[group].live[row]; m != 0; m &= m - 1) {
+    if (LiveChunkHeader(std::countr_zero(m), group, row)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void ZapRaid::GcAppend(uint64_t lbn, uint32_t wsn, uint64_t pattern,
                        uint64_t from_pa) {
   auto done = [this](const Status&) {
@@ -1159,11 +1194,13 @@ void ZapRaid::FinishGcVictim() {
       return;
     }
     // Three consecutive zero-progress passes: something is pinning the
-    // victim's chunks. Abandon the cycle entirely (rather than re-picking
-    // the same victim in a zero-time loop) and let the next allocation
-    // re-trigger GC.
+    // victim's chunks. Abandon the cycle (rather than rescanning in a
+    // zero-time loop) and let the next allocation re-trigger GC. That
+    // trigger may pick the same victim again; the known cause, a member
+    // that died holding live chunks, is kept out by PickGcVictim.
     BIZA_LOG_WARN("zapraid: gc abandoning group %u with %llu valid chunks",
                   gc_victim_, static_cast<unsigned long long>(grp.valid));
+    ++stats_.gc_abandoned;
     RetryStalled();
     gc_active_ = false;
     return;
@@ -1185,6 +1222,8 @@ void ZapRaid::FinishGcVictim() {
     grp.members = 0;
     grp.rows.clear();
     grp.rows.shrink_to_fit();
+    grp.live.clear();
+    grp.live.shrink_to_fit();
     ++grp.epoch;
     ++stats_.gc_runs;
   }
@@ -1392,7 +1431,7 @@ Status ZapRaid::Recover() {
     return FailedPreconditionError("zapraid: recover on an active array");
   }
   l2p_.Clear();
-  pending_.clear();
+  pending_.Clear();
   active_io_.clear();
   for (Group& g : groups_) {
     SetGroupUse(g, GroupUse::kFree);
@@ -1438,6 +1477,7 @@ Status ZapRaid::Recover() {
         Group& grp = groups_[z];
         if (grp.rows.empty()) {
           grp.rows.assign(zone_cap_, RowMeta{});
+          grp.live.assign(zone_cap_, 0);
         }
         SetGroupUse(grp, GroupUse::kSealed);
         grp.members |= Bit(d);
@@ -1486,9 +1526,11 @@ Status ZapRaid::Recover() {
       }
     }
   }
-  // Pass 2: per-group valid counts from the final L2P.
+  // Pass 2: per-group valid counts and live masks from the final L2P.
   l2p_.ForEach([&](uint64_t, const L2pEntry& e) {
-    ++groups_[PaGroup(e.pa)].valid;
+    Group& grp = groups_[PaGroup(e.pa)];
+    ++grp.valid;
+    grp.live[PaRow(e.pa)] |= Bit(PaDevice(e.pa));
   });
   config_.recover_mode = false;
   BIZA_LOG_INFO("zapraid: recovered %zu mapped blocks, next wsn %u",
@@ -1523,6 +1565,8 @@ void ZapRaid::AttachObservability(Observability* obs) {
   reg.RegisterCounter("zapraid.requeued_chunks",
                       [this] { return stats_.requeued_chunks; });
   reg.RegisterCounter("zapraid.gc_runs", [this] { return stats_.gc_runs; });
+  reg.RegisterCounter("zapraid.gc_abandoned",
+                      [this] { return stats_.gc_abandoned; });
   reg.RegisterCounter("zapraid.gc_migrated_data",
                       [this] { return stats_.gc_migrated_data; });
   reg.RegisterCounter("zapraid.gc_zone_resets",
@@ -1556,12 +1600,64 @@ void ZapRaid::AttachObservability(Observability* obs) {
 }
 
 uint64_t ZapRaid::ResidentStateBytes() const {
-  uint64_t bytes = l2p_.allocated_bytes();
+  uint64_t bytes = l2p_.allocated_bytes() + pending_.allocated_bytes();
   for (const Group& g : groups_) {
-    bytes += g.rows.capacity() * sizeof(RowMeta);
+    bytes += g.rows.capacity() * sizeof(RowMeta) +
+             g.live.capacity() * sizeof(uint16_t);
   }
-  bytes += pending_.size() * (sizeof(uint64_t) + sizeof(PendingWrite));
   return bytes;
+}
+
+Status ZapRaid::CheckInvariants() const {
+  // The live masks the L2P implies, rebuilt from scratch.
+  std::vector<std::vector<uint16_t>> homes(groups_.size());
+  uint64_t shared_pa = kInvalidPa;
+  l2p_.ForEach([&](uint64_t, const L2pEntry& e) {
+    std::vector<uint16_t>& rows = homes[PaGroup(e.pa)];
+    rows.resize(zone_cap_, 0);
+    uint16_t& mask = rows[PaRow(e.pa)];
+    if ((mask & Bit(PaDevice(e.pa))) != 0) {
+      shared_pa = e.pa;
+    }
+    mask |= Bit(PaDevice(e.pa));
+  });
+  if (shared_pa != kInvalidPa) {
+    return InternalError("zapraid: two LBNs homed at pa " +
+                         std::to_string(shared_pa));
+  }
+  uint64_t free_groups = 0;
+  for (uint32_t g = 0; g < num_zones_; ++g) {
+    const Group& grp = groups_[g];
+    const auto fail = [g](const std::string& what) {
+      return InternalError("zapraid: group " + std::to_string(g) + ": " +
+                           what);
+    };
+    free_groups += grp.use == GroupUse::kFree ? 1 : 0;
+    if (grp.live.size() != grp.rows.size() ||
+        (!homes[g].empty() && grp.live.empty())) {
+      return fail("live masks not sized with rows");
+    }
+    uint64_t live_bits = 0;
+    for (uint64_t row = 0; row < grp.live.size(); ++row) {
+      const uint16_t want = homes[g].empty() ? 0 : homes[g][row];
+      if (grp.live[row] != want) {
+        return fail("row " + std::to_string(row) + " live mask " +
+                    std::to_string(grp.live[row]) + ", L2P homes " +
+                    std::to_string(want));
+      }
+      live_bits += static_cast<uint64_t>(std::popcount(grp.live[row]));
+    }
+    if (live_bits != grp.valid) {
+      return fail(std::to_string(live_bits) + " live bits, valid " +
+                  std::to_string(grp.valid));
+    }
+  }
+  if (free_groups != free_groups_) {
+    return InternalError("zapraid: " + std::to_string(free_groups) +
+                         " free groups, counter " +
+                         std::to_string(free_groups_));
+  }
+  return OkStatus();
 }
 
 uint64_t ZapRaid::DebugL2pPa(uint64_t lbn) const { return l2p_.Get(lbn).pa; }

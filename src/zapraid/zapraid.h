@@ -42,6 +42,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +67,7 @@ struct ZapRaidStats {
   uint64_t rows_closed_early = 0; // rows sealed before filling k data slots
   uint64_t requeued_chunks = 0;   // chunks re-appended off a dead member
   uint64_t gc_runs = 0;           // victim groups collected
+  uint64_t gc_abandoned = 0;      // victims given up after zero-progress passes
   uint64_t gc_migrated_data = 0;  // valid chunks migrated by GC
   uint64_t gc_zone_resets = 0;
   uint64_t degraded_reads = 0;
@@ -142,9 +144,18 @@ class ZapRaid : public BlockTarget {
   const ZapRaidConfig& config() const { return config_; }
   bool gc_active() const { return gc_active_; }
 
-  // Bytes of mapping/stripe state currently resident (L2P + row metadata).
-  // Scales with written data, not exposed capacity.
+  // Bytes of mapping/stripe state currently resident (L2P, row metadata,
+  // live masks, host copies). Scales with written data, not exposed
+  // capacity.
   uint64_t ResidentStateBytes() const;
+
+  // Cross-checks the engine's redundant bookkeeping; returns an error naming
+  // the first mismatch. Every live bit is the L2P home of exactly one LBN and
+  // every L2P entry's chunk has its live bit; each group's live-bit count
+  // equals its valid count; free_groups_ counts the kFree groups. These are
+  // updated together, so they hold between events; tests check them at
+  // quiesce points.
+  Status CheckInvariants() const;
 
   // Test hooks.
   uint64_t DebugL2pPa(uint64_t lbn) const;
@@ -200,8 +211,15 @@ class ZapRaid : public BlockTarget {
     uint64_t valid = 0;        // L2P-valid data chunks in the group
     uint64_t data_chunks = 0;  // data chunks ever appended (garbage delta)
     uint64_t epoch = 0;        // bumped on reset; recons revalidate with it
-    uint16_t members = 0;      // device bitmask fixed when the group opened
+    // Devices holding the group's chunks: the live members when it opened
+    // (recovery: the devices whose zone has a header). Fixed until the
+    // reset — a member dropped later (death, dead zone) still holds the
+    // rows it wrote, so it keeps its bit.
+    uint16_t members = 0;
     std::vector<RowMeta> rows; // sized zone_cap_ while the group holds data
+    // Per row, the members whose chunk is some LBN's L2P home. Kept apart
+    // from `rows` so that an overwrite clears two bytes; sized with `rows`.
+    std::vector<uint16_t> live;
   };
 
   // One queued chunk program for a (group, device) zone. Zones are
@@ -294,6 +312,8 @@ class ZapRaid : public BlockTarget {
   void CheckGroupDrained(const std::shared_ptr<GroupIo>& io);
   void RequeueOp(int builder, ChunkOp op, uint32_t from_group, int from_dev);
 
+  // Unmaps the chunk at `pa` (an LBN's previous L2P home): clears its live
+  // bit and drops its group's valid count.
   void InvalidatePa(uint64_t pa);
   void RetryStalled();
   void MaybeFlushDone();
@@ -322,6 +342,13 @@ class ZapRaid : public BlockTarget {
   // GC machinery (group-granular).
   void MaybeStartGc();
   void GcStep();
+  // GC's liveness test: the stripe header of the chunk at (device, group,
+  // row) when that chunk is its LBN's L2P home, else nullopt.
+  std::optional<OobRecord> LiveChunkHeader(int device, uint32_t group,
+                                           uint64_t row) const;
+  // Debug check of the live masks: no chunk of `row` on a device in `devs`
+  // passes LiveChunkHeader unless its live bit is set.
+  bool LiveMaskCovers(uint32_t group, uint64_t row, unsigned devs) const;
   int PickGcVictim() const;
   // Appends one migrated chunk (original wsn preserved), parking a retry in
   // stalled_writes_ if no destination group is free yet.
@@ -352,8 +379,8 @@ class ZapRaid : public BlockTarget {
   std::unordered_map<uint32_t, std::shared_ptr<GroupIo>> active_io_;
   Builder builders_[kNumBuilders];
   // In-flight write content served to reads before the program lands (the
-  // host-DRAM copy of a submitted-but-not-yet-durable block).
-  std::unordered_map<uint64_t, PendingWrite> pending_;
+  // host-DRAM copy of a submitted-but-not-yet-durable block), keyed by LBN.
+  SparseTable<PendingWrite> pending_;
 
   uint64_t inflight_ = 0;    // device write batches in flight
   uint64_t queued_ops_ = 0;  // chunks sitting in zone queues

@@ -412,17 +412,15 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     fail(ZoneStateError("zone offline"));
     return;
   }
-  ReadResult result;
-  result.patterns.reserve(nblocks);
-  result.oobs.reserve(nblocks);
+  std::vector<uint64_t> patterns;
+  patterns.reserve(nblocks);
   bool all_buffered = true;
   for (uint64_t i = 0; i < nblocks; ++i) {
     // Unwritten blocks read back as zero (deallocated-value semantics);
     // a never-allocated chunk stands in for a run of unwritten blocks.
     const Block* block = z.blocks.Peek(offset + i);
     const bool written = block != nullptr && block->written;
-    result.patterns.push_back(written ? block->pattern : 0);
-    result.oobs.push_back(written ? block->oob : OobRecord{});
+    patterns.push_back(written ? block->pattern : 0);
     if (!written || !block->buffered) {
       all_buffered = false;
     }
@@ -441,8 +439,8 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
   const SimTime fin = Stretch(z.channel, done);
   ObserveIo(span_read_, h_read_, fin, zone, offset, nblocks);
   CompleteIo(fin,
-             [cb = std::move(cb), result = std::move(result)]() mutable {
-               cb(OkStatus(), std::move(result));
+             [cb = std::move(cb), patterns = std::move(patterns)]() mutable {
+               cb(OkStatus(), std::move(patterns));
              });
 }
 

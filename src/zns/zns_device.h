@@ -104,11 +104,10 @@ class ZnsDevice {
  public:
   using WriteCallback = std::function<void(const Status&)>;
   using AppendCallback = std::function<void(const Status&, uint64_t offset)>;
-  struct ReadResult {
-    std::vector<uint64_t> patterns;
-    std::vector<OobRecord> oobs;
-  };
-  using ReadCallback = std::function<void(const Status&, ReadResult)>;
+  // Reads deliver block contents only; OOB records are read back through
+  // ReadOobSync (recovery and GC liveness scans).
+  using ReadCallback =
+      std::function<void(const Status&, std::vector<uint64_t> patterns)>;
 
   ZnsDevice(Simulator* sim, const ZnsConfig& config);
 

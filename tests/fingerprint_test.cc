@@ -9,8 +9,9 @@
 // BIZA under gray-failure mitigation, BIZA behind NVMe queue pairs and the
 // write-back host buffer, mdraid over conventional SSDs (plain and
 // mitigated), ZapRAID behind NVMe queues, mitigated ZapRAID, and mdraid over
-// dm-zap. Re-pin a string only for an intended behaviour change, and say so
-// in the commit.
+// dm-zap. One more case runs ZapRAID on small zones long enough for its
+// group GC to cycle, and folds the GC counters into the digest. Re-pin a
+// string only for an intended behaviour change, and say so in the commit.
 //
 // Verify failures are recorded, not required to be zero: the driver checks a
 // read against the newest write issued to each block, which a read racing a
@@ -35,6 +36,19 @@ struct RunOutcome {
   std::string fingerprint;
   uint64_t mitigated_reads = 0;  // hedged + reconstructed-around reads
 };
+
+// Digest of one finished driver run: the report, the final clock, the fired
+// events and the flash programs.
+std::string Digest(const DriverReport& report, const Simulator& sim,
+                   const Platform& platform) {
+  std::ostringstream fp;
+  fp << report.requests_completed << '|' << report.verify_failures << '|'
+     << report.bytes_written << '|' << report.bytes_read << '|'
+     << report.elapsed_ns << '|' << report.write_latency.Summary() << '|'
+     << report.read_latency.Summary() << '|' << sim.Now() << '|'
+     << sim.fired_events() << '|' << platform.FlashProgrammedBlocks();
+  return fp.str();
+}
 
 // One full driver run on a scaled platform of `kind`. CASA is 98.6% writes;
 // with `mitigate` set the run uses the read-heavy web profile instead, makes
@@ -70,13 +84,7 @@ RunOutcome RunCasa(PlatformKind kind, uint64_t seed, bool mitigate = false,
   platform->Quiesce(&sim);
 
   RunOutcome out;
-  std::ostringstream fp;
-  fp << report.requests_completed << '|' << report.verify_failures << '|'
-     << report.bytes_written << '|' << report.bytes_read << '|'
-     << report.elapsed_ns << '|' << report.write_latency.Summary() << '|'
-     << report.read_latency.Summary() << '|' << sim.Now() << '|'
-     << sim.fired_events() << '|' << platform->FlashProgrammedBlocks();
-  out.fingerprint = fp.str();
+  out.fingerprint = Digest(report, sim, *platform);
   const ReadMitigationStats* m = nullptr;
   if (platform->biza() != nullptr) {
     m = &platform->biza()->stats().mitigation;
@@ -170,6 +178,39 @@ TEST(FingerprintTest, ZapRaidWebMitigatedGrayDevice) {
             "p50=157.7us p99=2850.8us p99.99=3440.6us max=3458.6us|n=1613 "
             "avg=10.1us p50=0.0us p99=149.5us p99.99=1589.2us max=1599.3us|"
             "64789060|3112|3796");
+}
+
+// ZapRAID on 24 x 4 MiB zones under the Tencent profile (cold, widely spread
+// working set over half the exposed capacity), QD 32: the log wraps within
+// the run, so group GC picks victims, migrates their live chunks and resets
+// zones tens of times. The digest adds the GC counters, which pin which
+// chunks GC found live and how many groups it reclaimed.
+TEST(FingerprintTest, ZapRaidTencentGcSteady) {
+  Simulator sim;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/24, /*zone_capacity_blocks=*/1024);
+  config.MatchConvCapacity();
+  config.seed = 7;
+  auto platform = Platform::Create(&sim, PlatformKind::kZapRaid, config);
+  TraceProfile profile = TraceProfile::Tencent();
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 2);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/32,
+                /*verify_reads=*/true);
+  const DriverReport report = driver.Run(/*max_requests=*/20000, 60 * kSecond);
+  platform->Quiesce(&sim);
+
+  const ZapRaidStats& zs = platform->zapraid()->stats();
+  EXPECT_GE(zs.gc_runs, 10u) << "GC did not reach steady state";
+  std::ostringstream fp;
+  fp << Digest(report, sim, *platform) << '|' << zs.gc_runs << '|'
+     << zs.gc_migrated_data << '|' << zs.gc_zone_resets;
+  EXPECT_EQ(fp.str(),
+            "20000|220|436084736|310022144|328588265|n=10512 avg=686.4us "
+            "p50=679.9us p99=1163.3us p99.99=4653.1us max=4691.1us|n=9488 "
+            "avg=347.3us p50=170.0us p99=3244.0us p99.99=4096.0us "
+            "max=4112.7us|330794610|143809|156024|22|10549|88");
 }
 
 TEST(FingerprintTest, MdraidDmzapCasa) {

@@ -244,7 +244,7 @@ TEST(ZnsSparseState, ZoneResetReclaimsChunkState) {
   ASSERT_TRUE(ZnsWriteSync(&sim, &dev, /*zone=*/3, /*offset=*/0, patterns).ok());
   auto result = ZnsReadSync(&sim, &dev, 3, 0, patterns.size());
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->patterns, patterns);
+  EXPECT_EQ(*result, patterns);
 }
 
 TEST(ZnsSparseState, OobScanOverLazilyAllocatedZone) {

@@ -21,21 +21,23 @@ inline Status ZnsWriteSync(Simulator* sim, ZnsDevice* dev, uint32_t zone,
   return out;
 }
 
-inline Result<ZnsDevice::ReadResult> ZnsReadSync(Simulator* sim, ZnsDevice* dev,
+// Submits a ZNS read and pumps the simulator until it completes; yields the
+// blocks' patterns.
+inline Result<std::vector<uint64_t>> ZnsReadSync(Simulator* sim, ZnsDevice* dev,
                                                  uint32_t zone, uint64_t offset,
                                                  uint64_t nblocks) {
   Status status = InternalError("never completed");
-  ZnsDevice::ReadResult result;
+  std::vector<uint64_t> patterns;
   dev->SubmitRead(zone, offset, nblocks,
-                  [&](const Status& s, ZnsDevice::ReadResult r) {
+                  [&](const Status& s, std::vector<uint64_t> p) {
                     status = s;
-                    result = std::move(r);
+                    patterns = std::move(p);
                   });
   sim->RunUntilIdle();
   if (!status.ok()) {
     return status;
   }
-  return result;
+  return patterns;
 }
 
 inline Result<uint64_t> ZnsAppendSync(Simulator* sim, ZnsDevice* dev,

@@ -3,6 +3,9 @@
 // paper's workload characteristics and reuse-distance claims.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/sim/simulator.h"
 #include "src/testbed/platforms.h"
 #include "src/workload/app_workloads.h"
@@ -172,6 +175,7 @@ TEST(Driver, ClosedLoopRespectsRequestCount) {
   Driver driver(&sim, platform->block(), &wl, 4);
   auto report = driver.Run(100, 10 * kSecond);
   EXPECT_EQ(report.requests_completed, 100u);
+  EXPECT_EQ(report.stranded_requests, 0u);
   EXPECT_EQ(report.bytes_written, 100u * 8 * kBlockSize);
   EXPECT_GT(report.elapsed_ns, 0u);
 }
@@ -211,6 +215,55 @@ TEST(Driver, VerifyModeDetectsNoCorruption) {
   auto report = reader.Run(1000, 30 * kSecond);
   EXPECT_EQ(report.verify_failures, 0u);
   EXPECT_GT(report.bytes_read, 0u);
+}
+
+// Completes its first `serve` requests a microsecond after submission and
+// parks every later one for good, as a wedged array does.
+class WedgingTarget : public BlockTarget {
+ public:
+  WedgingTarget(Simulator* sim, uint64_t serve) : sim_(sim), serve_(serve) {}
+  uint64_t capacity_blocks() const override { return 1 << 20; }
+  void SubmitWrite(uint64_t, std::vector<uint64_t>, WriteCallback cb,
+                   WriteTag) override {
+    Complete([cb = std::move(cb)] { cb(OkStatus()); });
+  }
+  void SubmitRead(uint64_t, uint64_t nblocks, ReadCallback cb) override {
+    Complete([cb = std::move(cb), nblocks] {
+      cb(OkStatus(), std::vector<uint64_t>(nblocks));
+    });
+  }
+
+ private:
+  void Complete(std::function<void()> done) {
+    if (served_ < serve_) {
+      ++served_;
+      sim_->Schedule(kMicrosecond, std::move(done));
+    } else {
+      parked_.push_back(std::move(done));
+    }
+  }
+  Simulator* sim_;
+  uint64_t serve_;
+  uint64_t served_ = 0;
+  std::vector<std::function<void()>> parked_;
+};
+
+TEST(Driver, ReportsStrandedRequests) {
+  Simulator sim;
+  WedgingTarget target(&sim, /*serve=*/5);
+  MicroWorkload wl(true, true, 1, 4096, 3);
+  // Closed loop at depth 4: five requests complete, four stay in flight.
+  Driver closed(&sim, &target, &wl, 4);
+  DriverReport report = closed.Run(100, kSecond);
+  EXPECT_EQ(report.requests_completed, 5u);
+  EXPECT_EQ(report.stranded_requests, 4u);
+  // Open loop at depth 2 against the wedged target: two requests park in
+  // flight and the other eight arrivals never get a slot.
+  Driver open(&sim, &target, &wl, 2);
+  open.SetArrivalInterval(10 * kMicrosecond);
+  report = open.Run(10, kSecond);
+  EXPECT_EQ(report.requests_completed, 0u);
+  EXPECT_EQ(report.stranded_requests, 10u);
 }
 
 TEST(Driver, FillWritesExpectedPatterns) {

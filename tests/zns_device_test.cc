@@ -53,7 +53,7 @@ TEST(ZnsDevice, ReadBackMatches) {
   ASSERT_TRUE(ZnsWriteSync(&sim, &dev, 3, 0, {11, 22, 33}).ok());
   auto result = ZnsReadSync(&sim, &dev, 3, 0, 3);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->patterns, (std::vector<uint64_t>{11, 22, 33}));
+  EXPECT_EQ(*result, (std::vector<uint64_t>{11, 22, 33}));
 }
 
 TEST(ZnsDevice, UnwrittenBlocksReadZero) {
@@ -61,7 +61,7 @@ TEST(ZnsDevice, UnwrittenBlocksReadZero) {
   ZnsDevice dev(&sim, SmallConfig());
   auto result = ZnsReadSync(&sim, &dev, 0, 10, 2);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->patterns, (std::vector<uint64_t>{0, 0}));
+  EXPECT_EQ(*result, (std::vector<uint64_t>{0, 0}));
 }
 
 TEST(ZnsDevice, WriteBeyondZoneCapacityRejected) {
@@ -111,7 +111,7 @@ TEST(ZnsDevice, ResetRecyclesZone) {
   // Data is gone.
   auto result = ZnsReadSync(&sim, &dev, 0, 0, 1);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->patterns[0], 0u);
+  EXPECT_EQ((*result)[0], 0u);
   // And the zone accepts writes from offset 0 again.
   EXPECT_TRUE(ZnsWriteSync(&sim, &dev, 0, 0, {5}).ok());
 }
@@ -151,7 +151,7 @@ TEST(ZnsDevice, ZrwaInPlaceUpdateIsAbsorbed) {
   EXPECT_EQ(dev.stats().flash_programmed_blocks, 0u);
   auto result = ZnsReadSync(&sim, &dev, 0, 10, 1);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->patterns[0], 104u);  // latest content
+  EXPECT_EQ((*result)[0], 104u);  // latest content
 }
 
 TEST(ZnsDevice, ZrwaImplicitCommitShiftsWindow) {
@@ -218,7 +218,7 @@ TEST(ZnsDevice, BufferedReadsServeFromDram) {
   const SimTime before = sim.Now();
   auto result = ZnsReadSync(&sim, &dev, 0, 0, 1);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->patterns[0], 42u);
+  EXPECT_EQ((*result)[0], 42u);
   // DRAM read path: far faster than a flash read (~30 us).
   EXPECT_LT(sim.Now() - before, 20 * kMicrosecond);
 }

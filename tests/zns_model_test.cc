@@ -122,7 +122,7 @@ TEST_P(ZnsModelTest, RandomOpsMatchReferenceModel) {
         for (uint64_t i = 0; i < span; ++i) {
           auto it = rz.content.find(offset + i);
           const uint64_t expected = it == rz.content.end() ? 0 : it->second;
-          EXPECT_EQ(result->patterns[i], expected)
+          EXPECT_EQ((*result)[i], expected)
               << "zone " << zone << " off " << offset + i << " step " << step;
         }
         break;

@@ -29,6 +29,10 @@
 // a per-seed row plus the mean; --threads caps runner concurrency (default:
 // BIZA_THREADS env or hardware concurrency).
 //
+// A run that ends with requests stranded (issued but never completed: the
+// array wedged and parked them for good) prints a "stranded" line and makes
+// afa_bench exit 1, so a partial run never passes for a result.
+//
 // --bench-metric=ID wraps the whole invocation in a BenchMetricScope so one
 // machine-readable "BENCH_METRIC {...}" line (wall-clock, events, events/s)
 // is printed for tools/run_benches.sh to collect.
@@ -665,6 +669,10 @@ void PrintResult(const Options& opt, const RunResult& result) {
               result.tenant_reports.empty() ? opt.workload.c_str() : "serve",
               static_cast<unsigned long long>(report.requests_completed),
               static_cast<double>(report.elapsed_ns) / 1e9);
+  if (report.stranded_requests > 0) {
+    std::printf("  stranded: %llu requests never completed\n",
+                static_cast<unsigned long long>(report.stranded_requests));
+  }
   for (const TenantReport& t : result.tenant_reports) {
     std::printf("  tenant %-12s arrivals=%llu done=%llu deferred=%llu "
                 "capped=%llu hedged=%llu wins=%llu\n",
@@ -1012,11 +1020,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.zrwa_kb), opt.num_parity);
 
   double mean_write = 0.0, mean_read = 0.0, mean_wa = 0.0;
+  uint64_t stranded = 0;
   for (int s = 0; s < opt.seeds; ++s) {
     if (opt.seeds > 1) {
       std::printf("-- seed %d --\n", s);
     }
     PrintResult(opt, results[static_cast<size_t>(s)]);
+    stranded += results[static_cast<size_t>(s)].report.stranded_requests;
     mean_write += results[static_cast<size_t>(s)].report.WriteMBps();
     mean_read += results[static_cast<size_t>(s)].report.ReadMBps();
     mean_wa += results[static_cast<size_t>(s)].wa.TotalRatio();
@@ -1073,6 +1083,12 @@ int main(int argc, char** argv) {
     // peak-RSS ceiling (sparse state keeps the full array in a few GiB).
     std::printf("BENCH_RSS {\"rss_peak_mb\":%.1f}\n",
                 static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0));
+  }
+  if (stranded > 0) {
+    std::fprintf(stderr, "afa_bench: %llu requests stranded: the run is "
+                         "partial\n",
+                 static_cast<unsigned long long>(stranded));
+    return 1;
   }
   return 0;
 }
