@@ -16,6 +16,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/rss.h"
@@ -153,14 +155,78 @@ inline DriverReport RunBlockMicro(Simulator* sim, Platform* platform,
 }
 
 // ---------------------------------------------------------------------------
+// Machine-readable results.
+//
+// Every machine-readable result a bench or tools/afa_bench prints is one
+// BENCH_RECORD line: the prefix, then a JSON object whose first field is
+// "kind". tools/run_benches.sh collects the records into BENCH_sim.json and
+// tools/check_bench.py checks their shape in CI; the tables around them are
+// for people. Each number prints at the precision its caller names, so a
+// re-run of a deterministic bench reproduces its committed figures exactly.
+//
+//   BenchRecord("nvme_frontend").Text("series", "q1_qd1")
+//       .Fixed("mbps", 113.0, 1).Print();
+//   // BENCH_RECORD {"kind":"nvme_frontend","series":"q1_qd1","mbps":113.0}
+class BenchRecord {
+ public:
+  explicit BenchRecord(std::string_view kind) { Text("kind", kind); }
+
+  BenchRecord& Text(std::string_view key, std::string_view value) {
+    Key(key);
+    json_ += '"';
+    for (const char c : value) {
+      if (c == '"' || c == '\\') {
+        json_ += '\\';
+      }
+      json_ += c;
+    }
+    json_ += '"';
+    return *this;
+  }
+
+  BenchRecord& Int(std::string_view key, uint64_t value) {
+    return Json(key, std::to_string(value));
+  }
+
+  // `value` with `decimals` digits after the point.
+  BenchRecord& Fixed(std::string_view key, double value, int decimals) {
+    std::string text(
+        static_cast<size_t>(std::snprintf(nullptr, 0, "%.*f", decimals, value)),
+        '\0');
+    std::snprintf(text.data(), text.size() + 1, "%.*f", decimals, value);
+    return Json(key, text);
+  }
+
+  // A value that is already JSON text (a number, an object), kept verbatim.
+  BenchRecord& Json(std::string_view key, std::string_view json) {
+    Key(key);
+    json_ += json;
+    return *this;
+  }
+
+  std::string Line() const { return "BENCH_RECORD " + json_ + "}"; }
+  void Print() const { std::printf("%s\n", Line().c_str()); }
+
+ private:
+  void Key(std::string_view key) {
+    json_ += json_.empty() ? '{' : ',';
+    json_ += '"';
+    json_ += key;
+    json_ += "\":";
+  }
+
+  std::string json_;
+};
+
+// ---------------------------------------------------------------------------
 // Bench harness instrumentation.
 //
 // Every experiment job records the fired-event count of its Simulator before
 // returning; the BenchMetricScope that wraps a bench's main() prints one
-// machine-readable BENCH_METRIC line (wall-clock, total simulated events,
-// events/sec, thread count) that tools/run_benches.sh collects into
-// BENCH_sim.json. Keeping the line format stable is what lets the perf
-// trajectory of the simulator be tracked across PRs.
+// "metric" record (wall clock, total simulated events, events/sec, thread
+// count, peak RSS) that tools/run_benches.sh collects into BENCH_sim.json.
+// Keeping its fields stable is what lets the perf trajectory of the
+// simulator be tracked across changes.
 
 inline std::atomic<uint64_t>& FiredEventCounter() {
   static std::atomic<uint64_t> counter{0};
@@ -189,18 +255,23 @@ inline void RecordSimEvents(const Simulator& sim, const DriverReport& report) {
 // Logical events the NVMe frontend's batching collapsed into single sim
 // events: SQEs that rode an already-scheduled doorbell plus CQEs drained by
 // an already-scheduled interrupt (NvmeQueueStats::absorbed_events()). Added
-// to the fired-event count so BENCH_METRIC reports *logical command events*
-// per second. Without this, a frontend doing strictly less heap work per
-// command would report a lower events/s than the legacy path it beats on
+// to the fired-event count so the metric record reports *logical command
+// events* per second. Without this, a frontend doing strictly less heap work
+// per command would report a lower events/s than the legacy path it beats on
 // wall clock — the raw counter only sees the events that still fire.
 inline void RecordAbsorbedEvents(uint64_t n) {
   FiredEventCounter().fetch_add(n, std::memory_order_relaxed);
 }
 
+// `full_geometry` is the metric record's flag of the same name; benches take
+// it from BIZA_FULL_GEOMETRY, afa_bench from --full-geometry.
 class BenchMetricScope {
  public:
-  explicit BenchMetricScope(const char* id)
-      : id_(id), start_(std::chrono::steady_clock::now()) {}
+  explicit BenchMetricScope(std::string id,
+                            bool full_geometry = FullGeometryEnabled())
+      : id_(std::move(id)),
+        full_geometry_(full_geometry),
+        start_(std::chrono::steady_clock::now()) {}
 
   ~BenchMetricScope() {
     const double wall_s =
@@ -212,18 +283,24 @@ class BenchMetricScope {
     const double rss_mb = static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0);
     const double sim_gib =
         static_cast<double>(sim_bytes) / (1024.0 * 1024.0 * 1024.0);
-    std::printf(
-        "\nBENCH_METRIC {\"bench\":\"%s\",\"wall_s\":%.3f,\"events\":%llu,"
-        "\"events_per_s\":%.0f,\"threads\":%d,\"full_geometry\":%d,"
-        "\"rss_peak_mb\":%.1f,\"sim_gib\":%.3f,\"rss_mb_per_sim_gib\":%.2f}\n",
-        id_, wall_s, static_cast<unsigned long long>(events),
-        wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0,
-        DefaultExperimentThreads(), FullGeometryEnabled() ? 1 : 0,
-        rss_mb, sim_gib, sim_gib > 0 ? rss_mb / sim_gib : 0.0);
+    std::printf("\n");
+    BenchRecord("metric")
+        .Text("bench", id_)
+        .Fixed("wall_s", wall_s, 3)
+        .Int("events", events)
+        .Fixed("events_per_s",
+               wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0, 0)
+        .Int("threads", static_cast<uint64_t>(DefaultExperimentThreads()))
+        .Int("full_geometry", full_geometry_ ? 1 : 0)
+        .Fixed("rss_peak_mb", rss_mb, 1)
+        .Fixed("sim_gib", sim_gib, 3)
+        .Fixed("rss_mb_per_sim_gib", sim_gib > 0 ? rss_mb / sim_gib : 0.0, 2)
+        .Print();
   }
 
  private:
-  const char* id_;
+  std::string id_;
+  bool full_geometry_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -14,8 +14,9 @@
 //    absorbing hot updates itself (BIZA's ZRWA in-place path) loses those
 //    wins to the buffer rather than gaining new ones.
 //
-// Machine-readable HOSTBUF_ENDURANCE lines feed tools/compare_bench.py;
-// EXPERIMENTS.md records the erode-vs-compound conclusion.
+// One hostbuf_endurance record per point feeds tools/compare_bench.py (via
+// BENCH_sim.json) and the CI smoke (tools/check_bench.py); EXPERIMENTS.md
+// records the erode-vs-compound conclusion.
 #include <cstdio>
 #include <vector>
 
@@ -142,14 +143,17 @@ void Run() {
       std::printf("%-9s %10llu %14.0f %14.0f %10.3f %10.3f %10.0f\n", name,
                   static_cast<unsigned long long>(size * 4), u.mean, d.mean,
                   dev_per_user, w.mean, ab.mean);
-      std::printf(
-          "HOSTBUF_ENDURANCE {\"engine\":\"%s\",\"pool_kb\":%llu,"
-          "\"user_blocks\":%.0f,\"device_blocks\":%.0f,"
-          "\"device_per_user\":%.4f,\"wa_total\":%.4f,\"absorbed\":%.0f,"
-          "\"device_writes_vs_nobuf\":%.4f}\n",
-          name, static_cast<unsigned long long>(size * 4), u.mean, d.mean,
-          dev_per_user, w.mean, ab.mean,
-          baseline_device > 0 ? d.mean / baseline_device : 1.0);
+      BenchRecord("hostbuf_endurance")
+          .Text("engine", name)
+          .Int("pool_kb", size * 4)
+          .Fixed("user_blocks", u.mean, 0)
+          .Fixed("device_blocks", d.mean, 0)
+          .Fixed("device_per_user", dev_per_user, 4)
+          .Fixed("wa_total", w.mean, 4)
+          .Fixed("absorbed", ab.mean, 0)
+          .Fixed("device_writes_vs_nobuf",
+                 baseline_device > 0 ? d.mean / baseline_device : 1.0, 4)
+          .Print();
     }
     std::printf("\n");
   }

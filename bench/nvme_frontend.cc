@@ -6,12 +6,13 @@
 // collapse N submissions into one ring event and coalesced interrupts drain
 // whole completion batches with one host event, so the queued runs fire
 // strictly fewer sim events per logical command — RecordAbsorbedEvents folds
-// the collapsed SQEs/CQEs back in so BENCH_METRIC counts logical command
-// events per second, comparable across both paths.
+// the collapsed SQEs/CQEs back in so the metric record counts logical
+// command events per second, comparable across both paths.
 //
-// Machine-readable NVME_FRONTEND lines (one per series) feed
-// tools/compare_bench.py; the BENCH_METRIC events/s of this bench is the
-// gate the CI QD-sweep smoke checks against the committed baseline.
+// One nvme_frontend record per series feeds tools/compare_bench.py (via
+// BENCH_sim.json), which requires each series' simulated MB/s to match the
+// committed baseline exactly, and the CI QD-sweep smoke
+// (tools/check_bench.py).
 #include <chrono>
 #include <cstdio>
 #include <string_view>
@@ -180,12 +181,15 @@ void Run() {
                            static_cast<double>(events)
                      : 0.0;
     }
-    std::printf(
-        "NVME_FRONTEND {\"series\":\"%s\",\"mbps\":%.1f,\"avg_us\":%.2f,"
-        "\"p99_us\":%.2f,\"cmds_per_doorbell\":%.2f,\"cmds_per_irq\":%.2f,"
-        "\"logical_events_per_s\":%.0f}\n",
-        s.name, m.mean, a.mean, p.mean, cmds_per_dbell, cmds_per_irq,
-        events_per_wall);
+    BenchRecord("nvme_frontend")
+        .Text("series", s.name)
+        .Fixed("mbps", m.mean, 1)
+        .Fixed("avg_us", a.mean, 2)
+        .Fixed("p99_us", p.mean, 2)
+        .Fixed("cmds_per_doorbell", cmds_per_dbell, 2)
+        .Fixed("cmds_per_irq", cmds_per_irq, 2)
+        .Fixed("logical_events_per_s", events_per_wall, 0)
+        .Print();
   }
   std::printf(
       "\nq4_qd64_coal vs legacy, logical command events per wall-second: "

@@ -16,8 +16,8 @@
 //
 // All latencies are measured from the *intended* arrival (coordinated-
 // omission-free), so admission queueing is visible in the tail. One
-// TENANT_ISOLATION line per platform is machine-readable for the CI smoke,
-// which asserts DRR beats FIFO on victim p99.9.
+// tenant_isolation record per platform feeds the CI smoke
+// (tools/check_bench.py), which asserts DRR beats FIFO on victim p99.9.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -152,11 +152,14 @@ void RunPlatform(PlatformKind kind) {
   const double drr_ratio = solo_p999 > 0 ? p999[2] / solo_p999 : 0.0;
   std::printf("  victim p99.9 vs solo: fifo %.2fx  drr %.2fx\n", fifo_ratio,
               drr_ratio);
-  std::printf("TENANT_ISOLATION {\"platform\":\"%s\",\"solo_p999_us\":%.1f,"
-              "\"fifo_p999_us\":%.1f,\"drr_p999_us\":%.1f,"
-              "\"fifo_ratio\":%.3f,\"drr_ratio\":%.3f}\n",
-              PlatformKindName(kind), solo_p999, p999[1], p999[2], fifo_ratio,
-              drr_ratio);
+  BenchRecord("tenant_isolation")
+      .Text("platform", PlatformKindName(kind))
+      .Fixed("solo_p999_us", solo_p999, 1)
+      .Fixed("fifo_p999_us", p999[1], 1)
+      .Fixed("drr_p999_us", p999[2], 1)
+      .Fixed("fifo_ratio", fifo_ratio, 3)
+      .Fixed("drr_ratio", drr_ratio, 3)
+      .Print();
 }
 
 }  // namespace

@@ -16,6 +16,9 @@
 // mdraid's read-modify-write parity traffic but pays data-relocation WA
 // that BIZA's ZRWA in-place updates avoid; mdraid burns the most CPU in the
 // dm-zap translation layer; BIZA holds the lowest GC-era tails.
+//
+// One three_engine record per engine carries its WA split (seed means) for
+// the CI smoke (tools/check_bench.py), which asserts every WA stays physical.
 #include <cstdio>
 #include <vector>
 
@@ -129,6 +132,12 @@ void Run() {
                 MeanStddev(wa_p).mean, t.mean, t.stddev, MeanStddev(p50).mean,
                 MeanStddev(p99).mean, MeanStddev(p999).mean,
                 MeanStddev(mbps).mean, MeanStddev(cpu).mean);
+    BenchRecord("three_engine")
+        .Text("engine", PlatformKindName(kind))
+        .Fixed("wa_data", MeanStddev(wa_d).mean, 4)
+        .Fixed("wa_parity", MeanStddev(wa_p).mean, 4)
+        .Fixed("wa_total", t.mean, 4)
+        .Print();
   }
   std::printf(
       "\n(same churn per engine: fill half the exposed capacity, overwrite "

@@ -316,8 +316,8 @@ bool BizaArray::ReplenishGroup(int device, GroupKind kind, bool emergency) {
     }
     SetZoneUse(device, zone, ZoneUse::kActive);
     z.sched = std::make_unique<ZoneScheduler>(
-        devices_[static_cast<size_t>(device)], zone, config_.max_io_retries,
-        config_.retry_backoff_base_ns, &stats_.write_retries);
+        devices_[static_cast<size_t>(device)], zone, kMaxIoRetries,
+        kRetryBackoffBaseNs, &stats_.write_retries);
     if (obs_ != nullptr) {
       z.sched->SetTracer(&obs_->tracer);
     }
@@ -344,22 +344,14 @@ bool BizaArray::IsBusyChannel(int device, int channel) const {
     return false;
   }
   // Erase cooldown applies even after GC has moved on.
-  if (config_.erase_cooldown) {
-    const auto& cooldowns = channel_busy_until_[static_cast<size_t>(device)];
-    if (static_cast<size_t>(channel) < cooldowns.size() &&
-        sim_->Now() < cooldowns[static_cast<size_t>(channel)]) {
-      return true;
-    }
-  }
-  if (!gc_active_) {
-    return false;
-  }
-  if (gc_busy_channel_set_.size() > static_cast<size_t>(device) &&
-      gc_busy_channel_set_[static_cast<size_t>(device)] == channel) {
+  const auto& cooldowns = channel_busy_until_[static_cast<size_t>(device)];
+  if (static_cast<size_t>(channel) < cooldowns.size() &&
+      sim_->Now() < cooldowns[static_cast<size_t>(channel)]) {
     return true;
   }
-  return config_.busy_tag_victim && device == gc_device_ &&
-         channel == gc_victim_channel_;
+  return gc_active_ &&
+         gc_busy_channel_set_.size() > static_cast<size_t>(device) &&
+         gc_busy_channel_set_[static_cast<size_t>(device)] == channel;
 }
 
 int BizaArray::VoteChannelOf(int device) const {
@@ -1353,10 +1345,10 @@ void BizaArray::DeviceRead(
       PaZone(pa), PaOffset(pa), nblocks,
       [this, device, pa, nblocks, attempt, cb = std::move(cb)](
           const Status& status, std::vector<uint64_t> patterns) mutable {
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
+        if (IsRetriable(status) && attempt < kMaxIoRetries) {
           stats_.read_retries++;
           sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
+              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
               [this, device, pa, nblocks, attempt, cb = std::move(cb)]() mutable {
                 DeviceRead(device, pa, nblocks, attempt + 1, std::move(cb));
               });

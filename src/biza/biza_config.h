@@ -44,13 +44,6 @@ struct BizaConfig {
   // GC and rebuild read contiguous victim blocks with one device command
   // per run, and re-home a batch's data chunks through one gather write.
   uint64_t gc_batch_blocks = 16;
-  // BUSY attribution extensions beyond the paper's GC-destination tag:
-  // `busy_tag_victim` also tags the victim zone's channel while it is read
-  // (off by default: measurements showed it over-constrains placement);
-  // `erase_cooldown` keeps a channel tagged through the multi-ms erase that
-  // follows a zone reset (on by default: the erase is the biggest spike).
-  bool busy_tag_victim = false;
-  bool erase_cooldown = true;
 
   // Free zones per device reserved for GC destinations and stripe parity;
   // data-group replenishment never takes them, so GC always has room to
@@ -62,13 +55,6 @@ struct BizaConfig {
   // OOB records and then opens fresh groups. Use this to attach a new
   // engine instance to devices that already hold data (host crash).
   bool recover_mode = false;
-
-  // Bounded retry-with-backoff for transient device errors (fault plane):
-  // an I/O is retried up to max_io_retries times, the i-th retry after
-  // RetryBackoffNs(i, retry_backoff_base_ns). Errors surface to the caller
-  // only once retries are exhausted.
-  int max_io_retries = 3;
-  SimTime retry_backoff_base_ns = 10 * kMicrosecond;
 
   // Online-rebuild throttle: the rebuilder reconstructs up to
   // rebuild_batch_stripes stripes, then yields the array for

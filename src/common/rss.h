@@ -1,8 +1,8 @@
 // Process-memory introspection for the bench/CI harness.
 //
 // Peak RSS is the acceptance metric for full-geometry runs (a 4 x ZN540
-// array must simulate in a few GiB, not tens): benches print it on their
-// BENCH_METRIC lines and CI asserts a ceiling on the full-geometry smoke.
+// array must simulate in a few GiB, not tens): benches print it in their
+// metric records and CI asserts a ceiling on the full-geometry smoke.
 #ifndef BIZA_SRC_COMMON_RSS_H_
 #define BIZA_SRC_COMMON_RSS_H_
 

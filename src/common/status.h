@@ -13,6 +13,8 @@
 #include <string_view>
 #include <utility>
 
+#include "src/common/units.h"
+
 namespace biza {
 
 // Error codes. Values are stable so they can be logged / asserted on.
@@ -85,6 +87,13 @@ inline uint64_t RetryBackoffNs(int attempt, uint64_t base_ns) {
   const int shift = attempt < 10 ? attempt : 10;
   return base_ns << shift;
 }
+
+// The engines' retry budget for transient device errors: an I/O is retried
+// up to kMaxIoRetries times, the i-th retry after
+// RetryBackoffNs(i, kRetryBackoffBaseNs). Errors surface to the caller only
+// once the budget is spent.
+inline constexpr int kMaxIoRetries = 3;
+inline constexpr SimTime kRetryBackoffBaseNs = 10 * kMicrosecond;
 
 // Result<T>: either a value or a non-OK status.
 template <typename T>

@@ -729,10 +729,10 @@ void Mdraid::ChildRead(
       offset, nblocks,
       [this, child, offset, nblocks, attempt, cb = std::move(cb)](
           const Status& status, std::vector<uint64_t> patterns) mutable {
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
+        if (IsRetriable(status) && attempt < kMaxIoRetries) {
           stats_.read_retries++;
           sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
+              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
               [this, child, offset, nblocks, attempt,
                cb = std::move(cb)]() mutable {
                 ChildRead(child, offset, nblocks, attempt + 1, std::move(cb));
@@ -759,10 +759,10 @@ void Mdraid::ChildWrite(int child, uint64_t offset,
       offset, std::move(patterns),
       [this, child, offset, payload = std::move(payload), tag, attempt,
        cb = std::move(cb)](const Status& status) mutable {
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
+        if (IsRetriable(status) && attempt < kMaxIoRetries) {
           stats_.write_retries++;
           sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
+              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
               [this, child, offset, payload = std::move(payload), tag, attempt,
                cb = std::move(cb)]() mutable {
                 ChildWrite(child, offset, std::move(payload), tag, attempt + 1,

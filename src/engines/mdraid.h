@@ -47,10 +47,6 @@ struct MdraidConfig {
   uint64_t flush_run_stripes = 64; // max contiguous stripes per flush batch
   double flush_high_watermark = 0.75;
 
-  // Bounded retry-with-backoff for transient child-I/O errors, mirroring
-  // BizaConfig: the i-th retry fires after RetryBackoffNs(i, base).
-  int max_io_retries = 3;
-  SimTime retry_backoff_base_ns = 10 * kMicrosecond;
   // Online-rebuild throttle (RebuildChild): stripes reconstructed per batch
   // and the idle gap between batches.
   uint64_t rebuild_batch_stripes = 64;

@@ -67,8 +67,9 @@ class StatRegistry {
   }
 
   // One JSON object mapping histogram name to {count, p50_us, p99_us,
-  // p999_us, max_us}; empty histograms are skipped. This is the
-  // BENCH_HISTOGRAMS payload tools/run_benches.sh folds into BENCH_sim.json.
+  // p999_us, max_us}; empty histograms are skipped. afa_bench --stats prints
+  // it in a histograms bench record, which tools/run_benches.sh folds into
+  // BENCH_sim.json.
   std::string HistogramSummaryJson() const;
 
  private:

@@ -79,8 +79,8 @@ struct NvmeQueueStats {
 
   // Simulator events the batching absorbed: in the legacy path every
   // coalesced SQE/CQE would have been its own heap event. Bench harnesses
-  // add this to fired_events() so BENCH_METRIC keeps counting logical
-  // command events when the frontend collapses them.
+  // add this to fired_events() so their metric records keep counting
+  // logical command events when the frontend collapses them.
   uint64_t absorbed_events() const {
     return coalesced_commands + coalesced_cqes;
   }

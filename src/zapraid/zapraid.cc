@@ -399,10 +399,10 @@ void ZapRaid::DeviceWriteBatch(const std::shared_ptr<GroupIo>& io, int device,
           MaybeFlushDone();
           return;
         }
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
+        if (IsRetriable(status) && attempt < kMaxIoRetries) {
           ++stats_.write_retries;
           sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
+              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
               [this, io, device, shared_ops, attempt, start] {
                 DeviceWriteBatch(io, device, std::move(*shared_ops),
                                  attempt + 1, start);
@@ -662,10 +662,10 @@ void ZapRaid::DeviceRead(
           cb(status, std::move(patterns));
           return;
         }
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
+        if (IsRetriable(status) && attempt < kMaxIoRetries) {
           ++stats_.read_retries;
           sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
+              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
               [this, device, zone, offset, nblocks, attempt, start,
                cb = std::move(cb)]() mutable {
                 DeviceRead(device, zone, offset, nblocks, attempt + 1, start,

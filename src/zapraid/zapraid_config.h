@@ -34,11 +34,6 @@ struct ZapRaidConfig {
   // to devices that already hold data (host crash).
   bool recover_mode = false;
 
-  // Bounded retry-with-backoff for transient device errors, mirroring
-  // BizaConfig: the i-th retry fires after RetryBackoffNs(i, base).
-  int max_io_retries = 3;
-  SimTime retry_backoff_base_ns = 10 * kMicrosecond;
-
   // Online-rebuild throttle (ReplaceDevice): chunks re-homed per batch and
   // the idle gap between batches.
   uint64_t rebuild_batch_chunks = 64;

@@ -435,7 +435,7 @@ TEST(BizaArray, InjectorDeviceDeathAutoDetected) {
 TEST(BizaArray, TransientErrorsRetriedTransparently) {
   Fixture f;
   // Two scripted one-shot errors per direction: well inside the retry
-  // budget (max_io_retries = 3), so no user-visible failure.
+  // budget (kMaxIoRetries = 3), so no user-visible failure.
   f.fault.AddWriteErrors(0, 2);
   for (uint64_t lbn = 0; lbn < 40; ++lbn) {
     ASSERT_TRUE(f.WriteSync(lbn, {lbn + 9}).ok());

@@ -1,5 +1,6 @@
 // Tests for the metrics helpers (CPU accounts, WA breakdowns), the device
-// adapters, and the observability plane (registry, tracer, sampler).
+// adapters, the observability plane (registry, tracer, sampler), and the
+// benches' machine-readable record line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/common/histogram.h"
 #include "src/engines/adapters.h"
 #include "src/metrics/cpu_account.h"
@@ -360,6 +362,34 @@ TEST(ObservabilityNeutrality, AttachedButDarkChangesNothing) {
   // the workload's: request count above is the hard identity; the event
   // delta is exactly the sampler ticks plus the tick-scheduling epsilon.
   EXPECT_GE(dark.fired_events, bare.fired_events);
+}
+
+// The record line is what tools/run_benches.sh and tools/check_bench.py
+// read: the prefix, "kind" first, and each number at the precision its
+// field has in BENCH_sim.json (a %.1f MB/s keeps its ".0", a %.0f rate has
+// no point), so a re-run compares equal to the committed file.
+TEST(BenchRecord, PinsPrefixKindFirstAndFieldPrecision) {
+  EXPECT_EQ(BenchRecord("nvme_frontend")
+                .Text("series", "q1_qd1")
+                .Fixed("mbps", 113.0, 1)
+                .Fixed("avg_us", 2318.5749, 2)
+                .Fixed("device_per_user", 1.93724, 4)
+                .Fixed("logical_events_per_s", 1475839.6, 0)
+                .Int("pool_kb", 16384)
+                .Line(),
+            "BENCH_RECORD {\"kind\":\"nvme_frontend\",\"series\":\"q1_qd1\","
+            "\"mbps\":113.0,\"avg_us\":2318.57,\"device_per_user\":1.9372,"
+            "\"logical_events_per_s\":1475840,\"pool_kb\":16384}");
+}
+
+TEST(BenchRecord, EmbedsJsonAndEscapesText) {
+  EXPECT_EQ(BenchRecord("histograms")
+                .Json("histograms", "{\"biza.read_latency_ns\":{\"count\":1}}")
+                .Text("bench", "a\"b\\c")
+                .Line(),
+            "BENCH_RECORD {\"kind\":\"histograms\","
+            "\"histograms\":{\"biza.read_latency_ns\":{\"count\":1}},"
+            "\"bench\":\"a\\\"b\\\\c\"}");
 }
 
 }  // namespace

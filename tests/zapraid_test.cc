@@ -591,7 +591,7 @@ TEST(ZapRaid, ReadsRedrivenPastDeathServePendingHostCopies) {
 // pointing at a never-programmed block.
 TEST(ZapRaid, TerminalWriteFailuresRehomeWithoutLoss) {
   Fixture f;
-  f.fault.AddWriteErrors(0, 60);  // > max_io_retries per batch: terminal
+  f.fault.AddWriteErrors(0, 60);  // > kMaxIoRetries per batch: terminal
   for (uint64_t lbn = 0; lbn < 120; ++lbn) {
     const Status s = f.WriteSync(lbn, {lbn + 21});
     ASSERT_TRUE(s.ok()) << lbn << ": " << s.ToString();

@@ -21,8 +21,8 @@
 // --full-geometry swaps the scaled testbed for the real ZN540 layout
 // (904 zones x 1077 MiB per SSD, 4 SSDs). Sparse per-zone state keeps
 // resident memory proportional to written data, so the full array fits in a
-// few GiB of host RAM; a peak-RSS line is printed for the CI smoke to assert
-// against. Overrides --zones / --zone-mb.
+// few GiB of host RAM; the run ends with a metric record whose peak RSS the
+// CI smoke asserts against. Overrides --zones / --zone-mb.
 //
 // --seeds=N repeats the experiment with N different RNG seeds (independent
 // Simulator per seed, run concurrently via the parallel runner) and reports
@@ -34,8 +34,10 @@
 // afa_bench exit 1, so a partial run never passes for a result.
 //
 // --bench-metric=ID wraps the whole invocation in a BenchMetricScope so one
-// machine-readable "BENCH_METRIC {...}" line (wall-clock, events, events/s)
-// is printed for tools/run_benches.sh to collect.
+// machine-readable metric record ("BENCH_RECORD {"kind":"metric",...}":
+// wall clock, events, events/s, peak RSS) named ID is printed for
+// tools/run_benches.sh to collect; --full-geometry prints it too, named
+// afa_bench unless ID is given.
 //
 // Multi-tenant serving frontend (src/serve, DESIGN.md §7):
 //   --tenants=SPEC      replace the single driver with open-loop tenant
@@ -90,8 +92,9 @@
 //                       every --sample-interval-ms of virtual time
 //                       (default 10 ms). Seed 0's series is written.
 //   --stats             dump final counter/gauge values and print a
-//                       machine-readable "BENCH_HISTOGRAMS {...}" line
-//                       with per-histogram p50/p99/p99.9/max.
+//                       histograms record ("BENCH_RECORD
+//                       {"kind":"histograms",...}") with per-histogram
+//                       p50/p99/p99.9/max.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -104,7 +107,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/common/rss.h"
 #include "src/health/read_mitigation.h"
 #include "src/metrics/observability.h"
 #include "src/metrics/wa_report.h"
@@ -137,7 +139,7 @@ struct Options {
   bool verify = false;
   int seeds = 1;
   int threads = 0;  // 0 = DefaultExperimentThreads()
-  std::string bench_metric;  // non-empty: print a BENCH_METRIC line
+  std::string bench_metric;  // non-empty: print a metric record named so
 
   // NVMe queue-pair frontend (src/nvme). 0 queues = the legacy jittered
   // dispatch path; any of these set switches every member device to
@@ -595,8 +597,8 @@ RunResult RunExperiment(const Options& opt, uint64_t seed_offset) {
     for (ConvSsd* dev : platform->conv_devices()) {
       fold(dev->nvme_queue().stats());
     }
-    // Count the collapsed logical events so BENCH_METRIC events/s compares
-    // command throughput, not heap traffic (see RecordAbsorbedEvents).
+    // Count the collapsed logical events so the metric record's events/s
+    // compares command throughput, not heap traffic (RecordAbsorbedEvents).
     RecordAbsorbedEvents(result.nvme_stats.absorbed_events());
   }
   if (platform->hostbuf() != nullptr) {
@@ -991,14 +993,13 @@ int main(int argc, char** argv) {
 
   if (opt.full_geometry) {
     ApplyFullGeometry(&opt);
-    // Keep the BENCH_METRIC full_geometry field (read from the env by
-    // BenchMetricScope) truthful for --bench-metric runs.
-    setenv("BIZA_FULL_GEOMETRY", "1", 1);
   }
-  // Scope whose destructor prints the BENCH_METRIC line after all runs.
+  // Scope whose destructor prints the metric record after all runs.
   std::unique_ptr<BenchMetricScope> metric;
-  if (!opt.bench_metric.empty()) {
-    metric = std::make_unique<BenchMetricScope>(opt.bench_metric.c_str());
+  if (!opt.bench_metric.empty() || opt.full_geometry) {
+    metric = std::make_unique<BenchMetricScope>(
+        opt.bench_metric.empty() ? "afa_bench" : opt.bench_metric,
+        opt.full_geometry);
   }
 
   // One job per seed, each on its own Simulator; results come back in
@@ -1076,13 +1077,9 @@ int main(int argc, char** argv) {
   if (opt.stats) {
     std::printf("-- final stats (seed 0) --\n%s",
                 results[0].stats_text.c_str());
-    std::printf("BENCH_HISTOGRAMS %s\n", results[0].histograms_json.c_str());
-  }
-  if (opt.full_geometry) {
-    // Machine-readable for the CI full-geometry smoke, which asserts a
-    // peak-RSS ceiling (sparse state keeps the full array in a few GiB).
-    std::printf("BENCH_RSS {\"rss_peak_mb\":%.1f}\n",
-                static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0));
+    BenchRecord("histograms")
+        .Json("histograms", results[0].histograms_json)
+        .Print();
   }
   if (stranded > 0) {
     std::fprintf(stderr, "afa_bench: %llu requests stranded: the run is "

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Per-PR simulator-performance gate.
+"""Per-change simulator gate, with two kinds of series.
 
 Compares a freshly generated BENCH_sim.json against the committed one and
-fails (exit 1) when simulation throughput regressed by more than the
-threshold (default 15%) on any series:
+fails (exit 1) when any matched series breaks its gate:
 
-  - sim_perf entries: google-benchmark median items_per_second per case,
-  - bench_metrics entries: events_per_s per figure/table bench,
-  - frontend_series entries (NVME_FRONTEND / HOSTBUF_ENDURANCE lines):
-    per-series deterministic metrics — simulated MB/s for each NVMe
-    queue-sweep series, user-per-device-write ratio for each host-buffer
-    endurance point. These are pure functions of the seed (no wall clock),
-    so the gate on them is noise-free.
+  - Wall-clock series fail when they lost more than the threshold (default
+    15%) of throughput:
+      - sim_perf entries: google-benchmark median items_per_second per case,
+      - bench_metrics entries: events_per_s per figure/table bench.
+  - Deterministic series fail when they differ from the baseline at all.
+    They are pure functions of the seed set, with no wall clock in them:
+      - frontend_series entries of series_kind NVME_FRONTEND: simulated MB/s
+        of each NVMe queue-sweep series (nvme:SERIES:mbps),
+      - frontend_series entries of series_kind HOSTBUF_ENDURANCE:
+        user-per-device-write ratio of each host-buffer endurance point
+        (hostbuf:ENGINE@POOLkb:user_per_dev).
 
 Usage:
     tools/run_benches.sh --quick          # writes a fresh BENCH_sim.json
@@ -19,7 +22,8 @@ Usage:
 
 BASELINE defaults to the committed copy (`git show HEAD:BENCH_sim.json`).
 New benches (present only in FRESH) and removed ones are reported but never
-fail the gate; only a matched series that got slower can.
+fail the gate; only a matched series can: a wall-clock one that got slower,
+or a deterministic one that changed.
 
 Stdlib only — runs anywhere python3 exists.
 """
@@ -67,28 +71,32 @@ def load_baseline(path):
 
 
 def series(doc):
-    """Flattens a BENCH_sim.json document into {name: throughput}."""
+    """Flattens a BENCH_sim.json document into {name: (value, exact)}.
+
+    exact marks a deterministic series, which must match the baseline; the
+    others are wall-clock throughputs, gated with the threshold.
+    """
     out = {}
     for entry in doc.get("sim_perf") or []:
         name = entry.get("name")
         ips = entry.get("items_per_second")
         if name and ips:
-            out["sim_perf:" + name] = float(ips)
+            out["sim_perf:" + name] = (float(ips), False)
     for entry in doc.get("bench_metrics") or []:
         name = entry.get("bench")
         eps = entry.get("events_per_s")
         if name and eps:
-            out["bench:" + name] = float(eps)
+            out["bench:" + name] = (float(eps), False)
     for entry in doc.get("frontend_series") or []:
         kind = entry.get("series_kind")
         if kind == "NVME_FRONTEND":
             # Simulated bandwidth is deterministic per seed set; logical
             # events/s depends on the wall clock and is tracked via the
-            # bench's aggregate BENCH_METRIC instead.
+            # bench's metric record instead.
             name = entry.get("series")
             mbps = entry.get("mbps")
             if name and mbps:
-                out[f"nvme:{name}:mbps"] = float(mbps)
+                out[f"nvme:{name}:mbps"] = (float(mbps), True)
         elif kind == "HOSTBUF_ENDURANCE":
             # Gate on user blocks per device write (inverse of
             # device_per_user) so that, as everywhere else in this gate,
@@ -98,8 +106,7 @@ def series(doc):
             dpu = entry.get("device_per_user")
             if eng is not None and pool_kb is not None and dpu:
                 out[f"hostbuf:{eng}@{pool_kb}kb:user_per_dev"] = (
-                    1.0 / float(dpu)
-                )
+                    1.0 / float(dpu), True)
     return out
 
 
@@ -124,27 +131,33 @@ def main(argv):
     failed = False
     for name in sorted(set(fresh) | set(baseline)):
         if name not in baseline:
-            print(f"  NEW      {name}: {fresh[name]:.3e}")
+            print(f"  NEW      {name}: {fresh[name][0]:.3e}")
             continue
         if name not in fresh:
-            print(f"  REMOVED  {name} (was {baseline[name]:.3e})")
+            print(f"  REMOVED  {name} (was {baseline[name][0]:.3e})")
             continue
-        old, new = baseline[name], fresh[name]
+        (old, exact), (new, _) = baseline[name], fresh[name]
         delta = (new - old) / old
-        status = "ok"
-        if delta < -threshold:
-            status = "REGRESSED"
-            failed = True
-        print(f"  {status:9s}{name}: {old:.3e} -> {new:.3e} ({delta:+.1%})")
+        if exact:
+            status = "ok" if new == old else "CHANGED"
+        else:
+            status = "REGRESSED" if delta < -threshold else "ok"
+        failed |= status != "ok"
+        fmt = ".6g" if exact else ".3e"
+        print(f"  {status:9s}{name}: {old:{fmt}} -> {new:{fmt}} "
+              f"({delta:+.1%})")
 
     if failed:
         print(
-            f"\nFAIL: at least one series regressed by more than "
-            f"{threshold:.0%}",
+            f"\nFAIL: a wall-clock series regressed by more than "
+            f"{threshold:.0%}, or a deterministic series changed",
             file=sys.stderr,
         )
         return 1
-    print(f"\nOK: no series regressed by more than {threshold:.0%}")
+    print(
+        f"\nOK: no wall-clock series regressed by more than {threshold:.0%}, "
+        "and every deterministic series matched"
+    )
     return 0
 
 

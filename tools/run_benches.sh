@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
 # Builds the Release tree and runs the benchmark suite, recording performance
-# numbers into BENCH_sim.json at the repo root:
+# numbers into BENCH_sim.json at the repo root. Every bench and afa_bench
+# reports through BENCH_RECORD lines (bench/bench_util.h); the records land
+# in the JSON by kind:
 #
-#   - bench/sim_perf (google-benchmark): event-queue throughput, old vs new
+#   - sim_perf (google-benchmark): event-queue throughput, old vs new
 #     implementation, median of --repetitions runs.
-#   - every figure/table bench binary: each prints one BENCH_METRIC JSON line
-#     (wall-clock seconds, simulated events, events/sec) via BenchMetricScope.
-#   - a reference afa_bench --stats run: its BENCH_HISTOGRAMS line (latency
-#     histogram summaries per layer: p50/p99/p99.9/max) lands in .histograms
-#     so latency-shape regressions show up next to the throughput numbers.
-#   - a full-geometry reference run: afa_bench --full-geometry, gated by
-#     compare_bench.py as the bench:afa_fullgeo series.
+#   - "metric" records -> .bench_metrics: one per figure/table bench
+#     (wall-clock seconds, simulated events, events/sec, peak RSS) via
+#     BenchMetricScope, plus afa_bench --full-geometry as afa_fullgeo.
+#   - "nvme_frontend" / "hostbuf_endurance" records -> .frontend_series:
+#     the deterministic NVMe queue sweep and host-buffer endurance curve,
+#     tagged with series_kind NVME_FRONTEND / HOSTBUF_ENDURANCE.
+#   - the "histograms" record of a reference afa_bench --stats run ->
+#     .histograms: latency histogram summaries per layer
+#     (p50/p99/p99.9/max), so latency-shape regressions show up next to the
+#     throughput numbers.
 #
 # Usage:
-#   tools/run_benches.sh             # sim_perf + all figure/table benches
-#   tools/run_benches.sh --quick     # sim_perf only (seconds, not minutes)
+#   tools/run_benches.sh             # everything above (minutes)
+#   tools/run_benches.sh --quick     # sim_perf, the deterministic benches
+#                                    # and the histogram run; keeps the last
+#                                    # full run's wall-clock bench_metrics
 #
 # Honors BIZA_THREADS for the parallel experiment runner inside the benches.
 set -euo pipefail
@@ -38,70 +45,65 @@ echo "== sim_perf (event-queue microbenchmark) =="
   --benchmark_out="${tmp_dir}/sim_perf.json" \
   --benchmark_out_format=json
 
-metric_lines="${tmp_dir}/metrics.jsonl"
-series_lines="${tmp_dir}/series.jsonl"
-: > "${metric_lines}"
-: > "${series_lines}"
-if [[ "${quick}" -eq 1 && -f "${out_json}" ]]; then
-  # Quick mode refreshes sim_perf only; keep the last full run's metrics.
-  jq -r '.bench_metrics[]? | @json' "${out_json}" >> "${metric_lines}" || true
-  jq -r '.frontend_series[]? | @json' "${out_json}" >> "${series_lines}" || true
-fi
-histograms_json="${tmp_dir}/histograms.json"
-echo '{}' > "${histograms_json}"
-if [[ "${quick}" -eq 1 && -f "${out_json}" ]]; then
-  jq '.histograms // {}' "${out_json}" > "${histograms_json}" || true
-fi
-if [[ "${quick}" -eq 0 ]]; then
+# Runs one command, keeps its output as ${tmp_dir}/NAME.out and appends its
+# records (each BENCH_RECORD line minus the prefix) to ${records}.
+records="${tmp_dir}/records.jsonl"
+: > "${records}"
+run() {
+  local name="$1"
+  shift
+  echo "== ${name} =="
+  "$@" > "${tmp_dir}/${name}.out" || echo "warning: ${name} exited $?" >&2
+  sed -n 's/^BENCH_RECORD //p' "${tmp_dir}/${name}.out" >> "${records}"
+}
+
+if [[ "${quick}" -eq 1 ]]; then
+  run hostbuf_endurance "${build_dir}/bench/hostbuf_endurance"
+  run nvme_frontend "${build_dir}/bench/nvme_frontend"
+else
   for bench in "${build_dir}"/bench/*; do
     name="$(basename "${bench}")"
     [[ -f "${bench}" && -x "${bench}" ]] || continue
     case "${name}" in
       sim_perf|micro_components) continue ;;  # google-benchmark binaries
     esac
-    echo "== ${name} =="
-    "${bench}" | tee "${tmp_dir}/${name}.out" | grep '^BENCH_METRIC ' \
-      | sed 's/^BENCH_METRIC //' >> "${metric_lines}" || true
-    # Per-series machine-readable lines (NVMe frontend sweep, host-buffer
-    # endurance curve): tagged with their kind so compare_bench.py can
-    # gate each series on its deterministic metric.
-    grep -E '^(NVME_FRONTEND|HOSTBUF_ENDURANCE) ' "${tmp_dir}/${name}.out" \
-      | while read -r kind json; do
-          jq -c --arg kind "${kind}" '. + {series_kind: $kind}' <<<"${json}"
-        done >> "${series_lines}" || true
+    run "${name}" "${bench}"
   done
+fi
+run afa_bench_stats "${build_dir}/tools/afa_bench" --platform=BIZA \
+  --workload=casa --requests=20000 --seconds=1 --stats
+if [[ "${quick}" -eq 0 ]]; then
+  run afa_fullgeo "${build_dir}/tools/afa_bench" --platform=BIZA \
+    --workload=casa --full-geometry --requests=100000 --seconds=1 \
+    --bench-metric=afa_fullgeo
+fi
 
-  # Reference latency-histogram snapshot: one fixed BIZA run with the stat
-  # registry attached. The BENCH_HISTOGRAMS line carries per-layer latency
-  # summaries (p50/p99/p99.9/max in us) into .histograms.
-  echo "== afa_bench --stats (latency histograms) =="
-  "${build_dir}/tools/afa_bench" --platform=BIZA --workload=casa \
-    --requests=20000 --seconds=1 --stats \
-    | tee "${tmp_dir}/afa_bench_stats.out" | grep '^BENCH_HISTOGRAMS ' \
-    | sed 's/^BENCH_HISTOGRAMS //' > "${histograms_json}" || true
-
-  # Full-geometry reference: one BIZA run over the real ZN540 layout.
-  echo "== afa_bench --full-geometry =="
-  "${build_dir}/tools/afa_bench" --platform=BIZA --workload=casa \
-    --full-geometry --requests=100000 --seconds=1 --bench-metric=afa_fullgeo \
-    | tee "${tmp_dir}/afa_fullgeo.out" | grep '^BENCH_METRIC ' \
-    | sed 's/^BENCH_METRIC //' >> "${metric_lines}" || true
+# Quick mode skips the wall-clock figure benches; keep the last full run's
+# metrics for them.
+kept_metrics="${tmp_dir}/kept_metrics.json"
+echo 'null' > "${kept_metrics}"
+if [[ "${quick}" -eq 1 && -f "${out_json}" ]]; then
+  jq '.bench_metrics // []' "${out_json}" > "${kept_metrics}"
 fi
 
 jq -n \
   --slurpfile perf "${tmp_dir}/sim_perf.json" \
-  --slurpfile metrics <(cat "${metric_lines}" 2>/dev/null; true) \
-  --slurpfile fseries <(cat "${series_lines}" 2>/dev/null; true) \
-  --slurpfile hist "${histograms_json}" \
+  --slurpfile rec "${records}" \
+  --slurpfile kept "${kept_metrics}" \
   '{
      generated_by: "tools/run_benches.sh",
      sim_perf: ($perf[0].benchmarks
                 | map(select(.run_type == "aggregate" and
                              .aggregate_name == "median")
                       | {name, items_per_second})),
-     bench_metrics: $metrics,
-     frontend_series: $fseries,
-     histograms: ($hist[0] // {})
+     bench_metrics: ($kept[0]
+                     // [$rec[] | select(.kind == "metric") | del(.kind)]),
+     frontend_series: [$rec[]
+                       | select(.kind == "hostbuf_endurance" or
+                                .kind == "nvme_frontend")
+                       | del(.kind) + {series_kind: (.kind | ascii_upcase)}],
+     histograms: ([$rec[] | select(.kind == "histograms") | .histograms][0]
+                  // {})
    }' > "${out_json}"
 
 echo "wrote ${out_json}"
