@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/engines/retry.h"
 #include "src/raid/reed_solomon.h"
 
 namespace biza {
@@ -244,14 +245,10 @@ void BizaArray::InitGroups(bool fresh) {
 }
 
 void BizaArray::InitDeviceGroups(int d, [[maybe_unused]] bool fresh) {
-  const int group_sizes[kNumGroups] = {
-      config_.zrwa_group_zones, config_.gc_aware_group_zones,
-      config_.trivial_group_zones, config_.parity_group_zones,
-      config_.gc_dest_zones};
   for (int g = 0; g < kNumGroups; ++g) {
     groups_[static_cast<size_t>(d)][g].width =
-        static_cast<size_t>(group_sizes[g]);
-    for (int i = 0; i < group_sizes[g]; ++i) {
+        static_cast<size_t>(kGroupWidths[g]);
+    for (int i = 0; i < kGroupWidths[g]; ++i) {
       const bool ok = ReplenishGroup(d, static_cast<GroupKind>(g));
       assert((ok || !fresh) &&
              "group plan exceeds a fresh device's open-zone budget or "
@@ -290,7 +287,7 @@ bool BizaArray::ReplenishGroup(int device, GroupKind kind, bool emergency) {
   // one in hand for GC, data groups keep the full reserve — except in an
   // emergency (GC has no reclaimable victim yet, so the reserve is not
   // imminently needed), when they may dip to two.
-  uint64_t floor = config_.reserved_zones;
+  uint64_t floor = kReservedZones;
   if (kind == kGroupGcDest) {
     floor = 0;
   } else if (kind == kGroupParity) {
@@ -618,22 +615,12 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     std::vector<OobRecord> oobs;
   };
   std::vector<Batch> batches(static_cast<size_t>(n_));
-  auto flush_device_batch = [this, join](int device, Batch& batch) {
+  auto flush_device_batch = [this, &join](int device, Batch& batch) {
     if (batch.sched == nullptr) {
       return;
     }
-    join->Add();
-    const uint32_t zone = batch.sched->zone();
-    const SimTime submitted = sim_->Now();
-    batch.sched->SubmitWrite(
-        batch.start, std::move(batch.patterns), std::move(batch.oobs),
-        [this, join, device, zone, submitted](const Status& status) {
-          if (status.code() == ErrorCode::kUnavailable) {
-            OnDeviceUnavailable(device);
-          }
-          RecordCompletion(device, zone, submitted);
-          join->Done(status);
-        });
+    WriteLeg(batch.sched, device, batch.start, std::move(batch.patterns),
+             std::move(batch.oobs), join);
     batch = Batch{};
   };
   auto flush_batch = [&batches, &flush_device_batch, this]() {
@@ -705,22 +692,10 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
               break;
             }
           }
-          join->Add();
-          const int device = PaDevice(entry.pa);
-          const uint32_t zone = dsched->zone();
-          const SimTime submitted = sim_->Now();
           stats_.inplace_updates++;
           cpu_.Charge(config_.costs.scheduler_op_ns);
-          dsched->SubmitWrite(
-              doff, {pattern},
-              {OobRecord{target, entry.sn, tag}},
-              [this, join, device, zone, submitted](const Status& s) {
-                if (s.code() == ErrorCode::kUnavailable) {
-                  OnDeviceUnavailable(device);
-                }
-                RecordCompletion(device, zone, submitted);
-                join->Done(s);
-              });
+          WriteLeg(dsched, PaDevice(entry.pa), doff, {pattern},
+                   {OobRecord{target, entry.sn, tag}}, join);
           for (int b = 0; b < kNumBuilders; ++b) {
             if (&builders_[b] == owner) {
               builder_touched[b] = true;
@@ -748,19 +723,8 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
           cpu_.Charge(config_.costs.parity_xor_ns_per_kib *
                       (kBlockSize / kKiB) * static_cast<SimTime>(m_));
           stats_.inplace_updates++;
-          const int ddev = PaDevice(entry.pa);
-          const uint32_t dzone = dsched->zone();
-          const SimTime submitted = sim_->Now();
-          join->Add(1 + m_);
-          dsched->SubmitWrite(
-              doff, {pattern}, {OobRecord{target, entry.sn, tag}},
-              [this, join, ddev, dzone, submitted](const Status& s) {
-                if (s.code() == ErrorCode::kUnavailable) {
-                  OnDeviceUnavailable(ddev);
-                }
-                RecordCompletion(ddev, dzone, submitted);
-                join->Done(s);
-              });
+          WriteLeg(dsched, PaDevice(entry.pa), doff, {pattern},
+                   {OobRecord{target, entry.sn, tag}}, join);
           for (int row = 0; row < m_; ++row) {
             const uint64_t ppa = SmtAt(entry.sn, row);
             ZoneScheduler* psched = SchedOf(ppa);
@@ -772,19 +736,11 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
                                                    old_data, pattern);
             stats_.parity_inplace_updates++;
             stats_.parity_writes++;
-            const int pdev = PaDevice(ppa);
-            const uint32_t pzone = psched->zone();
-            psched->SubmitWrite(
-                poff, {new_parity},
-                {OobRecord{kParityLbnBase | (parity_version_++ & 0xFFFFFFFFULL),
-                           entry.sn, WriteTag::kParity}},
-                [this, join, pdev, pzone, submitted](const Status& s) {
-                  if (s.code() == ErrorCode::kUnavailable) {
-                    OnDeviceUnavailable(pdev);
-                  }
-                  RecordCompletion(pdev, pzone, submitted);
-                  join->Done(s);
-                });
+            WriteLeg(psched, PaDevice(ppa), poff, {new_parity},
+                     {OobRecord{kParityLbnBase |
+                                    (parity_version_++ & 0xFFFFFFFFULL),
+                                entry.sn, WriteTag::kParity}},
+                     join);
           }
           continue;
         }
@@ -994,10 +950,6 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
               static_cast<SimTime>(m_));
   const std::vector<uint64_t> parities = ComputeParities(builder.patterns);
   const bool final = static_cast<int>(builder.patterns.size()) == k_;
-  // A degraded stripe's phantom chunks live ONLY in the parity, so the
-  // user's write acknowledgement must additionally wait for parity
-  // durability; healthy-stripe acks keep their original timing.
-  const bool join_parity = join != nullptr && builder.degraded;
 
   for (int row = 0; row < m_; ++row) {
     stats_.parity_writes++;
@@ -1015,39 +967,19 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
       continue;
     }
     ZoneScheduler* psched = SchedOf(ppa);
-    const uint64_t poff = ppa == kInvalidPa ? 0 : PaOffset(ppa);
+    uint64_t poff = ppa == kInvalidPa ? 0 : PaOffset(ppa);
     const OobRecord oob{kParityLbnBase | (parity_version_++ & 0xFFFFFFFFULL),
                         builder.sn, tag};
-
     if (psched != nullptr && psched->CanUpdateInPlace(poff)) {
       // Partial parity refresh absorbed in ZRWA (§4.2: partial parities
       // always get the ZRWA without consulting the ghost caches).
       stats_.parity_inplace_updates++;
-      const uint32_t zone = psched->zone();
-      const SimTime submitted = sim_->Now();
-      if (join_parity) {
-        join->Add();
-      }
-      psched->SubmitWrite(
-          poff, {parity}, {oob},
-          [this, pdevice, zone, submitted, join, join_parity](const Status& s) {
-            if (!s.ok()) {
-              if (s.code() == ErrorCode::kUnavailable) {
-                OnDeviceUnavailable(pdevice);
-              }
-              BIZA_LOG_ERROR("parity update failed: %s", s.ToString().c_str());
-            }
-            RecordCompletion(pdevice, zone, submitted);
-            if (join_parity) {
-              join->Done(s);
-            }
-          });
     } else {
       if (ppa != kInvalidPa) {
         InvalidatePa(ppa);
       }
-      ZoneScheduler* sched = PickZone(pdevice, kGroupParity, 1);
-      if (sched == nullptr) {
+      psched = PickZone(pdevice, kGroupParity, 1);
+      if (psched == nullptr) {
         // Parity zones draw on the reserve, so this is a genuine
         // exhaustion. Leave this parity row unwritten; degraded reads fall
         // back to the surviving rows.
@@ -1056,35 +988,48 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
         SmtSet(builder.sn, row, kInvalidPa);
         continue;
       }
-      const uint64_t off = sched->Allocate(1);
-      ppa = MakePa(pdevice, sched->zone(), off, zone_cap_);
-      ZoneOf(pdevice, sched->zone()).valid++;
-      const uint32_t zone = sched->zone();
-      const SimTime submitted = sim_->Now();
-      if (join_parity) {
-        join->Add();
-      }
-      sched->SubmitWrite(
-          off, {parity}, {oob},
-          [this, pdevice, zone, submitted, join, join_parity](const Status& s) {
-            if (!s.ok()) {
-              if (s.code() == ErrorCode::kUnavailable) {
-                OnDeviceUnavailable(pdevice);
-              }
-              BIZA_LOG_ERROR("parity write failed: %s", s.ToString().c_str());
-            }
-            RecordCompletion(pdevice, zone, submitted);
-            if (join_parity) {
-              join->Done(s);
-            }
-          });
+      poff = psched->Allocate(1);
+      ppa = MakePa(pdevice, psched->zone(), poff, zone_cap_);
+      ZoneOf(pdevice, psched->zone()).valid++;
     }
+    // A degraded stripe's phantom chunks live ONLY in the parity, so the
+    // user's write acknowledgement must additionally wait for parity
+    // durability; healthy-stripe acks keep their original timing.
+    WriteLeg(psched, pdevice, poff, {parity}, {oob}, join,
+             /*leg=*/builder.degraded);
     SmtSet(builder.sn, row, ppa);
   }
   if (final) {
     builder.open = false;
     builder.degraded = false;
   }
+}
+
+void BizaArray::WriteLeg(ZoneScheduler* sched, int device, uint64_t offset,
+                         std::vector<uint64_t> patterns,
+                         std::vector<OobRecord> oobs,
+                         const std::shared_ptr<WriteJoin>& join, bool leg) {
+  if (leg) {
+    join->Add();
+  }
+  const uint32_t zone = sched->zone();
+  const SimTime submitted = sim_->Now();
+  sched->SubmitWrite(
+      offset, std::move(patterns), std::move(oobs),
+      [this, join, device, zone, submitted, leg](const Status& status) {
+        if (status.code() == ErrorCode::kUnavailable) {
+          OnDeviceUnavailable(device);
+        }
+        if (!leg && !status.ok()) {
+          // Nothing waits on this write, so the log is its only witness.
+          BIZA_LOG_ERROR("biza: parity write failed: %s",
+                         status.ToString().c_str());
+        }
+        RecordCompletion(device, zone, submitted);
+        if (leg) {
+          join->Done(status);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,112 +1073,13 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     }
     const int device = PaDevice(entry.pa);
     if (IsPhantomPa(entry.pa) || device_failed_[static_cast<size_t>(device)]) {
-      // Degraded read: XOR the surviving stripe members + parity. Phantom
+      // Degraded read: rebuild the chunk from its stripe peers. Phantom
       // chunks (degraded writes) are ALWAYS read this way — they were never
-      // written anywhere and exist only XOR-ed into the parity.
+      // written anywhere and exist only in the stripe parity.
       stats_.degraded_reads++;
-      cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
-                  static_cast<SimTime>(k_));
-      const uint64_t out_at = i;
-      i++;
-      if (m_ == 1) {
-        const uint64_t parity0 = SmtAt(entry.sn, 0);
-        if (parity0 == kInvalidPa ||
-            device_failed_[static_cast<size_t>(PaDevice(parity0))]) {
-          // No surviving parity: the chunk is unrecoverable.
-          join->Fail(DataLossError("biza: degraded read without parity"));
-          continue;
-        }
-        // XOR reconstruction: accumulate every surviving member.
-        join->Add();
-        auto recon = MakeJoin(uint64_t{0}, BlockLeg(join, out_at));
-        std::vector<uint64_t> members;
-        for (int slot = 0; slot < k_; ++slot) {
-          const uint64_t pa = StripeDataPa(entry.sn, slot);
-          if (pa != kInvalidPa && !IsPhantomPa(pa) && pa != entry.pa &&
-              !device_failed_[static_cast<size_t>(PaDevice(pa))]) {
-            members.push_back(pa);
-          }
-        }
-        members.push_back(parity0);
-        for (uint64_t pa : members) {
-          recon->Add();
-          DeviceRead(PaDevice(pa), pa, 1, 0,
-                     [recon](const Status& status, std::vector<uint64_t> pats) {
-                       if (status.ok() && !pats.empty()) {
-                         recon->data ^= pats[0];
-                       } else {
-                         recon->Fail(status.ok()
-                                         ? DataLossError("short recon read")
-                                         : status);
-                       }
-                       recon->Done();
-                     });
-        }
-        recon->Done();
-        continue;
-      }
-      // Reed-Solomon reconstruction (m >= 2): gather slot-identified shards
-      // from every non-failed member, then decode. Unfilled data slots are
-      // zero by the padding convention; members on failed devices are the
-      // erasures. Handles MULTIPLE simultaneous device failures up to m.
-      struct RsShards {
-        std::vector<uint64_t> shards;
-        std::vector<bool> present;
-      };
-      const int target_slot =
-          geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
       join->Add();
-      auto recon = MakeJoin(
-          RsShards{std::vector<uint64_t>(static_cast<size_t>(k_ + m_), 0),
-                   std::vector<bool>(static_cast<size_t>(k_ + m_), true)},
-          [this, target_slot, deliver = BlockLeg(join, out_at)](
-              const Status& status, RsShards rs) {
-            const Status decoded =
-                rs_->ReconstructPatterns(rs.shards, rs.present);
-            if (!decoded.ok()) {
-              BIZA_LOG_ERROR("RS reconstruction failed: %s",
-                             decoded.ToString().c_str());
-            }
-            deliver(status.ok() ? decoded : status,
-                    rs.shards[static_cast<size_t>(target_slot)]);
-          });
-      std::vector<bool>& present = recon->data.present;
-      present[static_cast<size_t>(target_slot)] = false;
-      auto read_shard = [this, &recon](uint64_t pa, size_t shard) {
-        recon->Add();
-        DeviceRead(PaDevice(pa), pa, 1, 0,
-                   [recon, shard](const Status& status,
-                                  std::vector<uint64_t> pats) {
-                     if (status.ok() && !pats.empty()) {
-                       recon->data.shards[shard] = pats[0];
-                     }
-                     recon->Done(status);
-                   });
-      };
-      for (int slot = 0; slot < k_; ++slot) {
-        const uint64_t pa = StripeDataPa(entry.sn, slot);
-        if (slot == target_slot || pa == kInvalidPa) {
-          continue;  // target erasure, or zero-padded unfilled slot
-        }
-        if (IsPhantomPa(pa) ||
-            device_failed_[static_cast<size_t>(PaDevice(pa))]) {
-          present[static_cast<size_t>(slot)] = false;
-          continue;
-        }
-        read_shard(pa, static_cast<size_t>(slot));
-      }
-      for (int row = 0; row < m_; ++row) {
-        const uint64_t pa = SmtAt(entry.sn, row);
-        const size_t shard = static_cast<size_t>(k_ + row);
-        if (pa == kInvalidPa ||
-            device_failed_[static_cast<size_t>(PaDevice(pa))]) {
-          present[shard] = false;
-          continue;
-        }
-        read_shard(pa, shard);
-      }
-      recon->Done();
+      ReconstructFromPeers(entry, StripePeers(entry), BlockLeg(join, i));
+      i++;
       continue;
     }
 
@@ -1259,7 +1105,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                   },
               .direct =
                   [this, device, entry](ReadLegs::Done done) {
-                    DeviceRead(device, entry.pa, 1, 0,
+                    DeviceRead(device, entry.pa, 1,
                                [done = std::move(done)](
                                    const Status& s, std::vector<uint64_t> p) {
                                  done(s, p.empty() ? 0 : p[0]);
@@ -1291,7 +1137,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       }
       run++;
     }
-    DeviceRead(device, entry.pa, run, 0,
+    DeviceRead(device, entry.pa, run,
                [this, leg = RunLeg(join, out_at), target, run, device](
                    const Status& status, std::vector<uint64_t> pats) {
                  if (status.code() == ErrorCode::kUnavailable) {
@@ -1328,31 +1174,22 @@ void BizaArray::OnDeviceUnavailable(int device) {
 }
 
 void BizaArray::DeviceRead(
-    int device, uint64_t pa, uint64_t nblocks, int attempt,
+    int device, uint64_t pa, uint64_t nblocks,
     std::function<void(const Status&, std::vector<uint64_t>)> cb) {
-  if (health_ != nullptr && attempt == 0) {
-    // Feed the monitor the end-to-end read latency (retries included: a
-    // device needing retries IS slow from the array's point of view).
-    const SimTime submitted = sim_->Now();
-    cb = [this, device, submitted, cb = std::move(cb)](
-             const Status& status, std::vector<uint64_t> pats) {
-      health_->RecordLatency(device, DeviceHealthMonitor::Kind::kRead, -1,
-                             sim_->Now() - submitted, sim_->Now());
-      cb(status, std::move(pats));
-    };
-  }
-  devices_[static_cast<size_t>(device)]->SubmitRead(
-      PaZone(pa), PaOffset(pa), nblocks,
-      [this, device, pa, nblocks, attempt, cb = std::move(cb)](
-          const Status& status, std::vector<uint64_t> patterns) mutable {
-        if (IsRetriable(status) && attempt < kMaxIoRetries) {
-          stats_.read_retries++;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
-              [this, device, pa, nblocks, attempt, cb = std::move(cb)]() mutable {
-                DeviceRead(device, pa, nblocks, attempt + 1, std::move(cb));
-              });
-          return;
+  IssueWithRetry(
+      sim_, &stats_.read_retries,
+      [this, device, pa, nblocks](auto on_complete) {
+        devices_[static_cast<size_t>(device)]->SubmitRead(
+            PaZone(pa), PaOffset(pa), nblocks, std::move(on_complete));
+      },
+      // Feeds the monitor the end-to-end read latency, retries included: a
+      // device needing retries IS slow from the array's point of view.
+      [this, device, health = health_, submitted = sim_->Now(),
+       cb = std::move(cb)](const Status& status,
+                           std::vector<uint64_t> patterns) {
+        if (health != nullptr) {
+          health->RecordLatency(device, DeviceHealthMonitor::Kind::kRead, -1,
+                                sim_->Now() - submitted, sim_->Now());
         }
         cb(status, std::move(patterns));
       });
@@ -1405,163 +1242,173 @@ bool BizaArray::CanMitigateRead(const BmtEntry& entry) const {
   if (entry.pa == kInvalidPa || IsPhantomPa(entry.pa)) {
     return false;
   }
-  // Every source the reconstruct would read must be durable and quiescent
-  // on a usable, non-gray device — otherwise going around the slow device
-  // is either incorrect (torn in-place update) or pointless (the source is
-  // just as slow). All m parity rows must be present: for m = 1 the XOR
-  // needs its parity, and for m >= 2 requiring the full set keeps the shard
-  // count at k + m - 1 >= k without per-row arithmetic.
-  for (int slot = 0; slot < k_; ++slot) {
-    const uint64_t pa = StripeDataPa(entry.sn, slot);
-    if (pa == entry.pa || pa == kInvalidPa) {
-      continue;  // the target itself / zero-padded unfilled slot
-    }
-    if (IsPhantomPa(pa)) {
+  // Every peer the reconstruct would read must be durable and quiescent on
+  // a usable, non-gray device — otherwise going around the slow device is
+  // either incorrect (torn in-place update) or pointless (the peer is just
+  // as slow). All m parity rows must be present: for m = 1 the XOR needs
+  // its parity, and for m >= 2 requiring the full set keeps the shard count
+  // at k + m - 1 >= k without per-row arithmetic.
+  for (const Peer& peer : StripePeers(entry)) {
+    if (peer.pa == kInvalidPa || IsPhantomPa(peer.pa)) {
       return false;
     }
-    const int d = PaDevice(pa);
+    const int d = PaDevice(peer.pa);
     if (device_failed_[static_cast<size_t>(d)] ||
-        (health_ != nullptr && health_->IsGray(d)) || !PaStable(pa)) {
-      return false;
-    }
-  }
-  for (int row = 0; row < m_; ++row) {
-    const uint64_t ppa = SmtAt(entry.sn, row);
-    if (ppa == kInvalidPa) {
-      return false;
-    }
-    const int d = PaDevice(ppa);
-    if (device_failed_[static_cast<size_t>(d)] ||
-        (health_ != nullptr && health_->IsGray(d)) || !PaStable(ppa)) {
+        (health_ != nullptr && health_->IsGray(d)) || !PaStable(peer.pa)) {
       return false;
     }
   }
   return true;
 }
 
-void BizaArray::ReconstructChunk(
-    uint64_t lbn, const BmtEntry& entry,
-    std::function<void(const Status&, uint64_t)> cb) {
-  // Mitigation-only reconstruction: unlike the degraded path this runs
-  // while the array is healthy, so concurrent writes, GC migrations, and
-  // zone resets can invalidate the sources mid-flight. Defense: snapshot
-  // enough per-source context at submission to PROVE, at completion, that
-  // the bytes read are the bytes that were stable at submission — the
-  // stripe tables still point at the snapshotted PAs, sealed sources kept
-  // their zone epoch (no reset), active sources kept their scheduler
-  // pattern (no completed overwrite) and stability. Any mismatch returns
-  // kFailedPrecondition and the caller falls back to a direct read.
-  struct Source {
-    uint64_t pa = 0;
-    int slot = 0;  // data slot, or k_ + parity row
-    bool active = false;
-    uint64_t epoch = 0;
-    uint64_t pattern = 0;  // PatternAt snapshot (active sources only)
-  };
-  struct Recon {
-    std::vector<Source> sources;
-    std::vector<uint64_t> got;
-  };
-  Recon recon;
-
-  auto snapshot = [this, &recon](uint64_t pa, int slot) {
-    Source src;
-    src.pa = pa;
-    src.slot = slot;
-    const DevZone& z =
-        zones_[static_cast<size_t>(PaDevice(pa))][PaZone(pa)];
-    src.epoch = z.epoch;
-    src.active = z.use == ZoneUse::kActive;
-    if (src.active) {
-      src.pattern = z.sched->PatternAt(PaOffset(pa));
-    }
-    recon.sources.push_back(src);
-  };
+std::vector<BizaArray::Peer> BizaArray::StripePeers(
+    const BmtEntry& entry) const {
+  std::vector<Peer> peers;
+  peers.reserve(static_cast<size_t>(k_ + m_));
   for (int slot = 0; slot < k_; ++slot) {
     const uint64_t pa = StripeDataPa(entry.sn, slot);
     if (pa != entry.pa && pa != kInvalidPa) {
-      snapshot(pa, slot);
+      peers.push_back(Peer{pa, slot});
     }
   }
   for (int row = 0; row < m_; ++row) {
-    snapshot(SmtAt(entry.sn, row), k_ + row);
+    peers.push_back(Peer{SmtAt(entry.sn, row), k_ + row});
   }
-  recon.got.assign(recon.sources.size(), 0);
+  return peers;
+}
+
+void BizaArray::ReconstructFromPeers(const BmtEntry& entry,
+                                     const std::vector<Peer>& peers,
+                                     ChunkCallback cb) {
   cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
               static_cast<SimTime>(k_));
-
-  auto finish = [this, lbn, entry, cb = std::move(cb)](const Status& error,
-                                                       const Recon& read) {
-    if (!error.ok()) {
-      cb(error, 0);
-      return;
-    }
-    // Completion-time revalidation (see the defense note above).
-    const BmtEntry cur = BmtGet(lbn);
-    bool valid = cur.pa == entry.pa && cur.sn == entry.sn;
-    for (const Source& src : read.sources) {
-      if (!valid) {
-        break;
-      }
-      const uint64_t table_pa =
-          src.slot < k_ ? StripeDataPa(entry.sn, src.slot)
-                        : SmtAt(entry.sn, src.slot - k_);
-      const DevZone& z =
-          zones_[static_cast<size_t>(PaDevice(src.pa))][PaZone(src.pa)];
-      valid = table_pa == src.pa && z.epoch == src.epoch;
-      if (valid && src.active) {
-        valid = z.use == ZoneUse::kActive && z.sched != nullptr &&
-                z.sched->StableAt(PaOffset(src.pa)) &&
-                z.sched->PatternAt(PaOffset(src.pa)) == src.pattern;
-      } else if (valid) {
-        valid = z.use == ZoneUse::kSealed;
-      }
-    }
-    if (!valid) {
-      cb(FailedPreconditionError("recon sources changed in flight"),
-                0);
-      return;
-    }
-    if (m_ == 1) {
-      uint64_t acc = 0;
-      for (uint64_t pat : read.got) {
-        acc ^= pat;
-      }
-      cb(OkStatus(), acc);
-      return;
-    }
-    std::vector<uint64_t> shards(static_cast<size_t>(k_ + m_), 0);
-    std::vector<bool> present(static_cast<size_t>(k_ + m_), true);
-    const int target_slot =
-        geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
-    present[static_cast<size_t>(target_slot)] = false;
-    for (size_t s = 0; s < read.sources.size(); ++s) {
-      shards[static_cast<size_t>(read.sources[s].slot)] = read.got[s];
-    }
-    const Status status = rs_->ReconstructPatterns(shards, present);
-    if (!status.ok()) {
-      cb(status, 0);
-      return;
-    }
-    cb(OkStatus(), shards[static_cast<size_t>(target_slot)]);
+  // Shards are slot-identified: data slots first, then parity rows. A slot
+  // no peer fills is an unfilled data slot and stays zero, which is what
+  // the stripe's parity was computed over.
+  struct Shards {
+    std::vector<uint64_t> patterns;
+    std::vector<bool> present;
   };
-
-  auto join = MakeJoin(std::move(recon), std::move(finish));
-  for (size_t s = 0; s < join->data.sources.size(); ++s) {
-    const uint64_t pa = join->data.sources[s].pa;
+  const size_t width = static_cast<size_t>(k_ + m_);
+  const int target = geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
+  Shards shards{std::vector<uint64_t>(width, 0), std::vector<bool>(width, true)};
+  shards.present[static_cast<size_t>(target)] = false;
+  int erasures = 1;
+  for (const Peer& peer : peers) {
+    if (peer.pa == kInvalidPa || IsPhantomPa(peer.pa) ||
+        device_failed_[static_cast<size_t>(PaDevice(peer.pa))]) {
+      shards.present[static_cast<size_t>(peer.slot)] = false;
+      erasures++;
+    }
+  }
+  if (erasures > m_) {
+    cb(DataLossError("biza: more stripe erasures than parities"), 0);
+    return;
+  }
+  auto join = MakeJoin(
+      std::move(shards),
+      [this, target, cb = std::move(cb)](const Status& status, Shards read) {
+        if (!status.ok()) {
+          cb(status, 0);
+          return;
+        }
+        if (m_ == 1) {
+          // The erased chunk is the XOR of every other shard.
+          cb(OkStatus(), XorParity(read.patterns));
+          return;
+        }
+        const Status decoded =
+            rs_->ReconstructPatterns(read.patterns, read.present);
+        if (!decoded.ok()) {
+          BIZA_LOG_ERROR("RS reconstruction failed: %s",
+                         decoded.ToString().c_str());
+          cb(decoded, 0);
+          return;
+        }
+        cb(OkStatus(), read.patterns[static_cast<size_t>(target)]);
+      });
+  for (const Peer& peer : peers) {
+    if (!join->data.present[static_cast<size_t>(peer.slot)]) {
+      continue;
+    }
     join->Add();
-    DeviceRead(PaDevice(pa), pa, 1, 0,
-               [join, s](const Status& status, std::vector<uint64_t> pats) {
-                 if (status.ok() && !pats.empty()) {
-                   join->data.got[s] = pats[0];
-                 } else {
-                   join->Fail(status.ok() ? DataLossError("short recon read")
-                                          : status);
+    DeviceRead(PaDevice(peer.pa), peer.pa, 1,
+               [join, slot = peer.slot](const Status& status,
+                                        std::vector<uint64_t> pats) {
+                 if (status.ok()) {
+                   join->data.patterns[static_cast<size_t>(slot)] = pats[0];
                  }
-                 join->Done();
+                 join->Done(status);
                });
   }
   join->Done();  // the dispatch guard
+}
+
+void BizaArray::ReconstructChunk(uint64_t lbn, const BmtEntry& entry,
+                                 ChunkCallback cb) {
+  // Mitigation-only reconstruction: unlike the degraded path this runs
+  // while the array is healthy, so concurrent writes, GC migrations, and
+  // zone resets can invalidate the peers mid-flight. Defense: snapshot
+  // enough per-peer context at submission to PROVE, at completion, that
+  // the bytes read are the bytes that were stable at submission — the
+  // stripe tables still point at the snapshotted PAs, sealed peers kept
+  // their zone epoch (no reset), active peers kept their scheduler pattern
+  // (no completed overwrite) and stability. Any mismatch returns
+  // kFailedPrecondition and the caller falls back to a direct read.
+  struct Snapshot {
+    Peer peer;
+    bool active = false;
+    uint64_t epoch = 0;
+    uint64_t pattern = 0;  // PatternAt snapshot (active peers only)
+  };
+  const std::vector<Peer> peers = StripePeers(entry);
+  std::vector<Snapshot> snapshots;
+  snapshots.reserve(peers.size());
+  for (const Peer& peer : peers) {
+    const DevZone& z =
+        zones_[static_cast<size_t>(PaDevice(peer.pa))][PaZone(peer.pa)];
+    Snapshot snap{peer, z.use == ZoneUse::kActive, z.epoch, 0};
+    if (snap.active) {
+      snap.pattern = z.sched->PatternAt(PaOffset(peer.pa));
+    }
+    snapshots.push_back(snap);
+  }
+  ReconstructFromPeers(
+      entry, peers,
+      [this, lbn, entry, snapshots = std::move(snapshots), cb = std::move(cb)](
+          const Status& status, uint64_t chunk) {
+        if (!status.ok()) {
+          cb(status, 0);
+          return;
+        }
+        // Completion-time revalidation (see the defense note above).
+        const BmtEntry cur = BmtGet(lbn);
+        bool valid = cur.pa == entry.pa && cur.sn == entry.sn;
+        for (const Snapshot& snap : snapshots) {
+          if (!valid) {
+            break;
+          }
+          const uint64_t pa = snap.peer.pa;
+          const uint64_t table_pa =
+              snap.peer.slot < k_ ? StripeDataPa(entry.sn, snap.peer.slot)
+                                  : SmtAt(entry.sn, snap.peer.slot - k_);
+          const DevZone& z =
+              zones_[static_cast<size_t>(PaDevice(pa))][PaZone(pa)];
+          valid = table_pa == pa && z.epoch == snap.epoch;
+          if (valid && snap.active) {
+            valid = z.use == ZoneUse::kActive && z.sched != nullptr &&
+                    z.sched->StableAt(PaOffset(pa)) &&
+                    z.sched->PatternAt(PaOffset(pa)) == snap.pattern;
+          } else if (valid) {
+            valid = z.use == ZoneUse::kSealed;
+          }
+        }
+        if (!valid) {
+          cb(FailedPreconditionError("recon sources changed in flight"), 0);
+          return;
+        }
+        cb(OkStatus(), chunk);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1713,7 +1560,7 @@ void BizaArray::RebuildStep() {
     }
   }
   // Throttle: dispatch one batch, then yield the array for
-  // rebuild_interval_ns. The join schedules the next step only after every
+  // kRebuildIntervalNs. The join schedules the next step only after every
   // migration of this batch completed, bounding rebuild interference.
   struct BatchJoin {
     BizaArray* array;
@@ -1726,7 +1573,7 @@ void BizaArray::RebuildStep() {
                                start, a->sim_->Now(), a->key_device_,
                                a->rebuild_.device);
       }
-      a->sim_->Schedule(a->config_.rebuild_interval_ns,
+      a->sim_->Schedule(kRebuildIntervalNs,
                         [a]() { a->RebuildStep(); });
     }
   };
@@ -1737,7 +1584,7 @@ void BizaArray::RebuildStep() {
   // refresh per batch.
   std::vector<std::pair<uint64_t, BmtEntry>> items;
   while (rebuild_cursor_ < rebuild_queue_.size() &&
-         items.size() < config_.rebuild_batch_stripes) {
+         items.size() < kRebuildBatchStripes) {
     const uint64_t lbn = rebuild_queue_[rebuild_cursor_++];
     const BmtEntry entry = BmtGet(lbn);
     if (entry.pa == kInvalidPa || !StripeNeedsRebuild(entry.sn)) {
@@ -2089,7 +1936,7 @@ void BizaArray::GcStep() {
     OobRecord oob;
   };
   std::vector<Item> batch;
-  while (gc_scan_ < zone_cap_ && batch.size() < config_.gc_batch_blocks) {
+  while (gc_scan_ < zone_cap_ && batch.size() < kGcBatchBlocks) {
     // Hop over never-written regions chunk-by-chunk instead of probing every
     // offset (the probes would return !ok anyway).
     gc_scan_ = dev->NextWrittenCandidate(gc_victim_zone_, gc_scan_);
@@ -2288,7 +2135,7 @@ void BizaArray::GcStep() {
     gc_read->Add();
     const uint64_t pa =
         MakePa(gc_device_, gc_victim_zone_, items[idx].offset, zone_cap_);
-    DeviceRead(gc_device_, pa, run, 0,
+    DeviceRead(gc_device_, pa, run,
                [this, gc_read, idx, run](const Status& status,
                                          std::vector<uint64_t> pats) {
                  if (status.ok() && pats.size() >= run) {

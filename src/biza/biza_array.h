@@ -227,6 +227,25 @@ class BizaArray : public BlockTarget {
     kGroupGcDest = 4,
     kNumGroups = 5,
   };
+  // Open zones per device in each group (§4.2), by GroupKind: high-profit
+  // chunks, high-revenue chunks, everything else, stripe parities (always
+  // ZRWA-reserved) and GC migration destinations ("GC-interfered"). The sum
+  // must not exceed the device's max_open_zones.
+  static constexpr int kGroupWidths[kNumGroups] = {3, 3, 3, 2, 2};
+  // Free zones per device reserved for GC destinations and stripe parity;
+  // data-group replenishment never takes them, so GC always has room to
+  // migrate into and stripes always get a parity block.
+  static constexpr uint64_t kReservedZones = 3;
+  // Live victim blocks per GC step: contiguous ones are read with one device
+  // command per run, and the step's data chunks re-homed through one gather
+  // write.
+  static constexpr uint64_t kGcBatchBlocks = 16;
+  // Online-rebuild throttle: the rebuilder re-homes up to
+  // kRebuildBatchStripes chunks, then yields the array for
+  // kRebuildIntervalNs before the next batch, bounding its interference with
+  // foreground I/O.
+  static constexpr uint64_t kRebuildBatchStripes = 64;
+  static constexpr SimTime kRebuildIntervalNs = 200 * kMicrosecond;
 
   // Stripe under construction for a placement class.
   struct StripeBuilder {
@@ -278,11 +297,22 @@ class BizaArray : public BlockTarget {
   // and open groups short; PickZone tops them up on later picks.
   void InitGroups(bool fresh);
   void InitDeviceGroups(int device, bool fresh);
-  // `join`, when given, makes the ack wait for the parity writes of a
-  // DEGRADED stripe — a skipped chunk's content lives in parity alone, so
-  // acking before parity is durable would lose acknowledged data on a crash.
+  // Refreshes each parity row in place when its window allows, else
+  // appends it to a parity zone. The ack waits for the parity writes of a
+  // DEGRADED stripe only — a skipped chunk's content lives in parity alone,
+  // so acking before parity is durable would lose acknowledged data on a
+  // crash.
   void WriteStripeParity(StripeBuilder& builder, WriteTag tag,
-                         const std::shared_ptr<WriteJoin>& join = nullptr);
+                         const std::shared_ptr<WriteJoin>& join);
+  // One member write of a block request: submits through `sched` and, when
+  // the write lands, flags a dead device, feeds the channel detector and the
+  // health monitor (RecordCompletion) and, if `leg`, releases the count it
+  // took on `join`. The completion holds `join` even without a count, so the
+  // request's continuation — and the GC or rebuild join it captures — lives
+  // until this write lands (DESIGN.md §4 item 17).
+  void WriteLeg(ZoneScheduler* sched, int device, uint64_t offset,
+                std::vector<uint64_t> patterns, std::vector<OobRecord> oobs,
+                const std::shared_ptr<WriteJoin>& join, bool leg = true);
 
   // Fault plane.
   // A device is writable when healthy, or while it is the (fresh, empty)
@@ -299,22 +329,40 @@ class BizaArray : public BlockTarget {
            rebuild_touched_[sn] != 0;
   }
   void OnDeviceUnavailable(int device);
-  // Device read with bounded retry-with-backoff for transient errors.
-  void DeviceRead(int device, uint64_t pa, uint64_t nblocks, int attempt,
+  // Device read with bounded retry-with-backoff for transient errors
+  // (IssueWithRetry); the outcome feeds the health monitor, if any.
+  void DeviceRead(int device, uint64_t pa, uint64_t nblocks,
                   std::function<void(const Status&, std::vector<uint64_t>)> cb);
 
+  // One chunk rebuilt from its stripe peers: the degraded read and the
+  // mitigated read both go through ReconstructFromPeers.
+  struct Peer {
+    uint64_t pa;  // kInvalidPa for an unwritten parity row
+    int slot;     // data slot, or k_ + parity row
+  };
+  using ChunkCallback = std::function<void(const Status&, uint64_t)>;
+  // Every other written data slot of `entry`'s stripe, then every parity
+  // row, in that order.
+  std::vector<Peer> StripePeers(const BmtEntry& entry) const;
+  // Reads `peers` and decodes the chunk at `entry`: XOR for m = 1, Reed-
+  // Solomon for m >= 2 (BIZA's m = 1 stripes are XOR parity, not RS(k, 1)).
+  // Phantom chunks, members on dead devices and unwritten parity rows are
+  // erasures, as is the chunk itself; unfilled data slots read as zero. More
+  // than m erasures fail with kDataLoss before any read.
+  void ReconstructFromPeers(const BmtEntry& entry,
+                            const std::vector<Peer>& peers, ChunkCallback cb);
+
   // Gray-failure mitigation plane (all no-ops when health_ == nullptr).
-  // True when every surviving source block the reconstruct would XOR is
+  // True when every stripe peer the reconstruct would read is written,
   // durable and quiescent (StableAt) on a usable, non-gray device.
   bool CanMitigateRead(const BmtEntry& entry) const;
   bool PaStable(uint64_t pa) const;
-  // Rebuilds the single chunk at `entry` from the surviving stripe members
-  // + parity, off the critical path of the (slow) target device. The result
-  // is revalidated against the current stripe tables at completion; a
-  // concurrent GC migration/overwrite fails it with kFailedPrecondition and
-  // the caller falls back to a direct read.
-  void ReconstructChunk(uint64_t lbn, const BmtEntry& entry,
-                        std::function<void(const Status&, uint64_t)> cb);
+  // Rebuilds the single chunk at `entry` from its stripe peers, off the
+  // critical path of the (slow) target device. The result is revalidated
+  // against the current stripe tables at completion; a concurrent GC
+  // migration/overwrite fails it with kFailedPrecondition and the caller
+  // falls back to a direct read.
+  void ReconstructChunk(uint64_t lbn, const BmtEntry& entry, ChunkCallback cb);
   // Applies/clears the in-flight cap on every active scheduler of `device`.
   void ApplyInflightCap(int device, uint64_t cap);
   void RebuildStep();

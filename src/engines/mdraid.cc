@@ -6,6 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/engines/join.h"
+#include "src/engines/retry.h"
 #include "src/raid/reed_solomon.h"
 
 namespace biza {
@@ -15,7 +16,7 @@ Mdraid::Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
     : sim_(sim),
       children_(std::move(children)),
       config_(config),
-      lock_(/*mb_per_s=*/0.0, config.lock_ns_per_page) {
+      lock_(/*mb_per_s=*/0.0, kLockNsPerPage) {
   n_ = static_cast<int>(children_.size());
   assert(n_ >= 3);
   k_ = n_ - 1;
@@ -106,7 +107,7 @@ void Mdraid::ReconstructBlock(uint64_t stripe, int child,
       continue;
     }
     recon->Add();
-    ChildRead(other, stripe, 1, 0,
+    ChildRead(other, stripe, 1,
               [recon](const Status& status, std::vector<uint64_t> patterns) {
                 if (status.ok() && !patterns.empty()) {
                   recon->data ^= patterns[0];
@@ -185,7 +186,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   SimTime lock_done = sim_->Now();
   for (uint64_t i = 0; i < n; ++i) {
     cpu_.Charge(config_.costs.stripe_cache_op_ns);
-    lock_done = lock_.OccupyFor(sim_->Now(), config_.lock_ns_per_page);
+    lock_done = lock_.OccupyFor(sim_->Now(), kLockNsPerPage);
     const uint64_t target = lbn + i;
     const uint64_t stripe = StripeOf(target);
     StripeEntry& entry = GetOrCreateEntry(stripe);
@@ -205,7 +206,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   const bool overfull = dirty_blocks_ > config_.stripe_cache_blocks;
   if (dirty_blocks_ > static_cast<uint64_t>(
           static_cast<double>(config_.stripe_cache_blocks) *
-          config_.flush_high_watermark)) {
+          kFlushHighWatermark)) {
     if (!flush_in_progress_) {
       flush_in_progress_ = true;
       FlushLruBatch([this]() {
@@ -238,7 +239,7 @@ void Mdraid::MaybeReleaseStalled() {
   // Keep draining while above the watermark.
   if (dirty_blocks_ > static_cast<uint64_t>(
           static_cast<double>(config_.stripe_cache_blocks) *
-          config_.flush_high_watermark) &&
+          kFlushHighWatermark) &&
       !flush_in_progress_) {
     flush_in_progress_ = true;
     FlushLruBatch([this]() {
@@ -288,7 +289,7 @@ void Mdraid::OnTimer() {
         return;
       }
       const size_t end =
-          std::min(index + config_.flush_run_stripes, snapshot->size());
+          std::min(index + kFlushRunStripes, snapshot->size());
       std::vector<uint64_t> run(snapshot->begin() + static_cast<long>(index),
                                 snapshot->begin() + static_cast<long>(end));
       auto self = weak_step.lock();
@@ -310,12 +311,12 @@ void Mdraid::FlushLruBatch(std::function<void()> done) {
   const uint64_t seed = lru_.back();
   uint64_t first = seed;
   while (first > 0 && cache_.count(first - 1) > 0 &&
-         (seed - (first - 1)) < config_.flush_run_stripes) {
+         (seed - (first - 1)) < kFlushRunStripes) {
     first--;
   }
   std::vector<uint64_t> run;
   uint64_t s = first;
-  while (run.size() < config_.flush_run_stripes && cache_.count(s) > 0) {
+  while (run.size() < kFlushRunStripes && cache_.count(s) > 0) {
     run.push_back(s);
     s++;
   }
@@ -516,7 +517,7 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
         }
         write_join->Add();
         ChildWrite(child, writes[i].offset, std::move(patterns), writes[i].tag,
-                   0, [this, write_join, child](const Status& status) {
+                   [this, write_join, child](const Status& status) {
                      if (!status.ok()) {
                        if (status.code() == ErrorCode::kUnavailable) {
                          // Lost mid-flight: the data stays covered by the
@@ -540,7 +541,7 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
   for (const NeededRead& need : reads) {
     read_join->Add();
     stats_.rmw_read_blocks++;
-    ChildRead(need.child, need.stripe, 1, 0,
+    ChildRead(need.child, need.stripe, 1,
               [this, read_join, need](const Status& status,
                                       std::vector<uint64_t> patterns) {
                 if (status.ok() && !patterns.empty()) {
@@ -606,7 +607,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       // block is raced against, or rebuilt from, the stripe's survivors.
       if (MitigateRead(sim_, health_, child, &stats_.mitigation, [&] {
             auto direct = [this, child, stripe](ReadLegs::Done done) {
-              ChildRead(child, stripe, 1, 0,
+              ChildRead(child, stripe, 1,
                         [done = std::move(done)](const Status& s,
                                                  std::vector<uint64_t> p) {
                           done(s, p.empty() ? 0 : p[0]);
@@ -635,7 +636,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
           })) {
         continue;
       }
-      ChildRead(child, stripe, 1, 0,
+      ChildRead(child, stripe, 1,
                 [this, leg = RunLeg(join, out_at), child, target](
                     const Status& status, std::vector<uint64_t> patterns) {
                   if (status.code() == ErrorCode::kUnavailable) {
@@ -651,6 +652,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       continue;
     }
     // Degraded read: reconstruct from the survivors (k-1 data + parity).
+    stats_.degraded_reads++;
     cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
                 static_cast<SimTime>(k_));
     int failed = 0;
@@ -671,7 +673,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
         continue;
       }
       recon->Add();
-      ChildRead(other, stripe, 1, 0,
+      ChildRead(other, stripe, 1,
                 [this, recon, other](const Status& status,
                                      std::vector<uint64_t> patterns) {
                   if (status.ok() && !patterns.empty()) {
@@ -712,32 +714,22 @@ void Mdraid::OnChildUnavailable(int child) {
 }
 
 void Mdraid::ChildRead(
-    int child, uint64_t offset, uint64_t nblocks, int attempt,
+    int child, uint64_t offset, uint64_t nblocks,
     std::function<void(const Status&, std::vector<uint64_t>)> cb) {
-  if (health_ != nullptr && attempt == 0) {
-    // Feed the detector the full request latency, retries included — a
-    // child that only answers after backoff IS slow from the array's view.
-    const SimTime submitted = sim_->Now();
-    cb = [this, child, submitted, cb = std::move(cb)](
-             const Status& status, std::vector<uint64_t> patterns) {
-      health_->RecordLatency(child, DeviceHealthMonitor::Kind::kRead, -1,
-                             sim_->Now() - submitted, sim_->Now());
-      cb(status, std::move(patterns));
-    };
-  }
-  children_[static_cast<size_t>(child)]->SubmitRead(
-      offset, nblocks,
-      [this, child, offset, nblocks, attempt, cb = std::move(cb)](
-          const Status& status, std::vector<uint64_t> patterns) mutable {
-        if (IsRetriable(status) && attempt < kMaxIoRetries) {
-          stats_.read_retries++;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
-              [this, child, offset, nblocks, attempt,
-               cb = std::move(cb)]() mutable {
-                ChildRead(child, offset, nblocks, attempt + 1, std::move(cb));
-              });
-          return;
+  IssueWithRetry(
+      sim_, &stats_.read_retries,
+      [this, child, offset, nblocks](auto on_complete) {
+        children_[static_cast<size_t>(child)]->SubmitRead(
+            offset, nblocks, std::move(on_complete));
+      },
+      // Feeds the detector the full request latency, retries included — a
+      // child that only answers after backoff IS slow from the array's view.
+      [this, child, health = health_, submitted = sim_->Now(),
+       cb = std::move(cb)](const Status& status,
+                           std::vector<uint64_t> patterns) {
+        if (health != nullptr) {
+          health->RecordLatency(child, DeviceHealthMonitor::Kind::kRead, -1,
+                                sim_->Now() - submitted, sim_->Now());
         }
         cb(status, std::move(patterns));
       });
@@ -745,34 +737,22 @@ void Mdraid::ChildRead(
 
 void Mdraid::ChildWrite(int child, uint64_t offset,
                         std::vector<uint64_t> patterns, WriteTag tag,
-                        int attempt, WriteCallback cb) {
-  if (health_ != nullptr && attempt == 0) {
-    const SimTime submitted = sim_->Now();
-    cb = [this, child, submitted, cb = std::move(cb)](const Status& status) {
-      health_->RecordLatency(child, DeviceHealthMonitor::Kind::kWrite, -1,
-                             sim_->Now() - submitted, sim_->Now());
-      cb(status);
-    };
-  }
-  auto payload = patterns;  // retained so a retry can resubmit the content
-  children_[static_cast<size_t>(child)]->SubmitWrite(
-      offset, std::move(patterns),
-      [this, child, offset, payload = std::move(payload), tag, attempt,
-       cb = std::move(cb)](const Status& status) mutable {
-        if (IsRetriable(status) && attempt < kMaxIoRetries) {
-          stats_.write_retries++;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
-              [this, child, offset, payload = std::move(payload), tag, attempt,
-               cb = std::move(cb)]() mutable {
-                ChildWrite(child, offset, std::move(payload), tag, attempt + 1,
-                           std::move(cb));
-              });
-          return;
+                        WriteCallback cb) {
+  IssueWithRetry(
+      sim_, &stats_.write_retries,
+      [this, child, offset, patterns = std::move(patterns),
+       tag](auto on_complete) mutable {
+        children_[static_cast<size_t>(child)]->SubmitWrite(
+            offset, std::move(patterns), std::move(on_complete), tag);
+      },
+      [this, child, health = health_, submitted = sim_->Now(),
+       cb = std::move(cb)](const Status& status) {
+        if (health != nullptr) {
+          health->RecordLatency(child, DeviceHealthMonitor::Kind::kWrite, -1,
+                                sim_->Now() - submitted, sim_->Now());
         }
         cb(status);
-      },
-      tag);
+      });
 }
 
 Status Mdraid::RebuildChild(int child, BlockTarget* replacement) {
@@ -826,21 +806,21 @@ void Mdraid::RebuildSweepStep() {
       return;
     }
   }
-  // Throttle: one batch, then yield for rebuild_interval_ns. The join
+  // Throttle: one batch, then yield for kRebuildIntervalNs. The join
   // schedules the next step after every write of this batch completed.
   struct BatchJoin {
     Mdraid* md;
     explicit BatchJoin(Mdraid* m) : md(m) {}
     ~BatchJoin() {
       Mdraid* m = md;
-      m->sim_->Schedule(m->config_.rebuild_interval_ns,
+      m->sim_->Schedule(kRebuildIntervalNs,
                         [m]() { m->RebuildSweepStep(); });
     }
   };
   auto batch = std::make_shared<BatchJoin>(this);
   uint64_t dispatched = 0;
   while (rebuild_cursor_ < rebuild_queue_.size() &&
-         dispatched < config_.rebuild_batch_stripes) {
+         dispatched < kRebuildBatchStripes) {
     const uint64_t stripe = rebuild_queue_[rebuild_cursor_++];
     auto it = cache_.find(stripe);
     if (!rebuild_flushed_ && it != cache_.end() && it->second.dirty_count > 0) {
@@ -854,7 +834,7 @@ void Mdraid::RebuildSweepStep() {
     auto recon = MakeJoin(
         uint64_t{0}, [this, stripe, batch, child](const Status&, uint64_t acc) {
           stats_.rebuilt_blocks++;
-          ChildWrite(child, stripe, {acc}, WriteTag::kData, 0,
+          ChildWrite(child, stripe, {acc}, WriteTag::kData,
                      [batch](const Status& s) {
                        if (!s.ok()) {
                          BIZA_LOG_ERROR("mdraid rebuild write failed: %s",
@@ -867,7 +847,7 @@ void Mdraid::RebuildSweepStep() {
         continue;
       }
       recon->Add();
-      ChildRead(other, stripe, 1, 0,
+      ChildRead(other, stripe, 1,
                 [recon](const Status& s, std::vector<uint64_t> pats) {
                   if (s.ok() && !pats.empty()) {
                     recon->data ^= pats[0];

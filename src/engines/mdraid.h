@@ -6,7 +6,7 @@
 //   mdraid+dmzap's collapse in Fig. 10: dm-zap cannot re-merge them, while
 //   the block layer re-merges contiguous pages for conventional SSDs —
 //   modelled by `block_layer_merge`).
-// * A per-array lock serialises page handling: `lock_ns_per_page` of a
+// * A per-array lock serialises page handling: `kLockNsPerPage` of a
 //   FIFO resource per page. Even optimised, this keeps mdraid+ConvSSD
 //   short of the ideal throughput at large request sizes (Fig. 10).
 // * An in-host-DRAM write-back stripe cache absorbs overwrites and merges
@@ -43,14 +43,6 @@ struct MdraidConfig {
                                         // like md's default stripe cache)
   SimTime flush_interval_ns = 5 * kMillisecond;
   bool block_layer_merge = true;   // false when children are dm-zap targets
-  SimTime lock_ns_per_page = 700;  // serialized handling cost per 4 KiB page
-  uint64_t flush_run_stripes = 64; // max contiguous stripes per flush batch
-  double flush_high_watermark = 0.75;
-
-  // Online-rebuild throttle (RebuildChild): stripes reconstructed per batch
-  // and the idle gap between batches.
-  uint64_t rebuild_batch_stripes = 64;
-  SimTime rebuild_interval_ns = 200 * kMicrosecond;
 
   CpuCostModel costs;
 };
@@ -64,6 +56,7 @@ struct MdraidStats {
   uint64_t full_stripe_flushes = 0;
   uint64_t partial_stripe_flushes = 0;
   uint64_t degraded_writes = 0;   // flush writes skipped on a failed child
+  uint64_t degraded_reads = 0;    // blocks reconstructed around a failed child
   uint64_t read_retries = 0;
   uint64_t write_retries = 0;
   uint64_t rebuilt_blocks = 0;    // blocks reconstructed onto a replacement
@@ -112,6 +105,17 @@ class Mdraid : public BlockTarget {
   void SetHealthMonitor(DeviceHealthMonitor* monitor);
 
  private:
+  // Serialized handling cost per 4 KiB page.
+  static constexpr SimTime kLockNsPerPage = 700;
+  // Max contiguous stripes per flush batch.
+  static constexpr uint64_t kFlushRunStripes = 64;
+  // Dirty fraction of the stripe cache above which writes start flushing.
+  static constexpr double kFlushHighWatermark = 0.75;
+  // Online-rebuild throttle (RebuildChild): stripes reconstructed per batch
+  // and the idle gap between batches.
+  static constexpr uint64_t kRebuildBatchStripes = 64;
+  static constexpr SimTime kRebuildIntervalNs = 200 * kMicrosecond;
+
   struct StripeEntry {
     std::vector<uint64_t> patterns;  // k slots
     std::vector<bool> dirty;         // k slots
@@ -145,11 +149,12 @@ class Mdraid : public BlockTarget {
            (rebuild_active_ && rebuild_child_ == child);
   }
   void OnChildUnavailable(int child);
-  // Child I/O with bounded retry-with-backoff for transient errors.
-  void ChildRead(int child, uint64_t offset, uint64_t nblocks, int attempt,
+  // Child I/O with bounded retry-with-backoff for transient errors
+  // (IssueWithRetry); the outcome feeds the health monitor, if any.
+  void ChildRead(int child, uint64_t offset, uint64_t nblocks,
                  std::function<void(const Status&, std::vector<uint64_t>)> cb);
   void ChildWrite(int child, uint64_t offset, std::vector<uint64_t> patterns,
-                  WriteTag tag, int attempt, WriteCallback cb);
+                  WriteTag tag, WriteCallback cb);
   void RebuildSweepStep();
   void FinishRebuildChild();
 

@@ -1,8 +1,12 @@
 // Systematic Reed-Solomon erasure codec over GF(2^8).
 //
 // Encodes k data symbols into m parity symbols; any k of the k+m survive a
-// loss of up to m symbols and reconstruct the rest. m == 1 degenerates to
-// XOR parity (RAID 5); m == 2 is classic RAID 6 P+Q.
+// loss of up to m symbols and reconstruct the rest. m == 2 is RAID 6 P+Q.
+//
+// RS(k, 1) is NOT XOR parity: its one parity row carries the systematic
+// matrix's coefficients, which are all one only for some k (1, 3 and 7 up to
+// 12). RAID 5 — BIZA's m = 1 stripes, mdraid, ZapRAID and RAIZN — encodes
+// with XorParity below and decodes with XOR, never with this codec.
 //
 // The coding matrix is the Vandermonde matrix made systematic by Gaussian
 // elimination, the standard construction (Plank '97) used by jerasure and
@@ -44,8 +48,8 @@ class ReedSolomon {
 
   // Incremental parity maintenance (linearity of the code): returns the new
   // pattern of parity row `row` after data slot `slot` changes from
-  // `old_data` to `new_data`. RAID-5's p' = p ^ old ^ new is the m == 1,
-  // all-coefficients-one special case of this.
+  // `old_data` to `new_data`. It matches RAID 5's p' = p ^ old ^ new only
+  // where the row's coefficient is one, so XOR stripes update by XOR.
   uint64_t UpdateParityPattern(int row, int slot, uint64_t old_parity,
                                uint64_t old_data, uint64_t new_data) const;
 

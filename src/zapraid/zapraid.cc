@@ -11,6 +11,7 @@
 #include "src/common/logging.h"
 #include "src/common/units.h"
 #include "src/engines/join.h"
+#include "src/engines/retry.h"
 #include "src/raid/reed_solomon.h"
 
 namespace biza {
@@ -59,7 +60,7 @@ bool ZapRaid::EnsureBuilderOpen(int b) {
   }
   // User appends stall rather than dip into the GC reserve; the GC/rebuild
   // frontier only needs one free group to make forward progress.
-  const uint64_t reserve = (b == kUserBuilder) ? config_.reserved_groups : 0;
+  const uint64_t reserve = (b == kUserBuilder) ? kReservedGroups : 0;
   if (free_groups_ <= reserve) {
     return false;
   }
@@ -344,7 +345,7 @@ void ZapRaid::Dispatch(const std::shared_ptr<GroupIo>& io, int device) {
   // would race through dispatch jitter.
   std::vector<ChunkOp> ops;
   uint64_t expect = zq.q.front().offset;
-  while (!zq.q.empty() && ops.size() < config_.dispatch_batch_blocks &&
+  while (!zq.q.empty() && ops.size() < kDispatchBatchBlocks &&
          !zq.q.front().finish_sentinel && zq.q.front().offset == expect) {
     ops.push_back(std::move(zq.q.front()));
     zq.q.pop_front();
@@ -353,7 +354,7 @@ void ZapRaid::Dispatch(const std::shared_ptr<GroupIo>& io, int device) {
   }
   zq.busy = true;
   ++inflight_;
-  DeviceWriteBatch(io, device, std::move(ops), 0, sim_->Now());
+  DeviceWriteBatch(io, device, std::move(ops));
 }
 
 void ZapRaid::FinishZoneIfOpen(int device, uint32_t zone) {
@@ -368,21 +369,27 @@ void ZapRaid::FinishZoneIfOpen(int device, uint32_t zone) {
 }
 
 void ZapRaid::DeviceWriteBatch(const std::shared_ptr<GroupIo>& io, int device,
-                               std::vector<ChunkOp> ops, int attempt,
-                               SimTime start) {
-  std::vector<uint64_t> patterns;
-  std::vector<OobRecord> oobs;
-  patterns.reserve(ops.size());
-  oobs.reserve(ops.size());
-  for (const ChunkOp& op : ops) {
-    patterns.push_back(op.pattern);
-    oobs.push_back(op.oob);
-  }
+                               std::vector<ChunkOp> ops) {
   const uint64_t offset = ops.front().offset;
   auto shared_ops = std::make_shared<std::vector<ChunkOp>>(std::move(ops));
-  devices_[static_cast<size_t>(device)]->SubmitWrite(
-      io->group, offset, std::move(patterns), std::move(oobs),
-      [this, io, device, shared_ops, attempt, start](const Status& status) {
+  IssueWithRetry(
+      sim_, &stats_.write_retries,
+      [this, group = io->group, device, offset,
+       shared_ops](auto on_complete) {
+        std::vector<uint64_t> patterns;
+        std::vector<OobRecord> oobs;
+        patterns.reserve(shared_ops->size());
+        oobs.reserve(shared_ops->size());
+        for (const ChunkOp& op : *shared_ops) {
+          patterns.push_back(op.pattern);
+          oobs.push_back(op.oob);
+        }
+        devices_[static_cast<size_t>(device)]->SubmitWrite(
+            group, offset, std::move(patterns), std::move(oobs),
+            std::move(on_complete));
+      },
+      // Only successful writes feed the health monitor.
+      [this, io, device, shared_ops, start = sim_->Now()](const Status& status) {
         ZoneQueue& zq = io->queues[static_cast<size_t>(device)];
         if (status.ok()) {
           if (health_ != nullptr) {
@@ -397,16 +404,6 @@ void ZapRaid::DeviceWriteBatch(const std::shared_ptr<GroupIo>& io, int device,
           Dispatch(io, device);
           CheckGroupDrained(io);
           MaybeFlushDone();
-          return;
-        }
-        if (IsRetriable(status) && attempt < kMaxIoRetries) {
-          ++stats_.write_retries;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
-              [this, io, device, shared_ops, attempt, start] {
-                DeviceWriteBatch(io, device, std::move(*shared_ops),
-                                 attempt + 1, start);
-              });
           return;
         }
         --inflight_;
@@ -646,34 +643,22 @@ void ZapRaid::FlushBuffers(std::function<void()> done) {
 // --------------------------------------------------------------------------
 
 void ZapRaid::DeviceRead(
-    int device, uint32_t zone, uint64_t offset, uint64_t nblocks, int attempt,
-    SimTime start,
+    int device, uint32_t zone, uint64_t offset, uint64_t nblocks,
     std::function<void(const Status&, std::vector<uint64_t>)> cb) {
-  devices_[static_cast<size_t>(device)]->SubmitRead(
-      zone, offset, nblocks,
-      [this, device, zone, offset, nblocks, attempt, start,
-       cb = std::move(cb)](const Status& status,
-                           std::vector<uint64_t> patterns) mutable {
-        if (status.ok()) {
-          if (health_ != nullptr) {
-            health_->RecordLatency(device, DeviceHealthMonitor::Kind::kRead,
-                                   -1, sim_->Now() - start, sim_->Now());
-          }
-          cb(status, std::move(patterns));
-          return;
+  IssueWithRetry(
+      sim_, &stats_.read_retries,
+      [this, device, zone, offset, nblocks](auto on_complete) {
+        devices_[static_cast<size_t>(device)]->SubmitRead(
+            zone, offset, nblocks, std::move(on_complete));
+      },
+      // Only successful reads feed the health monitor.
+      [this, device, start = sim_->Now(), cb = std::move(cb)](
+          const Status& status, std::vector<uint64_t> patterns) {
+        if (status.ok() && health_ != nullptr) {
+          health_->RecordLatency(device, DeviceHealthMonitor::Kind::kRead, -1,
+                                 sim_->Now() - start, sim_->Now());
         }
-        if (IsRetriable(status) && attempt < kMaxIoRetries) {
-          ++stats_.read_retries;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, kRetryBackoffBaseNs),
-              [this, device, zone, offset, nblocks, attempt, start,
-               cb = std::move(cb)]() mutable {
-                DeviceRead(device, zone, offset, nblocks, attempt + 1, start,
-                           std::move(cb));
-              });
-          return;
-        }
-        cb(status, {});
+        cb(status, std::move(patterns));
       });
 }
 
@@ -740,10 +725,9 @@ void ZapRaid::ReconstructChunk(
     }
     cb(status, acc);
   });
-  const SimTime start = sim_->Now();
   for (int src : sources) {
     recon->Add();
-    DeviceRead(src, group, row, 1, 0, start,
+    DeviceRead(src, group, row, 1,
                [recon](const Status& status, std::vector<uint64_t> patterns) {
                  if (status.ok()) {
                    recon->data ^= patterns[0];
@@ -831,7 +815,7 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, ReadLegs::Done land) {
   // chunk is raced against, or rebuilt from, its row's siblings.
   if (MitigateRead(sim_, health_, device, &stats_.mitigation, [&] {
         auto direct = [this, device, group, row](ReadLegs::Done done) {
-          DeviceRead(device, group, row, 1, 0, sim_->Now(),
+          DeviceRead(device, group, row, 1,
                      [done = std::move(done)](const Status& status,
                                               std::vector<uint64_t> patterns) {
                        done(status, status.ok() ? patterns[0] : 0);
@@ -862,7 +846,7 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, ReadLegs::Done land) {
     return;
   }
 
-  DeviceRead(device, group, row, 1, 0, sim_->Now(),
+  DeviceRead(device, group, row, 1,
              [this, lbn, device, land = std::move(land)](
                  const Status& status, std::vector<uint64_t> patterns) {
                if (status.code() == ErrorCode::kUnavailable) {
@@ -1039,7 +1023,7 @@ void ZapRaid::GcStep() {
   }
   std::vector<Cand> cands;
   uint64_t row = gc_row_;
-  for (; row < zone_cap_ && cands.size() < config_.gc_batch_chunks; ++row) {
+  for (; row < zone_cap_ && cands.size() < kGcBatchChunks; ++row) {
     if (grp.rows.empty() || grp.rows[row].present == 0) {
       row = zone_cap_;  // rows fill in order: first empty row == frontier
       break;
@@ -1108,7 +1092,7 @@ void ZapRaid::GcStep() {
     // (argument evaluation order is unspecified).
     const uint64_t run_blocks = run.size();
     DeviceRead(
-        dev, victim, start_row, run_blocks, 0, sim_->Now(),
+        dev, victim, start_row, run_blocks,
         [this, dev, victim, epoch, run = std::move(run), batch](
             const Status& status, std::vector<uint64_t> patterns) {
           if (!status.ok() || groups_[victim].epoch != epoch) {
@@ -1351,16 +1335,16 @@ void ZapRaid::RebuildStep() {
     std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
     rebuild_cursor_ = 0;
   }
-  // Throttle: the next batch fires rebuild_interval_ns after this one's
+  // Throttle: the next batch fires kRebuildIntervalNs after this one's
   // reconstructions complete (token destructor).
   auto batch = std::shared_ptr<void>(nullptr, [this](void*) {
     if (rebuild_.active) {
-      sim_->Schedule(config_.rebuild_interval_ns, [this] { RebuildStep(); });
+      sim_->Schedule(kRebuildIntervalNs, [this] { RebuildStep(); });
     }
   });
   uint64_t issued = 0;
   while (rebuild_cursor_ < rebuild_queue_.size() &&
-         issued < config_.rebuild_batch_chunks) {
+         issued < kRebuildBatchChunks) {
     const uint64_t lbn = rebuild_queue_[rebuild_cursor_++];
     const L2pEntry e = l2p_.Get(lbn);
     if (!RebuildCovers(e)) {
@@ -1397,7 +1381,7 @@ void ZapRaid::RebuildStep() {
       ReconstructChunk(e.pa, migrate);
     } else {
       // Live-sibling chunk in an affected group: copy it off directly.
-      DeviceRead(PaDevice(e.pa), PaGroup(e.pa), PaRow(e.pa), 1, 0, step_start,
+      DeviceRead(PaDevice(e.pa), PaGroup(e.pa), PaRow(e.pa), 1,
                  [migrate](const Status& status, std::vector<uint64_t> data) {
                    migrate(status, status.ok() ? data[0] : 0);
                  });

@@ -171,6 +171,17 @@ class ZapRaid : public BlockTarget {
   static bool IsParityOobLbn(uint64_t lbn) {
     return lbn >= kParityLbnBase && lbn < kPadLbn;
   }
+  // Valid data chunks migrated per GC batch before yielding the array.
+  static constexpr uint64_t kGcBatchChunks = 32;
+  // Free groups only GC destinations may take; user writes stall rather
+  // than dip into them, so migration always has room to make progress.
+  static constexpr uint64_t kReservedGroups = 2;
+  // Max blocks coalesced into one device write when a zone queue drains.
+  static constexpr uint64_t kDispatchBatchBlocks = 64;
+  // Online-rebuild throttle (ReplaceDevice): chunks re-homed per batch and
+  // the idle gap between batches.
+  static constexpr uint64_t kRebuildBatchChunks = 64;
+  static constexpr SimTime kRebuildIntervalNs = 200 * kMicrosecond;
 
   // 40-bit physical address, mirroring BIZA: 8-bit device | 32-bit global
   // block offset (group * zone_cap + row).
@@ -305,8 +316,9 @@ class ZapRaid : public BlockTarget {
   // gone terminally bad): closes the in-progress row and seals the group
   // when fewer than two members remain.
   void DropBuilderMember(int b, int device);
+  // One coalesced member write, retried through IssueWithRetry.
   void DeviceWriteBatch(const std::shared_ptr<GroupIo>& io, int device,
-                        std::vector<ChunkOp> ops, int attempt, SimTime start);
+                        std::vector<ChunkOp> ops);
   void MarkDurable(uint32_t group, int device, const ChunkOp& op);
   void PurgeQueue(const std::shared_ptr<GroupIo>& io, int device);
   void CheckGroupDrained(const std::shared_ptr<GroupIo>& io);
@@ -328,8 +340,8 @@ class ZapRaid : public BlockTarget {
   // host copy from pending_ when the requeue machinery already re-pointed
   // the L2P at a not-yet-programmed home, else re-drives via ReadBlock.
   void RedriveRead(uint64_t lbn, ReadLegs::Done land);
+  // One member read, retried through IssueWithRetry.
   void DeviceRead(int device, uint32_t zone, uint64_t offset, uint64_t nblocks,
-                  int attempt, SimTime start,
                   std::function<void(const Status&, std::vector<uint64_t>)> cb);
   bool CanReconstructRow(const Group& grp, const RowMeta& meta,
                          int target) const;

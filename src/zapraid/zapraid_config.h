@@ -4,7 +4,6 @@
 
 #include <cstdint>
 
-#include "src/common/units.h"
 #include "src/metrics/cpu_account.h"
 
 namespace biza {
@@ -18,26 +17,12 @@ struct ZapRaidConfig {
   // `trigger` and runs victims until it climbs back above `stop`.
   double gc_trigger_free_ratio = 0.20;
   double gc_stop_free_ratio = 0.28;
-  // Valid data chunks migrated per GC batch before yielding the array.
-  uint64_t gc_batch_chunks = 32;
-
-  // Free groups only GC destinations may take; user writes stall rather
-  // than dip into them, so migration always has room to make progress.
-  uint64_t reserved_groups = 2;
-
-  // Max blocks coalesced into one device write when a zone queue drains.
-  uint64_t dispatch_batch_blocks = 64;
 
   // When true the constructor skips opening fresh groups; the caller must
   // invoke Recover(), which rebuilds the L2P and stripe metadata from the
   // per-block OOB stripe headers. Use this to attach a new engine instance
   // to devices that already hold data (host crash).
   bool recover_mode = false;
-
-  // Online-rebuild throttle (ReplaceDevice): chunks re-homed per batch and
-  // the idle gap between batches.
-  uint64_t rebuild_batch_chunks = 64;
-  SimTime rebuild_interval_ns = 200 * kMicrosecond;
 
   CpuCostModel costs;
 };

@@ -273,6 +273,35 @@ TEST(BizaArray, DegradedReadAfterInPlaceUpdates) {
   }
 }
 
+// RAID 5 survives one dead member. With two, a chunk on a dead member whose
+// stripe has a second erasure cannot be rebuilt, and the read must say so:
+// XOR-ing the survivors would return a wrong value as OK.
+TEST(BizaArray, DoubleFailureReadIsDataLossNotData) {
+  Fixture f;
+  std::vector<uint64_t> truth(300);
+  for (uint64_t lbn = 0; lbn < truth.size(); ++lbn) {
+    truth[lbn] = (lbn + 1) * 0x9E3779B97F4A7C15ULL;
+    ASSERT_TRUE(f.WriteSync(lbn, {truth[lbn]}).ok());
+  }
+  f.array->SetDeviceFailed(1, true);
+  f.array->SetDeviceFailed(2, true);
+  int right = 0;
+  int lost = 0;
+  for (uint64_t lbn = 0; lbn < truth.size(); ++lbn) {
+    auto r = f.ReadSync(lbn, 1);
+    if (r.ok()) {
+      EXPECT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn << " read wrong data";
+      right++;
+    } else {
+      EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << "lbn " << lbn;
+      lost++;
+    }
+  }
+  // Half the chunks live on the two survivors; every other one is lost.
+  EXPECT_EQ(right, 150);
+  EXPECT_EQ(lost, 150);
+}
+
 TEST(BizaArray, RecoveryRebuildsMappingsFromOob) {
   Fixture f;
   Rng rng(14);

@@ -10,8 +10,11 @@
 // write-back host buffer, mdraid over conventional SSDs (plain and
 // mitigated), ZapRAID behind NVMe queues, mitigated ZapRAID, and mdraid over
 // dm-zap. One more case runs ZapRAID on small zones long enough for its
-// group GC to cycle, and folds the GC counters into the digest. Re-pin a
-// string only for an intended behaviour change, and say so in the commit.
+// group GC to cycle, and folds the GC counters into the digest. Four more
+// run the fault paths (BIZA RAID 5 and RAID 6, ZapRAID, mdraid over
+// conventional SSDs): transient-error retries, a member death inside the run
+// and the reads around a fail-slow member. Re-pin a string only for an
+// intended behaviour change, and say so in the commit.
 //
 // Verify failures are recorded, not required to be zero: the driver checks a
 // read against the newest write issued to each block, which a read racing a
@@ -218,6 +221,108 @@ TEST(FingerprintTest, MdraidDmzapCasa) {
             "3000|0|12099584|581632|2067800|n=2954 avg=11.2us p50=11.1us "
             "p99=11.1us p99.99=11.1us max=11.2us|n=46 avg=0.0us p50=0.0us "
             "p99=0.0us p99.99=0.0us max=0.0us|13919301|6824|1884");
+}
+
+// The fault paths. Every member fault the fault plane scripts hits one run:
+// members 0 and 2 return transient read and write errors (retried with
+// backoff), member 1 is 8x fail-slow under the health monitor (hedged and
+// reconstruct-around reads), and member 3 dies at `death_ns`, inside the
+// run, after which its chunks are read degraded. The digest adds the
+// engine's retry, degraded-read and mitigated-read counts; each must be
+// nonzero, or the case no longer pins the path it is named for.
+std::string RunFaultPaths(PlatformKind kind, SimTime death_ns,
+                          int num_parity = 1) {
+  Simulator sim;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/64, /*zone_capacity_blocks=*/1024);
+  config.MatchConvCapacity();
+  config.seed = 1;
+  config.biza.num_parity = num_parity;
+  for (int device : {0, 2}) {
+    config.faults.Device(device).read_error_prob = 0.02;
+    config.faults.Device(device).write_error_prob = 0.02;
+  }
+  config.faults.Device(1).latency_mult = 8.0;
+  config.faults.Device(3).die_at = death_ns;
+  config.health.enabled = true;
+  config.health.window_ios = 16;
+  config.health.min_window_ns = 200 * kMicrosecond;
+  auto platform = Platform::Create(&sim, kind, config);
+
+  TraceProfile profile = TraceProfile::Web();
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 3);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/16,
+                /*verify_reads=*/true);
+  const DriverReport report = driver.Run(/*max_requests=*/3000, 60 * kSecond);
+  platform->Quiesce(&sim);
+
+  uint64_t retries = 0;
+  uint64_t degraded_reads = 0;
+  const ReadMitigationStats* m = nullptr;
+  if (const BizaArray* biza = platform->biza(); biza != nullptr) {
+    retries = biza->stats().read_retries + biza->stats().write_retries;
+    degraded_reads = biza->stats().degraded_reads;
+    m = &biza->stats().mitigation;
+  } else if (const ZapRaid* zap = platform->zapraid(); zap != nullptr) {
+    retries = zap->stats().read_retries + zap->stats().write_retries;
+    degraded_reads = zap->stats().degraded_reads;
+    m = &zap->stats().mitigation;
+  } else {
+    const Mdraid* md = platform->mdraid();
+    retries = md->stats().read_retries + md->stats().write_retries;
+    degraded_reads = md->stats().degraded_reads;
+    m = &md->stats().mitigation;
+  }
+  const uint64_t mitigated_reads = m->hedged_reads + m->recon_around_reads;
+  EXPECT_GT(platform->faults()->stats().unavailable_rejections, 0u)
+      << "member 3 never died inside the run";
+  EXPECT_GT(retries, 0u) << "no transient error was retried";
+  EXPECT_GT(degraded_reads, 0u) << "no read went degraded";
+  EXPECT_GT(mitigated_reads, 0u) << "fail-slow member never mitigated";
+  std::ostringstream fp;
+  fp << Digest(report, sim, *platform) << '|' << retries << '|'
+     << degraded_reads << '|' << mitigated_reads;
+  return fp.str();
+}
+
+// Member 3 dies 200 ms into the BIZA runs (402 and 528 ms of virtual time),
+// at a seventh of the ZapRAID run (73 ms) and a twentieth of the mdraid run
+// (6.4 s), so every case reads both mitigated and degraded.
+TEST(FingerprintTest, BizaRaid5FaultPaths) {
+  EXPECT_EQ(RunFaultPaths(PlatformKind::kBiza, 200 * kMillisecond),
+            "3000|3|11653120|78237696|401819370|n=1387 avg=4417.8us "
+            "p50=6094.8us p99=10616.8us p99.99=21233.7us max=21305.6us|n=1613 "
+            "avg=158.8us p50=0.0us p99=3571.7us p99.99=8139.1us max=8139.1us|"
+            "401819370|10437|862|72|73|65");
+}
+
+// RAID 6 (m = 2): degraded and reconstruct-around reads decode with
+// Reed-Solomon.
+TEST(FingerprintTest, BizaRaid6FaultPaths) {
+  EXPECT_EQ(RunFaultPaths(PlatformKind::kBiza, 200 * kMillisecond,
+                          /*num_parity=*/2),
+            "3000|10|11661312|78237696|527894761|n=1387 avg=5700.0us "
+            "p50=7405.6us p99=15335.4us p99.99=31195.1us max=31407.4us|n=1613 "
+            "avg=306.3us p50=0.0us p99=4030.5us p99.99=16384.0us "
+            "max=16422.5us|527894761|12594|2500|84|13|33");
+}
+
+TEST(FingerprintTest, ZapRaidFaultPaths) {
+  EXPECT_EQ(RunFaultPaths(PlatformKind::kZapRaid, 10 * kMillisecond),
+            "3000|17|11661312|78237696|73162335|n=1387 avg=468.1us "
+            "p50=123.9us p99=3244.0us p99.99=3419.2us max=3419.2us|n=1613 "
+            "avg=272.7us p50=0.0us p99=11141.1us p99.99=16106.3us "
+            "max=16106.3us|103569983|3691|4196|33|37|34");
+}
+
+TEST(FingerprintTest, MdraidConvFaultPaths) {
+  EXPECT_EQ(RunFaultPaths(PlatformKind::kMdraidConv, 300 * kMillisecond),
+            "3000|1|11661312|78237696|6398993980|n=1387 avg=38828.1us "
+            "p50=2.8us p99=796917.8us p99.99=830179.2us max=830179.2us|n=1613 "
+            "avg=30057.3us p50=778.2us p99=224395.3us p99.99=364904.4us "
+            "max=366577.9us|7003365155|75869|2478|408|2362|2283");
 }
 
 }  // namespace

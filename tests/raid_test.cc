@@ -185,6 +185,19 @@ TEST(XorParity, IsSelfInverse) {
   EXPECT_EQ(parity ^ data[0] ^ data[2], data[1]);
 }
 
+// RS(k, 1) is not RAID 5. Its parity row is all ones only for some k — k = 3,
+// the default four-member array, is one of them — so k = 4 shows the
+// difference. An XOR stripe must never be encoded, updated or decoded with
+// the Reed-Solomon codec.
+TEST(XorParity, DiffersFromReedSolomonWithOneParity) {
+  Rng rng(6);
+  std::vector<uint64_t> data{rng.Next(), rng.Next(), rng.Next(), rng.Next()};
+  const ReedSolomon rs(/*k=*/4, /*m=*/1);
+  EXPECT_NE(rs.EncodePatterns(data)[0], XorParity(data));
+  EXPECT_NE(rs.UpdateParityPattern(0, 0, XorParity(data), data[0], 0),
+            XorParity(data) ^ data[0]);
+}
+
 // -------------------------------------------------------------- geometry --
 
 class GeometryTest : public ::testing::TestWithParam<int> {};

@@ -165,7 +165,7 @@ TEST_P(ZnsModelTest, RandomOpsMatchReferenceModel) {
     }
   }
   EXPECT_EQ(dev.open_zone_count(), ref_open);
-  EXPECT_EQ(dev.stats().WriteAmplification(), 0.0);  // host >= flash always
+  EXPECT_LE(dev.stats().WriteAmplification(), 1.0);  // host >= flash always
 }
 
 INSTANTIATE_TEST_SUITE_P(
