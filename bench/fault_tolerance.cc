@@ -62,14 +62,13 @@ FtResult RunCase(Mode mode, uint64_t seed) {
   const uint64_t footprint = target->capacity_blocks() / 2;
   Driver::Fill(&sim, target, footprint, 64);
 
-  if (mode == Mode::kDegraded || mode == Mode::kRebuild) {
+  if (mode == Mode::kDegraded) {
     platform->biza()->SetDeviceFailed(1, true);
   }
   if (mode == Mode::kRebuild) {
-    ZnsDevice* spare = platform->AddSpareZnsDevice(&sim);
-    const Status s = platform->biza()->ReplaceDevice(1, spare);
+    const Status s = platform->ReplaceMember(&sim, 1);
     if (!s.ok()) {
-      std::fprintf(stderr, "ReplaceDevice: %s\n", s.ToString().c_str());
+      std::fprintf(stderr, "ReplaceMember: %s\n", s.ToString().c_str());
     }
   }
 
@@ -91,7 +90,7 @@ FtResult RunCase(Mode mode, uint64_t seed) {
   if (mode == Mode::kRebuild) {
     sim.RunUntilIdle();  // drain the sweep for the migration count
     result.rebuild_blocks =
-        static_cast<double>(platform->biza()->rebuild().chunks_migrated);
+        static_cast<double>(platform->rebuild()->chunks_migrated);
   }
   RecordSimEvents(sim);
   return result;

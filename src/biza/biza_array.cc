@@ -44,7 +44,8 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
     : sim_(sim),
       devices_(std::move(devices)),
       config_(WithSelectorThreshold(config, devices_)),
-      ghost_(config_.ghost) {
+      ghost_(config_.ghost),
+      rebuild_(sim, "biza", &device_failed_, this) {
   n_ = static_cast<int>(devices_.size());
   m_ = config_.num_parity;
   assert(m_ >= 1 && n_ >= m_ + 2 && "need at least m+2 devices");
@@ -88,6 +89,7 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
 
 void BizaArray::AttachObservability(Observability* obs) {
   obs_ = obs;
+  rebuild_.AttachObservability(obs_);
   if (obs_ == nullptr) {
     h_write_ = nullptr;
     h_read_ = nullptr;
@@ -171,13 +173,6 @@ void BizaArray::AttachObservability(Observability* obs) {
   }
   reg.RegisterGauge("biza.ghost.tracked_entries",
                     [this] { return ghost_.tracked_entries(); });
-  // Rebuild plane.
-  reg.RegisterCounter("biza.rebuild.chunks_migrated",
-                      [this] { return rebuild_.chunks_migrated; });
-  reg.RegisterCounter("biza.rebuild.passes",
-                      [this] { return rebuild_.passes; });
-  reg.RegisterGauge("biza.rebuild.active",
-                    [this] { return rebuild_.active ? uint64_t{1} : 0; });
   // Scheduler plane: queue depth / in-flight across every active zone.
   reg.RegisterGauge("biza.gc_active",
                     [this] { return gc_active_ ? uint64_t{1} : 0; });
@@ -223,7 +218,6 @@ void BizaArray::AttachObservability(Observability* obs) {
   span_write_ = obs_->tracer.Intern("biza.write");
   span_read_ = obs_->tracer.Intern("biza.read");
   span_gc_step_ = obs_->tracer.Intern("biza.gc_step");
-  span_rebuild_step_ = obs_->tracer.Intern("biza.rebuild_step");
   key_lbn_ = obs_->tracer.Intern("lbn");
   key_blocks_ = obs_->tracer.Intern("blocks");
   key_device_ = obs_->tracer.Intern("device");
@@ -320,7 +314,7 @@ bool BizaArray::ReplenishGroup(int device, GroupKind kind, bool emergency) {
     }
     if (health_ != nullptr && health_->IsGray(device)) {
       // Fresh schedulers on a gray device inherit the in-flight cap.
-      z.sched->SetInflightCap(health_->config().gray_inflight_cap);
+      z.sched->SetInflightCap(DeviceHealthMonitor::kGrayInflightCap);
     }
     detectors_[static_cast<size_t>(device)]->OnZoneOpened(zone);
     // Future-ZNS (§6): if the device exposes the mapping in the OPEN
@@ -1165,14 +1159,6 @@ void BizaArray::SetDeviceFailed(int device, bool failed) {
   device_failed_[static_cast<size_t>(device)] = failed;
 }
 
-void BizaArray::OnDeviceUnavailable(int device) {
-  if (device_failed_[static_cast<size_t>(device)]) {
-    return;
-  }
-  BIZA_LOG_WARN("biza: device %d unavailable, entering degraded mode", device);
-  device_failed_[static_cast<size_t>(device)] = true;
-}
-
 void BizaArray::DeviceRead(
     int device, uint64_t pa, uint64_t nblocks,
     std::function<void(const Status&, std::vector<uint64_t>)> cb) {
@@ -1210,7 +1196,7 @@ void BizaArray::SetHealthMonitor(DeviceHealthMonitor* monitor) {
   health_->SetTransitionHook([this](int device, DeviceHealth from,
                                     DeviceHealth to) {
     if (to == DeviceHealth::kGray) {
-      ApplyInflightCap(device, health_->config().gray_inflight_cap);
+      ApplyInflightCap(device, DeviceHealthMonitor::kGrayInflightCap);
     } else if (from == DeviceHealth::kGray) {
       ApplyInflightCap(device, 0);
     }
@@ -1412,18 +1398,13 @@ void BizaArray::ReconstructChunk(uint64_t lbn, const BmtEntry& entry,
 }
 
 // ---------------------------------------------------------------------------
-// Online rebuild (ReplaceDevice)
+// Online rebuild (ReplaceDevice; the sweep is RebuildSweep in
+// src/engines/rebuild.h)
 // ---------------------------------------------------------------------------
 
 Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
-  if (device < 0 || device >= n_) {
-    return InvalidArgumentError("replace: bad device index");
-  }
-  if (!device_failed_[static_cast<size_t>(device)]) {
-    return FailedPreconditionError("replace: device is not failed");
-  }
-  if (rebuild_.active) {
-    return FailedPreconditionError("replace: a rebuild is already running");
+  if (Status status = rebuild_.CanStart(device); !status.ok()) {
+    return status;
   }
   if (replacement == nullptr ||
       replacement->config().zone_capacity_blocks != zone_cap_ ||
@@ -1493,16 +1474,6 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
       entry.pa = PhantomPa(device);
     }
   });
-  rebuild_queue_.clear();
-  rebuild_cursor_ = 0;
-  // Hash order is not lbn order: collect then sort so the rebuilder sweeps
-  // ascending lbn exactly as the dense table did (determinism + run merging).
-  bmt_.ForEach([&](uint64_t lbn, const BmtEntry& entry) {
-    if (entry.pa != kInvalidPa && rebuild_touched_[entry.sn] != 0) {
-      rebuild_queue_.push_back(lbn);
-    }
-  });
-  std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
 
   // Fresh bookkeeping for the (empty) replacement.
   for (uint32_t zone = 0; zone < num_zones_; ++zone) {
@@ -1513,10 +1484,6 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
     z.seal_pending = false;
     z.epoch++;  // the old device's content is gone
   }
-  if (health_ != nullptr) {
-    // The replacement starts with a clean health record (and no caps).
-    health_->ResetDevice(device);
-  }
   detectors_[static_cast<size_t>(device)] =
       std::make_unique<ChannelDetector>(config_.detector, num_zones_);
   auto& cooldowns = channel_busy_until_[static_cast<size_t>(device)];
@@ -1525,105 +1492,73 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
     group = ZoneGroup{};
   }
 
-  rebuild_ = RebuildStats{};
-  rebuild_.active = true;
-  rebuild_.device = device;
-  rebuild_.started_ns = sim_->Now();
+  rebuild_.Start(device, health_);
   InitDeviceGroups(device, /*fresh=*/true);
-  BIZA_LOG_INFO("biza: rebuilding device %d, %llu chunks queued", device,
-                static_cast<unsigned long long>(rebuild_queue_.size()));
-  sim_->Schedule(0, [this]() { RebuildStep(); });
   return OkStatus();
 }
 
-void BizaArray::RebuildStep() {
-  if (!rebuild_.active) {
-    return;
-  }
-  if (rebuild_cursor_ >= rebuild_queue_.size()) {
-    // Pass finished: rescan. Foreground overwrites retire queue entries on
-    // their own, but a migration can land in a builder whose stripe later
-    // fails its parity write, so sweep until nothing references a touched
-    // stripe any more.
-    rebuild_queue_.clear();
-    rebuild_cursor_ = 0;
-    rebuild_.passes++;
-    bmt_.ForEach([&](uint64_t lbn, const BmtEntry& entry) {
-      if (entry.pa != kInvalidPa && StripeNeedsRebuild(entry.sn)) {
-        rebuild_queue_.push_back(lbn);
-      }
-    });
-    std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
-    if (rebuild_queue_.empty()) {
-      FinishRebuild();
-      return;
+// Foreground overwrites retire queued lbns on their own, but a migration can
+// land in a builder whose stripe later fails its parity write, so every pass
+// ends with a rescan.
+void BizaArray::RebuildRescan(std::function<void(RebuildSweep::Keys)> next) {
+  // Hash order is not lbn order: collect then sort so the rebuilder sweeps
+  // ascending lbn exactly as the dense table did (determinism + run merging).
+  std::vector<uint64_t> lbns;
+  bmt_.ForEach([&](uint64_t lbn, const BmtEntry& entry) {
+    if (entry.pa != kInvalidPa && StripeNeedsRebuild(entry.sn)) {
+      lbns.push_back(lbn);
     }
-  }
-  // Throttle: dispatch one batch, then yield the array for
-  // kRebuildIntervalNs. The join schedules the next step only after every
-  // migration of this batch completed, bounding rebuild interference.
-  struct BatchJoin {
-    BizaArray* array;
-    SimTime start;
-    explicit BatchJoin(BizaArray* a) : array(a), start(a->sim_->Now()) {}
-    ~BatchJoin() {
-      BizaArray* a = array;
-      if (a->obs_ != nullptr && a->obs_->tracer.Armed(start)) {
-        a->obs_->tracer.Record(Tracer::kLaneEngine, a->span_rebuild_step_,
-                               start, a->sim_->Now(), a->key_device_,
-                               a->rebuild_.device);
-      }
-      a->sim_->Schedule(kRebuildIntervalNs,
-                        [a]() { a->RebuildStep(); });
-    }
-  };
-  auto batch = std::make_shared<BatchJoin>(this);
-  // Snapshot the batch's still-eligible queue entries, read them with one
-  // array read per contiguous-lbn run, and re-home every surviving chunk
-  // through a single gather write: one stripe-append burst and one parity
-  // refresh per batch.
-  std::vector<std::pair<uint64_t, BmtEntry>> items;
-  while (rebuild_cursor_ < rebuild_queue_.size() &&
-         items.size() < kRebuildBatchStripes) {
-    const uint64_t lbn = rebuild_queue_[rebuild_cursor_++];
-    const BmtEntry entry = BmtGet(lbn);
-    if (entry.pa == kInvalidPa || !StripeNeedsRebuild(entry.sn)) {
-      continue;  // overwritten or already re-homed
-    }
-    items.emplace_back(lbn, entry);
-  }
-  // The gather flushes when the last run-read callback releases it; the
-  // write callback then keeps the BatchJoin alive until the migration
-  // lands, so the throttle interval starts after the batch is durable.
+  });
+  std::sort(lbns.begin(), lbns.end());
+  next(std::move(lbns));
+}
+
+bool BizaArray::RebuildTake(uint64_t lbn) {
+  // An lbn overwritten or already re-homed needs no more work.
+  const BmtEntry entry = BmtGet(lbn);
+  return entry.pa != kInvalidPa && StripeNeedsRebuild(entry.sn);
+}
+
+void BizaArray::RebuildEnd(bool) {
+  rebuild_touched_.clear();
+  RetryStalled();
+}
+
+void BizaArray::RebuildMigrate(RebuildSweep::Keys lbns,
+                               const RebuildSweep::Token& token) {
+  // One array read per contiguous-lbn run; the surviving chunks re-home
+  // through one gather write (one stripe-append burst, one parity refresh),
+  // issued when the last run read releases the gather. The write holds the
+  // token until it lands, so the throttle interval starts once the batch is
+  // durable.
   struct RebuildGather {
     BizaArray* array;
-    std::shared_ptr<BatchJoin> batch;
+    RebuildSweep::Token token;
     std::vector<uint64_t> lbns;
     std::vector<uint64_t> patterns;
     ~RebuildGather() {
       if (lbns.empty()) {
         return;
       }
-      array->rebuild_.chunks_migrated += lbns.size();
-      auto b = batch;
+      array->rebuild_.CountMigrated(lbns.size());
       array->SubmitWriteGather(std::move(lbns), std::move(patterns),
-                               [b](const Status&) {}, WriteTag::kGcData);
+                               [token = token](const Status&) {},
+                               WriteTag::kGcData);
     }
   };
   auto gather = std::make_shared<RebuildGather>();
   gather->array = this;
-  gather->batch = batch;
-  uint64_t idx = 0;
-  while (idx < items.size()) {
-    uint64_t run = 1;
-    while (idx + run < items.size() &&
-           items[idx + run].first == items[idx].first + run) {
+  gather->token = token;
+  size_t idx = 0;
+  while (idx < lbns.size()) {
+    size_t run = 1;
+    while (idx + run < lbns.size() && lbns[idx + run] == lbns[idx] + run) {
       run++;
     }
-    const uint64_t start_lbn = items[idx].first;
+    const uint64_t start_lbn = lbns[idx];
     std::vector<BmtEntry> snap(run);
-    for (uint64_t j = 0; j < run; ++j) {
-      snap[j] = items[idx + j].second;
+    for (size_t j = 0; j < run; ++j) {
+      snap[j] = BmtGet(start_lbn + j);
     }
     SubmitRead(
         start_lbn, run,
@@ -1651,20 +1586,6 @@ void BizaArray::RebuildStep() {
         });
     idx += run;
   }
-}
-
-void BizaArray::FinishRebuild() {
-  rebuild_.active = false;
-  rebuild_.finished_ns = sim_->Now();
-  device_failed_[static_cast<size_t>(rebuild_.device)] = false;
-  rebuild_touched_.clear();
-  rebuild_queue_.clear();
-  rebuild_cursor_ = 0;
-  BIZA_LOG_INFO(
-      "biza: rebuild of device %d complete, %llu chunks in %llu passes",
-      rebuild_.device, static_cast<unsigned long long>(rebuild_.chunks_migrated),
-      static_cast<unsigned long long>(rebuild_.passes));
-  RetryStalled();
 }
 
 // ---------------------------------------------------------------------------
@@ -2162,7 +2083,7 @@ Status BizaArray::Recover() {
   if (gc_active_) {
     return FailedPreconditionError("recover during GC");
   }
-  if (rebuild_.active) {
+  if (rebuild_.stats().active) {
     return FailedPreconditionError("recover during rebuild");
   }
 

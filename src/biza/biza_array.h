@@ -41,6 +41,7 @@
 #include "src/biza/ghost_cache.h"
 #include "src/biza/zone_scheduler.h"
 #include "src/engines/join.h"
+#include "src/engines/rebuild.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -78,19 +79,7 @@ struct BizaStats {
   uint64_t gray_channel_skips = 0;    // zone picks steered off a gray channel
 };
 
-// Progress of an online rebuild (ReplaceDevice). `active` drops to false
-// when every stripe referencing the dead device has been re-homed and the
-// replacement serves I/O as a full member again.
-struct RebuildStats {
-  bool active = false;
-  int device = -1;
-  uint64_t chunks_migrated = 0;  // data chunks re-homed off affected stripes
-  uint64_t passes = 0;           // full BMT sweeps until no stale stripe left
-  SimTime started_ns = 0;
-  SimTime finished_ns = 0;
-};
-
-class BizaArray : public BlockTarget {
+class BizaArray : public BlockTarget, private RebuildSweep::Engine {
  public:
   BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
             const BizaConfig& config);
@@ -120,14 +109,12 @@ class BizaArray : public BlockTarget {
   void SetDeviceFailed(int device, bool failed);
 
   // Online rebuild: swaps the failed `device` slot for an empty
-  // `replacement` (same geometry) and starts a throttled background sweep
-  // that re-homes every chunk of every stripe referencing the dead device
-  // through the normal write path, while foreground I/O keeps flowing
-  // (reads of affected chunks reconstruct from parity). The device rejoins
-  // the array — device_failed cleared — once the sweep finds no affected
-  // stripe left. Progress is visible through rebuild().
+  // `replacement` (same geometry) and starts the rebuild sweep
+  // (RebuildSweep), which re-homes every chunk of every stripe referencing
+  // the dead device through the normal write path under foreground I/O.
+  // Progress is visible through rebuild().
   Status ReplaceDevice(int device, ZnsDevice* replacement);
-  const RebuildStats& rebuild() const { return rebuild_; }
+  const RebuildStats& rebuild() const { return rebuild_.stats(); }
 
   // Crash recovery: rebuilds BMT/SMT/stripe index by scanning every
   // device's OOB records (§4.1). Requires a quiesced array (no in-flight
@@ -240,12 +227,6 @@ class BizaArray : public BlockTarget {
   // command per run, and the step's data chunks re-homed through one gather
   // write.
   static constexpr uint64_t kGcBatchBlocks = 16;
-  // Online-rebuild throttle: the rebuilder re-homes up to
-  // kRebuildBatchStripes chunks, then yields the array for
-  // kRebuildIntervalNs before the next batch, bounding its interference with
-  // foreground I/O.
-  static constexpr uint64_t kRebuildBatchStripes = 64;
-  static constexpr SimTime kRebuildIntervalNs = 200 * kMicrosecond;
 
   // Stripe under construction for a placement class.
   struct StripeBuilder {
@@ -315,20 +296,16 @@ class BizaArray : public BlockTarget {
                 const std::shared_ptr<WriteJoin>& join, bool leg = true);
 
   // Fault plane.
-  // A device is writable when healthy, or while it is the (fresh, empty)
-  // replacement of an ongoing rebuild; a dead, unreplaced member is not.
-  bool DeviceWritable(int device) const {
-    return !device_failed_[static_cast<size_t>(device)] ||
-           (rebuild_.active && rebuild_.device == device);
-  }
+  bool DeviceWritable(int device) const { return rebuild_.Writable(device); }
   // True while a rebuild must still re-home this stripe (it references the
   // replaced device). Such stripes are pinned out-of-place: an in-place
   // update would keep the stale stripe alive forever.
   bool StripeNeedsRebuild(uint32_t sn) const {
-    return rebuild_.active && static_cast<size_t>(sn) < rebuild_touched_.size() &&
+    return rebuild_.stats().active &&
+           static_cast<size_t>(sn) < rebuild_touched_.size() &&
            rebuild_touched_[sn] != 0;
   }
-  void OnDeviceUnavailable(int device);
+  void OnDeviceUnavailable(int device) { rebuild_.MemberLost(device); }
   // Device read with bounded retry-with-backoff for transient errors
   // (IssueWithRetry); the outcome feeds the health monitor, if any.
   void DeviceRead(int device, uint64_t pa, uint64_t nblocks,
@@ -365,8 +342,13 @@ class BizaArray : public BlockTarget {
   void ReconstructChunk(uint64_t lbn, const BmtEntry& entry, ChunkCallback cb);
   // Applies/clears the in-flight cap on every active scheduler of `device`.
   void ApplyInflightCap(int device, uint64_t cap);
-  void RebuildStep();
-  void FinishRebuild();
+  // The rebuild's engine side: the live lbns of touched stripes,
+  // ascending, and one batch's re-homing.
+  void RebuildRescan(std::function<void(RebuildSweep::Keys)> next) override;
+  bool RebuildTake(uint64_t lbn) override;
+  void RebuildMigrate(RebuildSweep::Keys lbns,
+                      const RebuildSweep::Token& token) override;
+  void RebuildEnd(bool restored) override;
 
   // GC machinery (§4.3).
   void MaybeStartGc();
@@ -479,10 +461,8 @@ class BizaArray : public BlockTarget {
   std::vector<bool> device_failed_;
 
   // Online-rebuild state (see ReplaceDevice).
-  RebuildStats rebuild_;
+  RebuildSweep rebuild_;
   std::vector<char> rebuild_touched_;   // sn -> stripe referenced dead device
-  std::vector<uint64_t> rebuild_queue_; // lbns awaiting re-homing
-  size_t rebuild_cursor_ = 0;
 
   BizaStats stats_;
   CpuAccount cpu_;
@@ -493,7 +473,6 @@ class BizaArray : public BlockTarget {
   uint16_t span_write_ = 0;
   uint16_t span_read_ = 0;
   uint16_t span_gc_step_ = 0;
-  uint16_t span_rebuild_step_ = 0;
   uint16_t key_lbn_ = 0;
   uint16_t key_blocks_ = 0;
   uint16_t key_device_ = 0;

@@ -10,7 +10,7 @@ ConvSsd::ConvSsd(Simulator* sim, const ConvSsdConfig& config)
     : sim_(sim),
       config_(config),
       backend_(std::make_unique<NandBackend>(sim, config.timing)),
-      nvmeq_(sim, config.nvme, config.dispatch_base_ns),
+      nvmeq_(sim, config.nvme, kDispatchBaseNs),
       rng_(config.seed) {
   const uint64_t physical_pages = static_cast<uint64_t>(
       static_cast<double>(config_.capacity_blocks) *
@@ -75,7 +75,7 @@ uint64_t ConvSsd::GrabFreeBlock(int channel_pref) {
 }
 
 SimTime ConvSsd::DispatchDelay() {
-  SimTime delay = config_.dispatch_base_ns;
+  SimTime delay = kDispatchBaseNs;
   if (config_.dispatch_jitter_ns > 0) {
     delay += rng_.Uniform(config_.dispatch_jitter_ns);
   }
@@ -152,7 +152,7 @@ uint64_t ConvSsd::AllocatePage(int channel) {
 void ConvSsd::MaybeRunGc() {
   const double free_ratio = static_cast<double>(free_blocks_) /
                             static_cast<double>(num_flash_blocks_);
-  if (free_ratio >= config_.gc_trigger_free_ratio) {
+  if (free_ratio >= kGcTriggerFreeRatio) {
     return;
   }
   stats_.gc_runs++;
@@ -163,7 +163,7 @@ void ConvSsd::MaybeRunGc() {
   int stalled = 0;
   while (static_cast<double>(free_blocks_) /
              static_cast<double>(num_flash_blocks_) <
-         config_.gc_stop_free_ratio) {
+         kGcStopFreeRatio) {
     const uint64_t before = free_blocks_;
     if (!CollectOne()) {
       break;  // no victim at all

@@ -38,14 +38,11 @@ struct ConvSsdConfig {
   uint64_t capacity_blocks = 512 * 1024;  // 2 GiB user-visible
   double over_provision = 0.10;
   uint64_t pages_per_flash_block = 1024;  // 4 MiB erase unit
-  double gc_trigger_free_ratio = 0.06;    // start GC below this free share
-  double gc_stop_free_ratio = 0.10;       // collect until this free share
   NandTimingConfig timing = ConvTiming();
-  // Legacy dispatch path: base + U[0, jitter) per command. The jitter
-  // constant is DEPRECATED in favor of the queue-derived delay of the NVMe
-  // frontend below; the legacy default stays bit-identical to seed.
-  // dispatch_base_ns also remains the floor of the frontend's doorbell delay.
-  SimTime dispatch_base_ns = 2 * kMicrosecond;
+  // Legacy dispatch path: ConvSsd::kDispatchBaseNs + U[0, jitter) per
+  // command. The jitter constant is DEPRECATED in favor of the queue-derived
+  // delay of the NVMe frontend below; the legacy default stays bit-identical
+  // to seed. The base is also the frontend's doorbell delay.
   SimTime dispatch_jitter_ns = 8 * kMicrosecond;  // deprecated, see above
   // Modeled NVMe SQ/CQ pairs; when enabled the dispatch RNG is never
   // consumed and dispatch_jitter_ns is ignored.
@@ -117,6 +114,10 @@ class ConvSsd {
   void AttachObservability(Observability* obs, int device_id);
 
  private:
+  static constexpr double kGcTriggerFreeRatio = 0.06;  // start GC below this
+  static constexpr double kGcStopFreeRatio = 0.10;     // collect until this
+  // Legacy dispatch base and the NVMe frontend's doorbell delay.
+  static constexpr SimTime kDispatchBaseNs = 2 * kMicrosecond;
   static constexpr uint64_t kUnmapped = ~0ULL;
 
   struct FlashBlock {
@@ -137,7 +138,6 @@ class ConvSsd {
   void MaybeRunGc();
   // Returns false when no victim exists.
   bool CollectOne();
-  uint64_t FreeBlocks() const { return free_blocks_; }
 
   SimTime DispatchDelay();
 

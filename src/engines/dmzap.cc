@@ -23,8 +23,6 @@ DmZap::DmZap(Simulator* sim, ZonedTarget* backend, const DmZapConfig& config)
     z.rmap.assign(zone_cap_, kUnmapped);
   }
   zone_queues_.resize(backend_->num_zones());
-  config_.max_open_data_zones =
-      std::min(config_.max_open_data_zones, backend_->max_open_zones());
 }
 
 void DmZap::Invalidate(uint64_t lbn) {
@@ -43,7 +41,8 @@ void DmZap::Invalidate(uint64_t lbn) {
 
 uint64_t DmZap::PickZoneForWrite(uint64_t want_blocks, bool for_gc) {
   (void)want_blocks;
-  const int budget = config_.max_open_data_zones + (for_gc ? 1 : 0);
+  const int budget = std::min(kMaxOpenDataZones, backend_->max_open_zones()) +
+                     (for_gc ? 1 : 0);
   // Opportunistically seal any drained full zones so they release their
   // open-zone slots.
   for (size_t i = open_zones_.size(); i-- > 0;) {
@@ -263,7 +262,7 @@ void DmZap::MaybeStartGc() {
   }
   const double free_ratio = static_cast<double>(FreeZones()) /
                             static_cast<double>(zones_.size());
-  if (free_ratio >= config_.gc_trigger_free_ratio) {
+  if (free_ratio >= kGcTriggerFreeRatio) {
     return;
   }
   const uint64_t victim = PickVictim();
@@ -311,7 +310,7 @@ void DmZap::GcStep() {
   std::vector<uint64_t> offsets;
   std::vector<uint64_t> lbns;
   while (gc_scan_offset_ < zone_cap_ &&
-         offsets.size() < config_.gc_batch_blocks) {
+         offsets.size() < kGcBatchBlocks) {
     const uint64_t lbn = vz.rmap[gc_scan_offset_];
     if (lbn != kUnmapped && l2p_[lbn] == gc_victim_ * zone_cap_ + gc_scan_offset_) {
       offsets.push_back(gc_scan_offset_);
@@ -332,7 +331,7 @@ void DmZap::GcStep() {
       RetryStalled();
       const double free_ratio = static_cast<double>(FreeZones()) /
                                 static_cast<double>(zones_.size());
-      if (free_ratio < config_.gc_stop_free_ratio) {
+      if (free_ratio < kGcStopFreeRatio) {
         const uint64_t next = PickVictim();
         if (next != kUnmapped) {
           gc_victim_ = next;

@@ -34,11 +34,6 @@ namespace biza {
 struct DmZapConfig {
   // Fraction of the zoned capacity exposed as block space (rest is GC OP).
   double exposed_capacity_ratio = 0.80;
-  // Zones written in parallel (authors' revision; original dm-zap used 1).
-  int max_open_data_zones = 6;
-  double gc_trigger_free_ratio = 0.12;  // start GC below this free-zone share
-  double gc_stop_free_ratio = 0.18;
-  uint64_t gc_batch_blocks = 16;        // blocks migrated per GC step
   CpuCostModel costs;
 };
 
@@ -67,6 +62,12 @@ class DmZap : public BlockTarget {
 
  private:
   static constexpr uint64_t kUnmapped = ~0ULL;
+  // Zones written in parallel (authors' revision; original dm-zap used 1),
+  // capped by the backend's open-zone limit.
+  static constexpr int kMaxOpenDataZones = 6;
+  static constexpr double kGcTriggerFreeRatio = 0.12;  // start GC below this
+  static constexpr double kGcStopFreeRatio = 0.18;     // collect until this
+  static constexpr uint64_t kGcBatchBlocks = 16;  // blocks migrated per step
 
   struct ZoneMeta {
     uint64_t wptr = 0;          // allocation pointer (shadow write pointer)
@@ -103,7 +104,6 @@ class DmZap : public BlockTarget {
   uint64_t PickVictim() const;
 
   uint64_t FreeZones() const { return free_zones_; }
-  uint64_t MapOf(uint64_t lbn) const { return l2p_[lbn]; }
   void Invalidate(uint64_t lbn);
 
   Simulator* sim_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/engines/join.h"
@@ -16,7 +17,8 @@ Mdraid::Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
     : sim_(sim),
       children_(std::move(children)),
       config_(config),
-      lock_(/*mb_per_s=*/0.0, kLockNsPerPage) {
+      lock_(/*mb_per_s=*/0.0, kLockNsPerPage),
+      rebuild_(sim, "mdraid", &child_failed_, this) {
   n_ = static_cast<int>(children_.size());
   assert(n_ >= 3);
   k_ = n_ - 1;
@@ -34,6 +36,7 @@ Mdraid::Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
 
 void Mdraid::AttachObservability(Observability* obs) {
   obs_ = obs;
+  rebuild_.AttachObservability(obs_);
   if (obs_ == nullptr) {
     h_write_ = nullptr;
     h_read_ = nullptr;
@@ -60,12 +63,8 @@ void Mdraid::AttachObservability(Observability* obs) {
                       [this] { return stats_.read_retries; });
   reg.RegisterCounter("mdraid.write_retries",
                       [this] { return stats_.write_retries; });
-  reg.RegisterCounter("mdraid.rebuilt_blocks",
-                      [this] { return stats_.rebuilt_blocks; });
   stats_.mitigation.Register(reg, "mdraid");
   reg.RegisterGauge("mdraid.dirty_blocks", [this] { return dirty_blocks_; });
-  reg.RegisterGauge("mdraid.rebuild_active",
-                    [this] { return rebuild_active_ ? 1 : 0; });
   h_write_ = reg.Histogram("mdraid.write_latency_ns");
   h_read_ = reg.Histogram("mdraid.read_latency_ns");
   span_write_ = obs_->tracer.Intern("mdraid.write");
@@ -88,7 +87,7 @@ bool Mdraid::CanReconstruct(uint64_t stripe) const {
       return false;
     }
   }
-  return !rebuild_active_ && flushing_stripes_.count(stripe) == 0;
+  return !rebuild_.stats().active && flushing_stripes_.count(stripe) == 0;
 }
 
 void Mdraid::ReconstructBlock(uint64_t stripe, int child,
@@ -705,14 +704,6 @@ void Mdraid::FlushBuffers(std::function<void()> done) {
 // Fault plane: auto-detection, bounded retries, online rebuild
 // ---------------------------------------------------------------------------
 
-void Mdraid::OnChildUnavailable(int child) {
-  if (child_failed_[static_cast<size_t>(child)]) {
-    return;
-  }
-  BIZA_LOG_WARN("mdraid: child %d unavailable, entering degraded mode", child);
-  child_failed_[static_cast<size_t>(child)] = true;
-}
-
 void Mdraid::ChildRead(
     int child, uint64_t offset, uint64_t nblocks,
     std::function<void(const Status&, std::vector<uint64_t>)> cb) {
@@ -756,86 +747,65 @@ void Mdraid::ChildWrite(int child, uint64_t offset,
 }
 
 Status Mdraid::RebuildChild(int child, BlockTarget* replacement) {
-  if (child < 0 || child >= n_) {
-    return InvalidArgumentError("rebuild: bad child index");
-  }
-  if (!child_failed_[static_cast<size_t>(child)]) {
-    return FailedPreconditionError("rebuild: child is not failed");
-  }
-  if (rebuild_active_) {
-    return FailedPreconditionError("rebuild: a rebuild is already running");
+  if (Status status = rebuild_.CanStart(child); !status.ok()) {
+    return status;
   }
   if (replacement == nullptr ||
       replacement->capacity_blocks() < stripes_total_) {
-    return InvalidArgumentError("rebuild: incompatible replacement");
+    return InvalidArgumentError("mdraid: replace: incompatible replacement");
   }
   children_[static_cast<size_t>(child)] = replacement;
-  rebuild_active_ = true;
-  rebuild_child_ = child;
-  rebuild_flushed_ = false;
-  rebuild_cursor_ = 0;
-  rebuild_queue_.resize(stripes_total_);
-  for (uint64_t s = 0; s < stripes_total_; ++s) {
-    rebuild_queue_[s] = s;
-  }
-  rebuild_deferred_.clear();
-  BIZA_LOG_INFO("mdraid: rebuilding child %d, %llu stripes", child,
-                static_cast<unsigned long long>(stripes_total_));
-  sim_->Schedule(0, [this]() { RebuildSweepStep(); });
+  rebuild_.Start(child, health_);
   return OkStatus();
 }
 
-void Mdraid::RebuildSweepStep() {
-  if (!rebuild_active_) {
+// The first pass visits every stripe. Deferred stripes were dirty in cache
+// when first visited: drain the write-back cache once (their flushes write
+// current data and parity to the now-writable replacement), then
+// reconstruct whatever is left.
+void Mdraid::RebuildRescan(std::function<void(RebuildSweep::Keys)> next) {
+  std::vector<uint64_t> stripes = std::move(rebuild_deferred_);
+  rebuild_deferred_.clear();
+  if (rebuild_.stats().passes == 0) {
+    stripes.resize(stripes_total_);
+    std::iota(stripes.begin(), stripes.end(), uint64_t{0});
+    next(std::move(stripes));
     return;
   }
-  if (rebuild_cursor_ >= rebuild_queue_.size()) {
-    if (rebuild_deferred_.empty()) {
-      FinishRebuildChild();
-      return;
-    }
-    // Deferred stripes were dirty in cache when first visited. Drain the
-    // write-back cache once (their flushes write current data and parity to
-    // the now-writable replacement), then reconstruct whatever is left.
-    rebuild_queue_ = std::move(rebuild_deferred_);
-    rebuild_deferred_.clear();
-    rebuild_cursor_ = 0;
-    if (!rebuild_flushed_) {
-      rebuild_flushed_ = true;
-      FlushBuffers([this]() { RebuildSweepStep(); });
-      return;
-    }
+  if (stripes.empty()) {
+    next({});
+    return;
   }
-  // Throttle: one batch, then yield for kRebuildIntervalNs. The join
-  // schedules the next step after every write of this batch completed.
-  struct BatchJoin {
-    Mdraid* md;
-    explicit BatchJoin(Mdraid* m) : md(m) {}
-    ~BatchJoin() {
-      Mdraid* m = md;
-      m->sim_->Schedule(kRebuildIntervalNs,
-                        [m]() { m->RebuildSweepStep(); });
-    }
-  };
-  auto batch = std::make_shared<BatchJoin>(this);
-  uint64_t dispatched = 0;
-  while (rebuild_cursor_ < rebuild_queue_.size() &&
-         dispatched < kRebuildBatchStripes) {
-    const uint64_t stripe = rebuild_queue_[rebuild_cursor_++];
-    auto it = cache_.find(stripe);
-    if (!rebuild_flushed_ && it != cache_.end() && it->second.dirty_count > 0) {
-      rebuild_deferred_.push_back(stripe);
-      continue;
-    }
-    dispatched++;
+  FlushBuffers([next = std::move(next), stripes = std::move(stripes)]() {
+    next(stripes);
+  });
+}
+
+bool Mdraid::RebuildTake(uint64_t stripe) {
+  // Only the first pass defers: the second runs after the cache flush.
+  auto it = cache_.find(stripe);
+  if (rebuild_.stats().passes == 0 && it != cache_.end() &&
+      it->second.dirty_count > 0) {
+    rebuild_deferred_.push_back(stripe);
+    return false;
+  }
+  return true;
+}
+
+void Mdraid::RebuildMigrate(RebuildSweep::Keys stripes,
+                            const RebuildSweep::Token& token) {
+  const int child = rebuild_.stats().device;
+  for (uint64_t stripe : stripes) {
     // The replacement's block at offset `stripe` — data or parity role
     // alike — is the XOR of the other n-1 children's blocks there.
-    const int child = rebuild_child_;
     auto recon = MakeJoin(
-        uint64_t{0}, [this, stripe, batch, child](const Status&, uint64_t acc) {
-          stats_.rebuilt_blocks++;
+        uint64_t{0}, [this, stripe, token, child](const Status&, uint64_t acc) {
+          rebuild_.CountMigrated(1);
           ChildWrite(child, stripe, {acc}, WriteTag::kData,
-                     [batch](const Status& s) {
+                     [this, token, child](const Status& s) {
+                       if (s.code() == ErrorCode::kUnavailable) {
+                         OnChildUnavailable(child);
+                       }
                        if (!s.ok()) {
                          BIZA_LOG_ERROR("mdraid rebuild write failed: %s",
                                         s.ToString().c_str());
@@ -860,18 +830,6 @@ void Mdraid::RebuildSweepStep() {
     }
     recon->Done();  // the dispatch guard
   }
-}
-
-void Mdraid::FinishRebuildChild() {
-  child_failed_[static_cast<size_t>(rebuild_child_)] = false;
-  rebuild_active_ = false;
-  rebuild_flushed_ = false;
-  rebuild_queue_.clear();
-  rebuild_deferred_.clear();
-  rebuild_cursor_ = 0;
-  BIZA_LOG_INFO("mdraid: rebuild of child %d complete, %llu blocks",
-                rebuild_child_,
-                static_cast<unsigned long long>(stats_.rebuilt_blocks));
 }
 
 }  // namespace biza

@@ -28,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/engines/rebuild.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -59,12 +60,11 @@ struct MdraidStats {
   uint64_t degraded_reads = 0;    // blocks reconstructed around a failed child
   uint64_t read_retries = 0;
   uint64_t write_retries = 0;
-  uint64_t rebuilt_blocks = 0;    // blocks reconstructed onto a replacement
   // Gray-failure mitigation plane (SetHealthMonitor).
   ReadMitigationStats mitigation;
 };
 
-class Mdraid : public BlockTarget {
+class Mdraid : public BlockTarget, private RebuildSweep::Engine {
  public:
   Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
          const MdraidConfig& config);
@@ -83,10 +83,10 @@ class Mdraid : public BlockTarget {
 
   // Online rebuild: swaps the failed `child` for `replacement` (an empty
   // device of at least the same capacity) and reconstructs its blocks from
-  // the survivors in throttled batches while foreground I/O continues.
-  // child_failed_ clears when the sweep completes.
+  // the survivors in throttled batches (RebuildSweep) while foreground I/O
+  // continues. child_failed_ clears when the sweep completes.
   Status RebuildChild(int child, BlockTarget* replacement);
-  bool rebuild_active() const { return rebuild_active_; }
+  const RebuildStats& rebuild() const { return rebuild_.stats(); }
 
   const MdraidStats& stats() const { return stats_; }
   CpuAccount& cpu() { return cpu_; }
@@ -111,10 +111,6 @@ class Mdraid : public BlockTarget {
   static constexpr uint64_t kFlushRunStripes = 64;
   // Dirty fraction of the stripe cache above which writes start flushing.
   static constexpr double kFlushHighWatermark = 0.75;
-  // Online-rebuild throttle (RebuildChild): stripes reconstructed per batch
-  // and the idle gap between batches.
-  static constexpr uint64_t kRebuildBatchStripes = 64;
-  static constexpr SimTime kRebuildIntervalNs = 200 * kMicrosecond;
 
   struct StripeEntry {
     std::vector<uint64_t> patterns;  // k slots
@@ -141,22 +137,22 @@ class Mdraid : public BlockTarget {
   void OnTimer();
   void MaybeReleaseStalled();
 
-  // Fault plane. A child accepts writes while healthy or while it is the
-  // replacement of an ongoing rebuild; reads of a rebuilding child stay
-  // forbidden until the sweep finishes (its blocks may still be stale).
-  bool ChildWritable(int child) const {
-    return !child_failed_[static_cast<size_t>(child)] ||
-           (rebuild_active_ && rebuild_child_ == child);
-  }
-  void OnChildUnavailable(int child);
+  // Fault plane. Reads of a rebuilding child stay forbidden until the
+  // sweep finishes (its blocks may still be stale).
+  bool ChildWritable(int child) const { return rebuild_.Writable(child); }
+  void OnChildUnavailable(int child) { rebuild_.MemberLost(child); }
   // Child I/O with bounded retry-with-backoff for transient errors
   // (IssueWithRetry); the outcome feeds the health monitor, if any.
   void ChildRead(int child, uint64_t offset, uint64_t nblocks,
                  std::function<void(const Status&, std::vector<uint64_t>)> cb);
   void ChildWrite(int child, uint64_t offset, std::vector<uint64_t> patterns,
                   WriteTag tag, WriteCallback cb);
-  void RebuildSweepStep();
-  void FinishRebuildChild();
+  // The rebuild's engine side: every stripe, with those dirty in the cache
+  // put off to a second pass after one cache flush.
+  void RebuildRescan(std::function<void(RebuildSweep::Keys)> next) override;
+  bool RebuildTake(uint64_t stripe) override;
+  void RebuildMigrate(RebuildSweep::Keys stripes,
+                      const RebuildSweep::Token& token) override;
 
   // Gray-failure mitigation plane. A reconstruct-around read is sound only
   // while the disks hold a self-consistent image of `stripe`: no failed
@@ -203,12 +199,8 @@ class Mdraid : public BlockTarget {
   std::vector<std::function<void()>> recon_waiters_;
 
   // Online-rebuild state (see RebuildChild).
-  bool rebuild_active_ = false;
-  int rebuild_child_ = -1;
-  std::vector<uint64_t> rebuild_queue_;     // stripe offsets to reconstruct
+  RebuildSweep rebuild_;
   std::vector<uint64_t> rebuild_deferred_;  // dirty-in-cache, revisit later
-  size_t rebuild_cursor_ = 0;
-  bool rebuild_flushed_ = false;  // cache drained before the final pass
 
   MdraidStats stats_;
   CpuAccount cpu_;

@@ -257,13 +257,13 @@ void Raizn::SchedulePpSweep() {
     return;
   }
   pp_sweep_scheduled_ = true;
-  sim_->Schedule(config_.parity_buffer_flush_ns, [this]() { PpSweep(); });
+  sim_->Schedule(kParityBufferFlushNs, [this]() { PpSweep(); });
 }
 
 void Raizn::PpSweep() {
   pp_sweep_scheduled_ = false;
-  const SimTime deadline = sim_->Now() >= config_.parity_buffer_flush_ns
-                               ? sim_->Now() - config_.parity_buffer_flush_ns
+  const SimTime deadline = sim_->Now() >= kParityBufferFlushNs
+                               ? sim_->Now() - kParityBufferFlushNs
                                : 0;
   bool live_left = false;
   for (auto& entry : pp_buffer_) {

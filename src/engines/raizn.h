@@ -38,9 +38,6 @@ struct RaiznConfig {
   // Volatile PP buffer capacity in entries (0 = synchronous PP persistence,
   // the crash-consistent default).
   uint64_t parity_buffer_entries = 0;
-  // Deadline after which a buffered PP is persisted anyway (fault-tolerance
-  // compensation, cf. §5.4's discussion of volatile write buffers).
-  SimTime parity_buffer_flush_ns = 30 * kMillisecond;
   CpuCostModel costs;
 };
 
@@ -76,6 +73,9 @@ class Raizn : public ZonedTarget {
   CpuAccount& cpu() { return cpu_; }
 
  private:
+  // Deadline after which a buffered PP is persisted anyway (fault-tolerance
+  // compensation, cf. §5.4's discussion of volatile write buffers).
+  static constexpr SimTime kParityBufferFlushNs = 30 * kMillisecond;
   struct PhysJob {
     uint64_t offset;
     std::vector<uint64_t> patterns;

@@ -67,7 +67,7 @@ bool DeviceHealthMonitor::FeedSignal(Signal* signal, SimTime latency_ns,
   if (signal->samples == 0) {
     signal->ewma = sample;
   } else {
-    signal->ewma += config_.ewma_alpha * (sample - signal->ewma);
+    signal->ewma += kEwmaAlpha * (sample - signal->ewma);
   }
   signal->samples++;
   if (!signal->window_open) {
@@ -151,7 +151,7 @@ void DeviceHealthMonitor::ScoreWindow(int device, DeviceState& state,
   }
   const double p99 = static_cast<double>(sig.last_p99);
   const bool hot = p99 >= config_.suspect_factor * baseline;
-  const bool calm = p99 <= config_.recover_factor * baseline;
+  const bool calm = p99 <= kRecoverFactor * baseline;
   switch (state.health) {
     case DeviceHealth::kHealthy:
     case DeviceHealth::kRecovered:
@@ -167,7 +167,7 @@ void DeviceHealthMonitor::ScoreWindow(int device, DeviceState& state,
         // Promotion to gray demands sustained heat *and* a decisively slow
         // last window — a device hovering at 2.6x baseline stays suspect
         // (hedged) without ever being written around.
-        if (state.hot_streak >= config_.gray_windows &&
+        if (state.hot_streak >= kGrayWindows &&
             p99 >= config_.gray_factor * baseline) {
           Transition(device, state, DeviceHealth::kGray);
           state.calm_streak = 0;
@@ -182,7 +182,7 @@ void DeviceHealthMonitor::ScoreWindow(int device, DeviceState& state,
     case DeviceHealth::kGray:
       if (calm) {
         state.calm_streak++;
-        if (state.calm_streak >= config_.recover_windows) {
+        if (state.calm_streak >= kRecoverWindows) {
           state.hot_streak = 0;
           Transition(device, state, DeviceHealth::kRecovered);
         }
@@ -200,11 +200,11 @@ void DeviceHealthMonitor::ScoreChannelWindow(int /*device*/, ChannelState& ch,
   }
   const double p99 = static_cast<double>(ch.signal.last_p99);
   const bool hot = p99 >= config_.gray_factor * baseline;
-  const bool calm = p99 <= config_.recover_factor * baseline;
+  const bool calm = p99 <= kRecoverFactor * baseline;
   if (!ch.gray) {
     if (hot) {
       ch.hot_streak++;
-      if (ch.hot_streak >= config_.gray_windows) {
+      if (ch.hot_streak >= kGrayWindows) {
         ch.gray = true;
         ch.calm_streak = 0;
         stats_.channel_gray_transitions++;
@@ -215,7 +215,7 @@ void DeviceHealthMonitor::ScoreChannelWindow(int /*device*/, ChannelState& ch,
   } else {
     if (calm) {
       ch.calm_streak++;
-      if (ch.calm_streak >= config_.recover_windows) {
+      if (ch.calm_streak >= kRecoverWindows) {
         ch.gray = false;
         ch.hot_streak = 0;
         stats_.channel_recoveries++;
@@ -285,13 +285,13 @@ SimTime DeviceHealthMonitor::HedgeDelayNs(int device) const {
                 sig.last_window_sorted.end());
   }
   if (pool.empty()) {
-    return config_.hedge_floor_ns;
+    return kHedgeFloorNs;
   }
   std::sort(pool.begin(), pool.end());
   const SimTime q = QuantileOf(pool, config_.hedge_quantile);
   const SimTime hedge = static_cast<SimTime>(
-      static_cast<double>(q) * config_.hedge_multiplier);
-  return std::max(hedge, config_.hedge_floor_ns);
+      static_cast<double>(q) * kHedgeMultiplier);
+  return std::max(hedge, kHedgeFloorNs);
 }
 
 SimTime DeviceHealthMonitor::PooledReadQuantileNs(double quantile) const {

@@ -5,8 +5,8 @@
 // engines (BizaArray, Mdraid, ZapRaid) — never from wall clocks — and
 // classifies each member device with a hysteresis state machine:
 //
-//     healthy --hot window--> suspect --gray_windows hot--> gray
-//     gray --recover_windows calm--> recovered (then scored like healthy)
+//     healthy --hot window--> suspect --kGrayWindows hot--> gray
+//     gray --kRecoverWindows calm--> recovered (then scored like healthy)
 //
 // Signals. Per (device, kind) the monitor keeps a latency EWMA plus a
 // tumbling window of raw samples; a window closes once it holds at least
@@ -60,29 +60,23 @@ enum class DeviceHealth : uint8_t {
 
 const char* DeviceHealthName(DeviceHealth state);
 
-// All detector thresholds and mitigation knobs. Defaults are tuned for the
-// simulated ZN540 timing model (~100 µs reads) but nothing is
-// device-specific: factors are relative to the peer baseline.
+// The settable detector thresholds and mitigation knobs; the fixed ones are
+// DeviceHealthMonitor's constants. Defaults are tuned for the simulated
+// ZN540 timing model (~100 µs reads) but nothing is device-specific:
+// factors are relative to the peer baseline.
 struct HealthConfig {
   bool enabled = false;  // Platform::Create instantiates a monitor iff set
 
   // Signal extraction.
-  double ewma_alpha = 0.05;        // per-sample EWMA weight
   uint32_t window_ios = 64;        // min samples before a window may close
   SimTime min_window_ns = 2000000; // min sim-time span of a window (2 ms)
 
   // State machine.
   double suspect_factor = 2.5;   // window p99 >= factor*baseline => hot
   double gray_factor = 4.0;      // last hot window must also clear this
-  int gray_windows = 3;          // consecutive hot windows before gray
-  int recover_windows = 4;       // consecutive calm windows before recovery
-  double recover_factor = 1.5;   // window p99 <= factor*baseline => calm
 
   // Mitigation policy.
   double hedge_quantile = 0.95;    // peer-latency quantile seeding the timer
-  double hedge_multiplier = 2.0;   // safety factor on the quantile
-  SimTime hedge_floor_ns = 20000;  // never hedge sooner than this (20 µs)
-  uint64_t gray_inflight_cap = 4;  // per-zone write cap on a gray device
   uint32_t probe_interval = 16;    // every Nth gray read still probes direct
 };
 
@@ -100,6 +94,9 @@ class DeviceHealthMonitor {
  public:
   enum class Kind { kRead = 0, kWrite = 1 };
 
+  static constexpr SimTime kHedgeFloorNs = 20000;  // never hedge sooner (20 µs)
+  static constexpr uint64_t kGrayInflightCap = 4;  // per-zone write cap, gray
+
   // from/to device health; fired synchronously inside RecordLatency.
   using TransitionHook = std::function<void(int, DeviceHealth, DeviceHealth)>;
 
@@ -114,8 +111,8 @@ class DeviceHealthMonitor {
   bool IsGray(int device) const { return state(device) == DeviceHealth::kGray; }
   bool IsGrayChannel(int device, int channel) const;
 
-  // Deterministic hedge delay: hedge_multiplier x the hedge_quantile of the
-  // peers' most recent closed read windows, floored at hedge_floor_ns.
+  // Deterministic hedge delay: kHedgeMultiplier x the hedge_quantile of the
+  // peers' most recent closed read windows, floored at kHedgeFloorNs.
   SimTime HedgeDelayNs(int device) const;
 
   // Array-wide read-latency quantile over all devices' most recent closed
@@ -138,6 +135,12 @@ class DeviceHealthMonitor {
   int num_devices() const { return static_cast<int>(devices_.size()); }
 
  private:
+  static constexpr double kEwmaAlpha = 0.05;    // per-sample EWMA weight
+  static constexpr int kGrayWindows = 3;        // hot windows before gray
+  static constexpr int kRecoverWindows = 4;     // calm windows before recovery
+  static constexpr double kRecoverFactor = 1.5; // p99 <= factor*baseline: calm
+  static constexpr double kHedgeMultiplier = 2.0;  // safety factor, quantile
+
   // One EWMA + tumbling window per scored stream.
   struct Signal {
     double ewma = 0.0;

@@ -11,7 +11,6 @@ HostWriteBuffer::HostWriteBuffer(Simulator* sim, BlockTarget* inner,
   if (config_.capacity_blocks == 0) {
     config_.capacity_blocks = 1;
   }
-  config_.flush_watermark = std::clamp(config_.flush_watermark, 0.0, 1.0);
   if (config_.max_run_blocks == 0) {
     config_.max_run_blocks = 1;
   }
@@ -82,12 +81,12 @@ bool HostWriteBuffer::Admit(Parked* w) {
 void HostWriteBuffer::AckWrite(WriteCallback cb) {
   // The ack is a pending host event: a crash (DropPending) before it fires
   // means the write was never acknowledged, so losing it breaks no promise.
-  sim_->Schedule(config_.ack_ns, [cb = std::move(cb)] { cb(OkStatus()); });
+  sim_->Schedule(kAckNs, [cb = std::move(cb)] { cb(OkStatus()); });
 }
 
 void HostWriteBuffer::MaybeFlush(bool force) {
   const uint64_t watermark = static_cast<uint64_t>(
-      config_.flush_watermark * static_cast<double>(config_.capacity_blocks));
+      kFlushWatermark * static_cast<double>(config_.capacity_blocks));
   const uint64_t target =
       (force || !flush_all_waiters_.empty()) ? 0 : watermark;
   while (entries_.size() - inflight_flush_blocks_ > target) {
@@ -194,7 +193,7 @@ void HostWriteBuffer::SubmitRead(uint64_t lbn, uint64_t nblocks,
     for (const auto& [i, pattern] : overlay) {
       patterns[i] = pattern;
     }
-    sim_->Schedule(config_.ack_ns,
+    sim_->Schedule(kAckNs,
                    [cb = std::move(cb), patterns = std::move(patterns)]() mutable {
                      cb(OkStatus(), std::move(patterns));
                    });

@@ -3,7 +3,7 @@
 // array (the SPDK zns_io_buffer_pool idiom).
 //
 // The buffer is a BlockTarget decorator stacked above any engine. In
-// write-back mode a write is acknowledged `ack_ns` after it lands in the
+// write-back mode a write is acknowledged `kAckNs` after it lands in the
 // pool; repeated updates to the same block overwrite the buffered copy in
 // place, so only the final version reaches the device — hot updates erode
 // device writes (and thus WA) before the engine ever sees them. Dirty blocks
@@ -46,9 +46,7 @@ struct HostBufferConfig {
   bool enabled = false;
   HostBufferMode mode = HostBufferMode::kWriteBack;
   uint64_t capacity_blocks = 4096;  // 16 MiB pool
-  double flush_watermark = 0.50;    // start draining above this occupancy
   uint64_t max_run_blocks = 256;    // flush-run cap (1 MiB = ZRWA-sized)
-  SimTime ack_ns = 1 * kMicrosecond;  // NVRAM commit latency per write
 };
 
 struct HostBufferStats {
@@ -90,6 +88,9 @@ class HostWriteBuffer : public BlockTarget {
   std::vector<DirtyBlock> DirtyContents() const;
 
  private:
+  static constexpr double kFlushWatermark = 0.50;  // drain above this occupancy
+  static constexpr SimTime kAckNs = 1 * kMicrosecond;  // NVRAM commit latency
+
   struct Entry {
     uint64_t pattern;
     uint64_t version;        // bumped on every overwrite

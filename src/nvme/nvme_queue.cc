@@ -7,16 +7,13 @@
 namespace biza {
 
 NvmeQueuePair::NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
-                             SimTime floor_ns)
-    : sim_(sim), config_(config), floor_ns_(floor_ns) {
+                             SimTime doorbell_ns)
+    : sim_(sim), config_(config), doorbell_ns_(doorbell_ns) {
   if (config_.num_queues == 0) {
     config_.num_queues = 1;
   }
   if (config_.queue_depth == 0) {
     config_.queue_depth = 1;
-  }
-  if (config_.arb_burst == 0) {
-    config_.arb_burst = 1;
   }
   if (config_.irq_threshold == 0) {
     config_.irq_threshold = 1;
@@ -24,12 +21,6 @@ NvmeQueuePair::NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
   inflight_.assign(config_.num_queues, 0);
   overflow_.resize(config_.num_queues);
   arb_lists_.resize(config_.num_queues);
-}
-
-SimTime NvmeQueuePair::DoorbellNs() const {
-  // The doorbell delay must not undercut the dispatch floor, the legacy
-  // path's minimum arrival latency.
-  return config_.doorbell_ns > floor_ns_ ? config_.doorbell_ns : floor_ns_;
 }
 
 uint64_t NvmeQueuePair::inflight() const {
@@ -56,7 +47,7 @@ void NvmeQueuePair::Submit(InlineCallback fn) {
 }
 
 void NvmeQueuePair::Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn) {
-  const SimTime db = DoorbellNs();
+  const SimTime db = doorbell_ns_;
   if (open_batch_ == nullptr || open_deliver_at_ < submitted + db) {
     // Ring a fresh doorbell. The admission rule above means the previous
     // ring either fired already or fires too soon for this command to make
@@ -101,7 +92,7 @@ void NvmeQueuePair::RingDoorbell(Batch* batch) {
     // the state the general path would — fetch skew of one slot, rotation
     // advanced past the fetched SQ.
     Sqe& sqe = entries[0];
-    fetch_skew_ = config_.fetch_ns;
+    fetch_skew_ = kFetchNs;
     cur_sq_ = sqe.sq;
     arb_sq_ = (sqe.sq + 1) % config_.num_queues;
     sqe.fn.ConsumeInvoke();
@@ -123,11 +114,11 @@ void NvmeQueuePair::RingDoorbell(Batch* batch) {
   while (done < entries.size()) {
     auto& list = arb_lists_[arb_sq_];
     uint32_t burst = 0;
-    while (burst < config_.arb_burst && cursor[arb_sq_] < list.size()) {
+    while (burst < kArbBurst && cursor[arb_sq_] < list.size()) {
       Sqe& sqe = entries[list[cursor[arb_sq_]++]];
       // Serial fetch/decode: command i in arbitration order arrives i
       // fetch slots after the ring — the queue-derived dispatch skew.
-      fetch_skew_ = static_cast<SimTime>(++fetched) * config_.fetch_ns;
+      fetch_skew_ = static_cast<SimTime>(++fetched) * kFetchNs;
       cur_sq_ = sqe.sq;
       sqe.fn.ConsumeInvoke();  // execute the device handler at ring time
       burst++;

@@ -15,8 +15,8 @@
 //   within one doorbell window ride the same event, collapsing the
 //   per-command arrival events of the legacy path.
 // * Round-robin arbitration: the controller drains SQs in bursts of
-//   `arb_burst` commands, rotating across queues (NVMe's mandatory RR
-//   arbiter). Each fetched SQE pays a serial `fetch_ns` decode cost, so a
+//   `kArbBurst` commands, rotating across queues (NVMe's mandatory RR
+//   arbiter). Each fetched SQE pays a serial `kFetchNs` decode cost, so a
 //   deep batch sees growing per-command skew — the queue-derived delay that
 //   replaces the legacy dispatch jitter.
 // * Interrupt-coalesced completions: CQEs accumulate until `irq_threshold`
@@ -24,9 +24,9 @@
 //   event drains everything ready and delivers it to the host in one pass.
 //
 // Determinism: a batch admits a command submitted at time T only when its
-// ring time D satisfies D >= T + doorbell delay; the doorbell delay is at
-// least the device's non-zero dispatch floor, so the ring event has not
-// fired yet. Everything else is a pure function of event order, so runs are
+// ring time D satisfies D >= T + doorbell delay; the doorbell delay is the
+// device's non-zero dispatch base, so the ring event has not fired yet.
+// Everything else is a pure function of event order, so runs are
 // byte-identical per seed, exactly like the legacy path.
 #ifndef BIZA_SRC_NVME_NVME_QUEUE_H_
 #define BIZA_SRC_NVME_NVME_QUEUE_H_
@@ -49,18 +49,6 @@ struct NvmeQueueConfig {
 
   uint32_t num_queues = 4;   // SQ/CQ pairs (per-core queues on a real host)
   uint32_t queue_depth = 32; // per-SQ in-flight cap (NVMe queue depth)
-
-  // Doorbell ring -> SQE fetch latency (MMIO write + fetch start). 0 means
-  // "use the device's dispatch_base_ns"; values below that floor are
-  // clamped up to it, since no command reaches the device sooner on the
-  // legacy path either.
-  SimTime doorbell_ns = 0;
-
-  // Serial per-SQE fetch/decode cost charged in arbitration order.
-  SimTime fetch_ns = 200;
-
-  // Commands the arbiter takes from one SQ before rotating (NVMe RR burst).
-  uint32_t arb_burst = 8;
 
   // Interrupt coalescing: fire when this many CQEs are pending...
   uint32_t irq_threshold = 8;
@@ -89,9 +77,10 @@ struct NvmeQueueStats {
 // One device's NVMe frontend (all of its SQ/CQ pairs). Owned by the device.
 class NvmeQueuePair {
  public:
-  // `floor_ns` is the device's dispatch_base_ns, the minimum doorbell delay.
+  // `doorbell_ns` (ring -> SQE fetch) is the device's legacy dispatch base:
+  // no command reaches the device sooner on the legacy path either.
   NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
-                SimTime floor_ns);
+                SimTime doorbell_ns);
 
   bool enabled() const { return config_.enabled; }
   const NvmeQueueConfig& config() const { return config_; }
@@ -127,8 +116,11 @@ class NvmeQueuePair {
   };
 
   static constexpr SimTime kNotArmed = ~SimTime{0};
+  // Serial per-SQE fetch/decode cost charged in arbitration order.
+  static constexpr SimTime kFetchNs = 200;
+  // Commands the arbiter takes from one SQ before rotating (NVMe RR burst).
+  static constexpr uint32_t kArbBurst = 8;
 
-  SimTime DoorbellNs() const;
   // Host side: places an accepted command into its SQ and makes sure a
   // doorbell ring covers it.
   void Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn);
@@ -143,7 +135,7 @@ class NvmeQueuePair {
 
   Simulator* sim_;
   NvmeQueueConfig config_;
-  SimTime floor_ns_;
+  SimTime doorbell_ns_;
   NvmeQueueStats stats_;
 
   // --- host-side state ----------------------------------------------------

@@ -114,7 +114,7 @@ SimTime ServeFrontend::HedgeDelayFor(const TenantRuntime& tenant) const {
   }
   const SimTime delay =
       static_cast<SimTime>(static_cast<double>(base) * slo.hedge_multiplier);
-  return std::max(delay, slo.hedge_floor_ns);
+  return std::max(delay, kHedgeFloorNs);
 }
 
 void ServeFrontend::ScheduleNextArrival(size_t tenant_index) {

@@ -96,6 +96,8 @@ class ServeFrontend {
   const ServeConfig& config() const { return config_; }
 
  private:
+  static constexpr SimTime kHedgeFloorNs = 20000;  // never hedge sooner (20 us)
+
   struct ReadState {
     int tenant = 0;
     SimTime arrival = 0;

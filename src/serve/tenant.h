@@ -36,10 +36,9 @@ struct SloSpec {
   // disables hedging for the tenant. The hedge delay is
   // hedge_multiplier x the quantile of recent array read latencies
   // (DeviceHealthMonitor::PooledReadQuantileNs when a monitor is attached,
-  // else the tenant's own observed service latencies), floored.
+  // else the tenant's own observed service latencies), floored at 20 us.
   double hedge_quantile = 0.0;
   double hedge_multiplier = 2.0;
-  SimTime hedge_floor_ns = 20000;  // 20 us
 
   // Deficit-round-robin admission weight (byte-proportional share).
   uint32_t weight = 1;

@@ -243,32 +243,56 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
   return platform;
 }
 
-ZnsDevice* Platform::AddSpareZnsDevice(Simulator* sim) {
-  ZnsConfig zc = config_.zns;
-  zc.seed = config_.seed * 1000003ULL +
-            static_cast<uint64_t>(1000 + next_fault_id_);
-  zns_.push_back(std::make_unique<ZnsDevice>(sim, zc));
-  const int id = next_fault_id_++;
-  zns_.back()->AttachFaultInjector(fault_.get(), id);
-  if (config_.obs != nullptr) {
-    zns_.back()->AttachObservability(config_.obs, id);
+Status Platform::ReplaceMember(Simulator* sim, int device) {
+  const RebuildStats* sweep = rebuild();
+  if (sweep == nullptr) {
+    return UnimplementedError(name() +
+                              " has no member replace path (BIZA, ZapRAID "
+                              "and mdraid+ConvSSD have one)");
   }
-  return zns_.back().get();
+  if (device < 0 || device >= config_.num_ssds || sweep->active) {
+    return FailedPreconditionError(
+        "replace: bad member index, or a rebuild is running");
+  }
+  // A fresh, empty spare with the next fault-plan device id.
+  const int id = next_fault_id_++;
+  const uint64_t seed_offset = static_cast<uint64_t>(1000 + id);
+  auto attach = [this, id](auto& dev) {
+    dev.AttachFaultInjector(fault_.get(), id);
+    if (config_.obs != nullptr) {
+      dev.AttachObservability(config_.obs, id);
+    }
+  };
+  if (kind_ == PlatformKind::kMdraidConv) {
+    ConvSsdConfig cc = config_.conv;
+    cc.seed = config_.seed * 2000003ULL + seed_offset;
+    conv_.push_back(std::make_unique<ConvSsd>(sim, cc));
+    attach(*conv_.back());
+    conv_adapters_.push_back(
+        std::make_unique<ConvSsdTarget>(conv_.back().get()));
+    mdraid_->SetChildFailed(device, true);
+    return mdraid_->RebuildChild(device, conv_adapters_.back().get());
+  }
+  ZnsConfig zc = config_.zns;
+  zc.seed = config_.seed * 1000003ULL + seed_offset;
+  zns_.push_back(std::make_unique<ZnsDevice>(sim, zc));
+  attach(*zns_.back());
+  if (biza_ != nullptr) {
+    biza_->SetDeviceFailed(device, true);
+    return biza_->ReplaceDevice(device, zns_.back().get());
+  }
+  zapraid_->SetDeviceFailed(device, true);
+  return zapraid_->ReplaceDevice(device, zns_.back().get());
 }
 
-BlockTarget* Platform::AddSpareConvTarget(Simulator* sim) {
-  ConvSsdConfig cc = config_.conv;
-  cc.seed = config_.seed * 2000003ULL +
-            static_cast<uint64_t>(1000 + next_fault_id_);
-  conv_.push_back(std::make_unique<ConvSsd>(sim, cc));
-  const int id = next_fault_id_++;
-  conv_.back()->AttachFaultInjector(fault_.get(), id);
-  if (config_.obs != nullptr) {
-    conv_.back()->AttachObservability(config_.obs, id);
+const RebuildStats* Platform::rebuild() const {
+  if (biza_ != nullptr) {
+    return &biza_->rebuild();
   }
-  conv_adapters_.push_back(
-      std::make_unique<ConvSsdTarget>(conv_.back().get()));
-  return conv_adapters_.back().get();
+  if (zapraid_ != nullptr) {
+    return &zapraid_->rebuild();
+  }
+  return kind_ == PlatformKind::kMdraidConv ? &mdraid_->rebuild() : nullptr;
 }
 
 WaBreakdown Platform::CollectWa(uint64_t user_blocks) const {

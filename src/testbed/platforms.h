@@ -124,12 +124,16 @@ class Platform {
   DeviceHealthMonitor* health() { return health_.get(); }
   HostWriteBuffer* hostbuf() { return hostbuf_.get(); }
 
-  // Hot-spare provisioning for online rebuild: creates a fresh, empty
-  // member device (with the next fault-plan device id) and returns it. The
-  // platform keeps ownership; pass the pointer to BizaArray::ReplaceDevice
-  // or wrap it for Mdraid::RebuildChild.
-  ZnsDevice* AddSpareZnsDevice(Simulator* sim);
-  BlockTarget* AddSpareConvTarget(Simulator* sim);
+  // Online rebuild: provisions a fresh, empty spare (with the next
+  // fault-plan device id; the platform keeps ownership), fails member
+  // `device` if the engine has not yet seen it die, and starts the engine's
+  // rebuild sweep onto the spare. BIZA (and its ablations), ZapRAID and
+  // mdraid+ConvSSD have a replace path; every other platform returns
+  // kUnimplemented.
+  Status ReplaceMember(Simulator* sim, int device);
+  // Progress of the engine's rebuild sweep; nullptr on a platform without a
+  // replace path.
+  const RebuildStats* rebuild() const;
 
  private:
   Platform() = default;

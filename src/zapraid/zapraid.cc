@@ -24,7 +24,10 @@ inline uint16_t Bit(int device) {
 
 ZapRaid::ZapRaid(Simulator* sim, std::vector<ZnsDevice*> devices,
                  const ZapRaidConfig& config)
-    : sim_(sim), devices_(std::move(devices)), config_(config) {
+    : sim_(sim),
+      devices_(std::move(devices)),
+      config_(config),
+      rebuild_(sim, "zapraid", &device_failed_, this) {
   n_ = static_cast<int>(devices_.size());
   assert(n_ >= 2 && n_ <= 16 && "ZapRaid supports 2..16 members");
   k_ = n_ - 1;
@@ -801,8 +804,8 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, ReadLegs::Done land) {
   const uint32_t group = PaGroup(entry.pa);
   const uint64_t row = PaRow(entry.pa);
 
-  const bool on_replacement = rebuild_.active && rebuild_.device == device &&
-                              entry.wsn >= rebuild_start_wsn_;
+  const bool on_replacement =
+      rebuild_.Rebuilding(device) && entry.wsn >= rebuild_start_wsn_;
   if (device_failed_[static_cast<size_t>(device)] && !on_replacement) {
     // Degraded read: the chunk's home member is dead (or the chunk predates
     // the replacement swap and still lives only in parity space).
@@ -885,20 +888,14 @@ void ZapRaid::DropBuilderMember(int b, int device) {
 }
 
 void ZapRaid::OnDeviceUnavailable(int device) {
-  if (device < 0 || device >= n_) {
-    return;
+  // A replacement that dies mid-rebuild ends its sweep, whose end (RebuildEnd)
+  // degrades the member.
+  if (device >= 0 && device < n_ && rebuild_.MemberLost(device)) {
+    DegradeMember(device);
   }
-  if (device_failed_[static_cast<size_t>(device)]) {
-    if (rebuild_.active && rebuild_.device == device) {
-      // The replacement itself died mid-rebuild: stop sweeping onto it.
-      rebuild_.active = false;
-    } else {
-      return;
-    }
-  }
-  device_failed_[static_cast<size_t>(device)] = true;
-  BIZA_LOG_WARN("zapraid: device %d unavailable, entering degraded mode",
-                device);
+}
+
+void ZapRaid::DegradeMember(int device) {
   for (int b = 0; b < kNumBuilders; ++b) {
     DropBuilderMember(b, device);
   }
@@ -932,7 +929,7 @@ void ZapRaid::MaybeStartGc() {
   }
   const double free_ratio =
       static_cast<double>(free_groups_) / static_cast<double>(num_zones_);
-  if (free_ratio >= config_.gc_trigger_free_ratio && stalled_writes_.empty()) {
+  if (free_ratio >= kGcTriggerFreeRatio && stalled_writes_.empty()) {
     return;
   }
   int victim = PickGcVictim();
@@ -1106,7 +1103,15 @@ void ZapRaid::GcStep() {
               continue;  // overwritten while the read was in flight
             }
             ++gc_victim_pending_;
-            GcAppend(c.lbn, c.wsn, patterns[x], pa);
+            // The original wsn keeps the recovery total order intact: the
+            // migrated copy is the *same* version, not a newer one.
+            Relocate(c.lbn, c.wsn, patterns[x], pa, [this](const Status&) {
+              --gc_victim_pending_;
+              ++stats_.gc_migrated_data;
+              if (gc_active_ && gc_scan_done_ && gc_victim_pending_ == 0) {
+                FinishGcVictim();
+              }
+            });
           }
         });
   }
@@ -1137,20 +1142,12 @@ bool ZapRaid::LiveMaskCovers(uint32_t group, uint64_t row,
   return true;
 }
 
-void ZapRaid::GcAppend(uint64_t lbn, uint32_t wsn, uint64_t pattern,
-                       uint64_t from_pa) {
-  auto done = [this](const Status&) {
-    --gc_victim_pending_;
-    ++stats_.gc_migrated_data;
-    if (gc_active_ && gc_scan_done_ && gc_victim_pending_ == 0) {
-      FinishGcVictim();
-    }
-  };
+void ZapRaid::Relocate(uint64_t lbn, uint32_t wsn, uint64_t pattern,
+                       uint64_t from_pa,
+                       std::function<void(const Status&)> done) {
   auto retry = std::make_shared<std::function<void()>>();
-  *retry = [this, lbn, wsn, pattern, from_pa, done,
+  *retry = [this, lbn, wsn, pattern, from_pa, done = std::move(done),
             weak = std::weak_ptr<std::function<void()>>(retry)] {
-    // Preserving the original wsn keeps the recovery total order intact:
-    // the migrated copy is the *same* version, not a newer one.
     if (!AppendChunk(kGcBuilder, pattern, OobRecord{lbn, wsn, WriteTag::kGcData},
                      WriteTag::kGcData, done, from_pa)) {
       stalled_writes_.push_back([self = weak.lock()] { (*self)(); });
@@ -1214,7 +1211,7 @@ void ZapRaid::FinishGcVictim() {
   RetryStalled();
   const double free_ratio =
       static_cast<double>(free_groups_) / static_cast<double>(num_zones_);
-  if (free_ratio < config_.gc_stop_free_ratio) {
+  if (free_ratio < kGcStopFreeRatio) {
     const int victim = PickGcVictim();
     if (victim >= 0) {
       gc_victim_ = static_cast<uint32_t>(victim);
@@ -1235,46 +1232,19 @@ void ZapRaid::FinishGcVictim() {
 // --------------------------------------------------------------------------
 
 Status ZapRaid::ReplaceDevice(int device, ZnsDevice* replacement) {
-  if (device < 0 || device >= n_) {
-    return InvalidArgumentError("zapraid: bad device index");
-  }
-  if (!device_failed_[static_cast<size_t>(device)]) {
-    return FailedPreconditionError("zapraid: replacing a live member");
-  }
-  if (rebuild_.active) {
-    return FailedPreconditionError("zapraid: rebuild already running");
+  if (Status status = rebuild_.CanStart(device); !status.ok()) {
+    return status;
   }
   if (replacement->config().zone_capacity_blocks != zone_cap_ ||
       replacement->config().num_zones != num_zones_) {
     return InvalidArgumentError("zapraid: replacement geometry mismatch");
   }
   devices_[static_cast<size_t>(device)] = replacement;
-  rebuild_ = ZapRaidRebuildStats{};
-  rebuild_.active = true;
-  rebuild_.device = device;
-  rebuild_.started_ns = sim_->Now();
   // Everything appended from here on lands on groups whose rows are fully
   // populated across live members and needs no re-homing; the sweep targets
   // strictly older chunks.
   rebuild_start_wsn_ = next_wsn_;
-  rebuild_queue_.clear();
-  rebuild_cursor_ = 0;
-  // Evacuate every valid chunk out of every row the dead member contributed
-  // to — not just the chunks physically on it. Re-homing only the dead
-  // member's chunks would leave those rows one sibling (or their parity)
-  // short forever, so a later second member failure would be unrecoverable.
-  l2p_.ForEach([&](uint64_t lbn, const L2pEntry& e) {
-    if (RebuildCovers(e)) {
-      rebuild_queue_.push_back(lbn);
-    }
-  });
-  std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
-  if (health_ != nullptr) {
-    health_->ResetDevice(device);
-  }
-  BIZA_LOG_INFO("zapraid: rebuild of device %d started (%zu chunks)", device,
-                rebuild_queue_.size());
-  sim_->Schedule(0, [this] { RebuildStep(); });
+  rebuild_.Start(device, health_);
   return OkStatus();
 }
 
@@ -1293,8 +1263,8 @@ bool ZapRaid::RebuildCovers(const L2pEntry& e) const {
     return false;
   }
   const RowMeta& meta = grp.rows[row];
-  if ((meta.present & Bit(rebuild_.device)) != 0 ||
-      meta.parity_dev == rebuild_.device) {
+  const int device = rebuild_.stats().device;
+  if ((meta.present & Bit(device)) != 0 || meta.parity_dev == device) {
     return true;
   }
   // Also sweep unprotected rows — parity invalidated when a chunk was
@@ -1305,57 +1275,46 @@ bool ZapRaid::RebuildCovers(const L2pEntry& e) const {
   return meta.parity_dev < 0 || !meta.parity_durable;
 }
 
-void ZapRaid::RebuildStep() {
-  if (!rebuild_.active) {
-    return;
-  }
-  const SimTime step_start = sim_->Now();
-  if (rebuild_cursor_ >= rebuild_queue_.size()) {
-    // Pass complete: rescan for stragglers (chunks whose migration read
-    // failed transiently or that GC re-homed into another affected group).
-    std::vector<uint64_t> remaining;
-    l2p_.ForEach([&](uint64_t lbn, const L2pEntry& e) {
-      if (RebuildCovers(e)) {
-        remaining.push_back(lbn);
-      }
-    });
-    if (remaining.empty()) {
-      FinishRebuild();
-      return;
-    }
-    if (++rebuild_.passes >= 8) {
-      // Rows that never got parity (open-stripe window) cannot be
-      // reconstructed; their chunks died with the member.
-      BIZA_LOG_ERROR("zapraid: rebuild giving up on %zu unrecoverable chunks",
-                     remaining.size());
-      FinishRebuild();
-      return;
-    }
-    rebuild_queue_ = std::move(remaining);
-    std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
-    rebuild_cursor_ = 0;
-  }
-  // Throttle: the next batch fires kRebuildIntervalNs after this one's
-  // reconstructions complete (token destructor).
-  auto batch = std::shared_ptr<void>(nullptr, [this](void*) {
-    if (rebuild_.active) {
-      sim_->Schedule(kRebuildIntervalNs, [this] { RebuildStep(); });
+// Evacuate every valid chunk out of every row the dead member contributed
+// to, not just its own chunks: those rows would otherwise stay one sibling
+// (or their parity) short, and a second member failure would lose them.
+// Later passes pick up stragglers (failed migration reads, chunks GC moved
+// into another affected group); rows that never got parity keep the sweep
+// rescanning until it gives up with the member still failed.
+void ZapRaid::RebuildRescan(std::function<void(RebuildSweep::Keys)> next) {
+  std::vector<uint64_t> lbns;
+  l2p_.ForEach([&](uint64_t lbn, const L2pEntry& e) {
+    if (RebuildCovers(e)) {
+      lbns.push_back(lbn);
     }
   });
-  uint64_t issued = 0;
-  while (rebuild_cursor_ < rebuild_queue_.size() &&
-         issued < kRebuildBatchChunks) {
-    const uint64_t lbn = rebuild_queue_[rebuild_cursor_++];
+  std::sort(lbns.begin(), lbns.end());
+  next(std::move(lbns));
+}
+
+bool ZapRaid::RebuildTake(uint64_t lbn) {
+  // Overwritten or already re-homed chunks need no more work.
+  return RebuildCovers(l2p_.Get(lbn));
+}
+
+void ZapRaid::RebuildEnd(bool restored) {
+  if (restored) {
+    RetryStalled();
+  } else {
+    DegradeMember(rebuild_.stats().device);
+  }
+}
+
+void ZapRaid::RebuildMigrate(RebuildSweep::Keys lbns,
+                             const RebuildSweep::Token& token) {
+  const int replaced = rebuild_.stats().device;
+  for (uint64_t lbn : lbns) {
     const L2pEntry e = l2p_.Get(lbn);
-    if (!RebuildCovers(e)) {
-      continue;  // overwritten or already re-homed
-    }
-    ++issued;
     // Migration completion: re-append at the GC frontier with a fresh wsn
     // so reads treat the copy as post-replacement data and the straggler
     // rescan never re-picks it. AppendChunk's repoint guard discards the
     // copy if a foreground overwrite won the race meanwhile.
-    auto migrate = [this, lbn, e, batch](const Status& status,
+    auto migrate = [this, lbn, e, token](const Status& status,
                                          uint64_t pattern) {
       if (!status.ok()) {
         return;  // straggler pass retries
@@ -1364,19 +1323,10 @@ void ZapRaid::RebuildStep() {
       if (now.pa != e.pa || now.wsn != e.wsn) {
         return;  // foreground overwrite re-homed it for us
       }
-      ++rebuild_.chunks_migrated;
-      auto retry = std::make_shared<std::function<void()>>();
-      *retry = [this, lbn, pattern, pa = e.pa,
-                weak = std::weak_ptr<std::function<void()>>(retry)] {
-        if (!AppendChunk(kGcBuilder, pattern,
-                         OobRecord{lbn, 0, WriteTag::kGcData},
-                         WriteTag::kGcData, nullptr, pa)) {
-          stalled_writes_.push_back([self = weak.lock()] { (*self)(); });
-        }
-      };
-      (*retry)();
+      rebuild_.CountMigrated(1);
+      Relocate(lbn, /*wsn=*/0, pattern, e.pa, nullptr);
     };
-    if (PaDevice(e.pa) == rebuild_.device) {
+    if (PaDevice(e.pa) == replaced) {
       // Chunk died with the member: XOR it back from the row's siblings.
       ReconstructChunk(e.pa, migrate);
     } else {
@@ -1387,22 +1337,6 @@ void ZapRaid::RebuildStep() {
                  });
     }
   }
-  if (obs_ != nullptr && obs_->tracer.Armed(step_start)) {
-    obs_->tracer.Record(Tracer::kLaneEngine, span_rebuild_step_, step_start,
-                        sim_->Now(), key_device_, rebuild_.device,
-                        key_blocks_, static_cast<int64_t>(issued));
-  }
-}
-
-void ZapRaid::FinishRebuild() {
-  device_failed_[static_cast<size_t>(rebuild_.device)] = false;
-  rebuild_.active = false;
-  rebuild_.finished_ns = sim_->Now();
-  BIZA_LOG_INFO("zapraid: rebuild of device %d finished (%llu chunks, %llu passes)",
-                rebuild_.device,
-                static_cast<unsigned long long>(rebuild_.chunks_migrated),
-                static_cast<unsigned long long>(rebuild_.passes));
-  RetryStalled();
 }
 
 // --------------------------------------------------------------------------
@@ -1411,7 +1345,7 @@ void ZapRaid::FinishRebuild() {
 
 Status ZapRaid::Recover() {
   if (inflight_ != 0 || queued_ops_ != 0 || builders_[kUserBuilder].open ||
-      builders_[kGcBuilder].open || gc_active_ || rebuild_.active) {
+      builders_[kGcBuilder].open || gc_active_ || rebuild_.stats().active) {
     return FailedPreconditionError("zapraid: recover on an active array");
   }
   l2p_.Clear();
@@ -1528,6 +1462,7 @@ Status ZapRaid::Recover() {
 
 void ZapRaid::AttachObservability(Observability* obs) {
   obs_ = obs;
+  rebuild_.AttachObservability(obs_);
   if (obs_ == nullptr) {
     h_write_ = nullptr;
     h_read_ = nullptr;
@@ -1567,8 +1502,6 @@ void ZapRaid::AttachObservability(Observability* obs) {
   reg.RegisterCounter("zapraid.health.steered_parity_rows",
                       [this] { return stats_.steered_parity_rows; });
   reg.RegisterGauge("zapraid.gc_active", [this] { return gc_active_ ? 1 : 0; });
-  reg.RegisterGauge("zapraid.rebuild_active",
-                    [this] { return rebuild_.active ? 1 : 0; });
   reg.RegisterGauge("zapraid.free_groups",
                     [this] { return static_cast<int64_t>(free_groups_); });
   h_write_ = reg.Histogram("zapraid.write_latency_ns");
@@ -1576,7 +1509,6 @@ void ZapRaid::AttachObservability(Observability* obs) {
   span_write_ = obs_->tracer.Intern("zapraid.write");
   span_read_ = obs_->tracer.Intern("zapraid.read");
   span_gc_step_ = obs_->tracer.Intern("zapraid.gc_step");
-  span_rebuild_step_ = obs_->tracer.Intern("zapraid.rebuild_step");
   key_lbn_ = obs_->tracer.Intern("lbn");
   key_blocks_ = obs_->tracer.Intern("blocks");
   key_device_ = obs_->tracer.Intern("device");
@@ -1643,7 +1575,5 @@ Status ZapRaid::CheckInvariants() const {
   }
   return OkStatus();
 }
-
-uint64_t ZapRaid::DebugL2pPa(uint64_t lbn) const { return l2p_.Get(lbn).pa; }
 
 }  // namespace biza

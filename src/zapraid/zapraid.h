@@ -29,9 +29,9 @@
 //   death is auto-detected from UNAVAILABLE completions and queued chunks
 //   are re-appended onto live members preserving their original wsn;
 //   ReplaceDevice evacuates every row the dead member touched through the
-//   GC frontier in throttled batches — reconstructing the dead member's
-//   chunks, copying their live siblings — so rebuilt rows are fully
-//   redundant again. With a DeviceHealthMonitor attached,
+//   GC frontier in throttled batches (RebuildSweep) — reconstructing the
+//   dead member's chunks, copying their live siblings — so rebuilt rows are
+//   fully redundant again. With a DeviceHealthMonitor attached,
 //   suspect members get hedged reads, gray members reconstruct-around
 //   reads with periodic probes, and new rows steer parity onto the gray
 //   member so its stretched completions leave the read path.
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "src/common/sparse_array.h"
+#include "src/engines/rebuild.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -79,19 +80,7 @@ struct ZapRaidStats {
   uint64_t steered_parity_rows = 0;  // rows whose parity was steered to gray
 };
 
-// Progress of an online rebuild (ReplaceDevice), mirroring BIZA's
-// RebuildStats: `active` drops once every chunk of the dead member has been
-// re-homed and the replacement serves as a full member.
-struct ZapRaidRebuildStats {
-  bool active = false;
-  int device = -1;
-  uint64_t chunks_migrated = 0;
-  uint64_t passes = 0;
-  SimTime started_ns = 0;
-  SimTime finished_ns = 0;
-};
-
-class ZapRaid : public BlockTarget {
+class ZapRaid : public BlockTarget, private RebuildSweep::Engine {
  public:
   ZapRaid(Simulator* sim, std::vector<ZnsDevice*> devices,
           const ZapRaidConfig& config);
@@ -122,7 +111,7 @@ class ZapRaid : public BlockTarget {
   // member rejoins new groups immediately; device_failed clears when the
   // sweep finds no stale chunk left.
   Status ReplaceDevice(int device, ZnsDevice* replacement);
-  const ZapRaidRebuildStats& rebuild() const { return rebuild_; }
+  const RebuildStats& rebuild() const { return rebuild_.stats(); }
 
   // Crash recovery: rebuilds the L2P and per-row stripe metadata by
   // scanning every device's OOB stripe headers. Requires a quiesced array
@@ -157,8 +146,7 @@ class ZapRaid : public BlockTarget {
   // quiesce points.
   Status CheckInvariants() const;
 
-  // Test hooks.
-  uint64_t DebugL2pPa(uint64_t lbn) const;
+  // Test hook.
   uint64_t FreeGroups() const { return free_groups_; }
 
  private:
@@ -171,6 +159,10 @@ class ZapRaid : public BlockTarget {
   static bool IsParityOobLbn(uint64_t lbn) {
     return lbn >= kParityLbnBase && lbn < kPadLbn;
   }
+  // Group-granular GC thresholds on the free-group ratio: GC starts below
+  // the trigger and runs victims until it climbs back above the stop.
+  static constexpr double kGcTriggerFreeRatio = 0.20;
+  static constexpr double kGcStopFreeRatio = 0.28;
   // Valid data chunks migrated per GC batch before yielding the array.
   static constexpr uint64_t kGcBatchChunks = 32;
   // Free groups only GC destinations may take; user writes stall rather
@@ -178,10 +170,6 @@ class ZapRaid : public BlockTarget {
   static constexpr uint64_t kReservedGroups = 2;
   // Max blocks coalesced into one device write when a zone queue drains.
   static constexpr uint64_t kDispatchBatchBlocks = 64;
-  // Online-rebuild throttle (ReplaceDevice): chunks re-homed per batch and
-  // the idle gap between batches.
-  static constexpr uint64_t kRebuildBatchChunks = 64;
-  static constexpr SimTime kRebuildIntervalNs = 200 * kMicrosecond;
 
   // 40-bit physical address, mirroring BIZA: 8-bit device | 32-bit global
   // block offset (group * zone_cap + row).
@@ -286,11 +274,7 @@ class ZapRaid : public BlockTarget {
                ? kGcBuilder
                : kUserBuilder;
   }
-  bool DeviceWritable(int device) const {
-    return !device_failed_[static_cast<size_t>(device)] ||
-           (rebuild_.active && rebuild_.device == device);
-  }
-  Group& GroupOf(uint32_t g) { return groups_[g]; }
+  bool DeviceWritable(int device) const { return rebuild_.Writable(device); }
   // The only writer of Group::use: keeps free_groups_ in step with every
   // transition so the per-write GC trigger reads a counter, not the groups.
   void SetGroupUse(Group& grp, GroupUse use);
@@ -350,6 +334,8 @@ class ZapRaid : public BlockTarget {
   void ReconstructChunk(uint64_t pa,
                         std::function<void(const Status&, uint64_t)> cb);
   void OnDeviceUnavailable(int device);
+  // Drops a failed member from the open groups, re-homing its queued chunks.
+  void DegradeMember(int device);
 
   // GC machinery (group-granular).
   void MaybeStartGc();
@@ -362,18 +348,22 @@ class ZapRaid : public BlockTarget {
   // passes LiveChunkHeader unless its live bit is set.
   bool LiveMaskCovers(uint32_t group, uint64_t row, unsigned devs) const;
   int PickGcVictim() const;
-  // Appends one migrated chunk (original wsn preserved), parking a retry in
-  // stalled_writes_ if no destination group is free yet.
-  void GcAppend(uint64_t lbn, uint32_t wsn, uint64_t pattern,
-                uint64_t from_pa);
+  // Appends one GC or rebuild migration at the GC frontier (wsn 0: a fresh
+  // one) for an LBN still at `from_pa`, parking a retry while no group is
+  // free.
+  void Relocate(uint64_t lbn, uint32_t wsn, uint64_t pattern, uint64_t from_pa,
+                std::function<void(const Status&)> done);
   void FinishGcVictim();
 
-  void RebuildStep();
-  // True when `e` still lives in a row the failed member contributed to
-  // (chunk or parity) and predates the rebuild (post-rebuild appends never
-  // need re-homing).
+  // The rebuild's engine side. RebuildCovers: `e` still lives in a row the
+  // replaced member contributed to (chunk or parity) and predates the
+  // rebuild (post-rebuild appends never need re-homing).
   bool RebuildCovers(const L2pEntry& e) const;
-  void FinishRebuild();
+  void RebuildRescan(std::function<void(RebuildSweep::Keys)> next) override;
+  bool RebuildTake(uint64_t lbn) override;
+  void RebuildMigrate(RebuildSweep::Keys lbns,
+                      const RebuildSweep::Token& token) override;
+  void RebuildEnd(bool restored) override;
 
   Simulator* sim_;
   std::vector<ZnsDevice*> devices_;
@@ -408,9 +398,7 @@ class ZapRaid : public BlockTarget {
   bool gc_scan_done_ = false;
 
   std::vector<bool> device_failed_;
-  ZapRaidRebuildStats rebuild_;
-  std::vector<uint64_t> rebuild_queue_;
-  size_t rebuild_cursor_ = 0;
+  RebuildSweep rebuild_;
   uint32_t rebuild_start_wsn_ = 0;
 
   ZapRaidStats stats_;
@@ -421,7 +409,6 @@ class ZapRaid : public BlockTarget {
   uint16_t span_write_ = 0;
   uint16_t span_read_ = 0;
   uint16_t span_gc_step_ = 0;
-  uint16_t span_rebuild_step_ = 0;
   uint16_t key_lbn_ = 0;
   uint16_t key_blocks_ = 0;
   uint16_t key_device_ = 0;

@@ -13,11 +13,6 @@ struct ZapRaidConfig {
   // is over-provisioning for the log-structured write path and GC.
   double exposed_capacity_ratio = 0.70;
 
-  // Group-granular GC thresholds on the free-group ratio: GC starts below
-  // `trigger` and runs victims until it climbs back above `stop`.
-  double gc_trigger_free_ratio = 0.20;
-  double gc_stop_free_ratio = 0.28;
-
   // When true the constructor skips opening fresh groups; the caller must
   // invoke Recover(), which rebuilds the L2P and stripe metadata from the
   // per-block OOB stripe headers. Use this to attach a new engine instance

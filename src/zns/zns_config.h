@@ -35,15 +35,14 @@ struct ZnsConfig {
   double wear_level_deviation = 0.0;
 
   // Legacy submission path (nvme.enabled == false): every command reaches
-  // the device at submit_time + base + U[0, jitter). Non-zero jitter
-  // reorders in-flight commands like the Linux block layer / NVMe driver
-  // (§3.2), but is DEPRECATED as a model: it makes queue depth, queue
-  // count and batching unmodelable. Prefer the NVMe queue-pair frontend
-  // below, which derives dispatch delay from doorbell batching, round-robin
-  // arbitration and SQE fetch order. The legacy default stays bit-identical
-  // to pre-frontend builds; `dispatch_base_ns` also remains the floor of
-  // the frontend's doorbell delay.
-  SimTime dispatch_base_ns = 2 * kMicrosecond;
+  // the device at submit_time + base + U[0, jitter), the base being
+  // ZnsDevice::kDispatchBaseNs. Non-zero jitter reorders in-flight commands
+  // like the Linux block layer / NVMe driver (§3.2), but is DEPRECATED as a
+  // model: it makes queue depth, queue count and batching unmodelable.
+  // Prefer the NVMe queue-pair frontend below, which derives dispatch delay
+  // from doorbell batching, round-robin arbitration and SQE fetch order. The
+  // legacy default stays bit-identical to pre-frontend builds; the base is
+  // also the frontend's doorbell delay.
   SimTime dispatch_jitter_ns = 8 * kMicrosecond;  // deprecated, see above
 
   // Modeled NVMe SQ/CQ pairs (src/nvme/nvme_queue.h). Disabled by default;
@@ -56,11 +55,6 @@ struct ZnsConfig {
   // becomes an architected interface (ChannelOf) instead of an oracle, and
   // BIZA can skip guess-and-verify entirely.
   bool expose_channel_on_open = false;
-
-  // Buffer-drain allowance: a ZRWA write that triggers an implicit commit
-  // stalls only for the part of the flush beyond this backlog (models the
-  // finite but non-zero depth of the device write buffer).
-  SimTime zrwa_flush_allowance_ns = 300 * kMicrosecond;
 
   uint64_t seed = 1;
 

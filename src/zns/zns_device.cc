@@ -29,7 +29,7 @@ ZnsDevice::ZnsDevice(Simulator* sim, const ZnsConfig& config)
     : sim_(sim),
       config_(config),
       backend_(std::make_unique<NandBackend>(sim, config.timing)),
-      nvmeq_(sim, config.nvme, config.dispatch_base_ns),
+      nvmeq_(sim, config.nvme, kDispatchBaseNs),
       rng_(config.seed) {
   zones_.resize(config_.num_zones);
   // Chunk granularity: zones fill sequentially (append discipline), so
@@ -104,7 +104,7 @@ void ZnsDevice::AttachObservability(Observability* obs, int device_id) {
 }
 
 SimTime ZnsDevice::DispatchDelay() {
-  SimTime delay = config_.dispatch_base_ns;
+  SimTime delay = kDispatchBaseNs;
   if (config_.dispatch_jitter_ns > 0) {
     delay += rng_.Uniform(config_.dispatch_jitter_ns);
   }
@@ -277,8 +277,8 @@ void ZnsDevice::DoWrite(uint32_t zone, uint64_t offset,
     SimTime done = z.ack_free + config_.timing.write_ack_ns;
     // Stall additionally for flush backlog beyond the buffer-drain
     // allowance (GC congestion surfaces here).
-    if (flush_done > sim_->Now() + config_.zrwa_flush_allowance_ns) {
-      const SimTime gated = flush_done - config_.zrwa_flush_allowance_ns;
+    if (flush_done > sim_->Now() + kZrwaFlushAllowanceNs) {
+      const SimTime gated = flush_done - kZrwaFlushAllowanceNs;
       if (gated > done) {
         done = gated;
       }

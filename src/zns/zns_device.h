@@ -191,6 +191,13 @@ class ZnsDevice {
   void AttachObservability(Observability* obs, int device_id);
 
  private:
+  // Legacy dispatch base and the NVMe frontend's doorbell delay.
+  static constexpr SimTime kDispatchBaseNs = 2 * kMicrosecond;
+  // Buffer-drain allowance: a ZRWA write that triggers an implicit commit
+  // stalls only for the part of the flush beyond this backlog (models the
+  // finite but non-zero depth of the device write buffer).
+  static constexpr SimTime kZrwaFlushAllowanceNs = 300 * kMicrosecond;
+
   struct Block {
     uint64_t pattern = 0;
     OobRecord oob;

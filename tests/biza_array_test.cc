@@ -573,6 +573,49 @@ TEST(BizaArray, OnlineRebuildRestoresRedundancy) {
   f.array->SetDeviceFailed(3, false);
 }
 
+// The replacement dies 300 us into the sweep. The sweep must end with the
+// member still failed, not report the rebuild finished, and every block must
+// still read back (degraded) right. The member can then be replaced again.
+TEST(BizaArray, RebuildEndsWhenReplacementDies) {
+  Fixture f;
+  Rng rng(51);
+  std::vector<uint64_t> truth(3000);
+  for (uint64_t lbn = 0; lbn < truth.size(); lbn += 50) {
+    std::vector<uint64_t> chunk(50);
+    for (uint64_t i = 0; i < chunk.size(); ++i) {
+      truth[lbn + i] = chunk[i] = rng.Next() | 1;
+    }
+    ASSERT_TRUE(f.WriteSync(lbn, std::move(chunk)).ok());
+  }
+  f.array->SetDeviceFailed(1, true);
+  f.devs.push_back(std::make_unique<ZnsDevice>(&f.sim, DevConfig(98)));
+  f.devs.back()->AttachFaultInjector(&f.fault, 4);
+  ASSERT_TRUE(f.array->ReplaceDevice(1, f.devs.back().get()).ok());
+  f.fault.KillDeviceAt(4, f.sim.Now() + 300 * kMicrosecond);
+  f.sim.RunUntilIdle();
+
+  EXPECT_GT(f.fault.stats().unavailable_rejections, 0u);
+  EXPECT_FALSE(f.array->rebuild().active);
+  EXPECT_EQ(f.array->rebuild().finished_ns, 0u);
+  for (uint64_t lbn = 0; lbn < truth.size(); ++lbn) {
+    auto r = f.ReadSync(lbn, 1);
+    ASSERT_TRUE(r.ok()) << "lbn " << lbn << ": " << r.status().ToString();
+    ASSERT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn;
+  }
+
+  // Still failed, so a second spare may take the slot.
+  f.devs.push_back(std::make_unique<ZnsDevice>(&f.sim, DevConfig(99)));
+  f.devs.back()->AttachFaultInjector(&f.fault, 5);
+  ASSERT_TRUE(f.array->ReplaceDevice(1, f.devs.back().get()).ok());
+  f.sim.RunUntilIdle();
+  EXPECT_GT(f.array->rebuild().finished_ns, f.array->rebuild().started_ns);
+  for (uint64_t lbn = 0; lbn < truth.size(); lbn += 7) {
+    auto r = f.ReadSync(lbn, 1);
+    ASSERT_TRUE(r.ok()) << "lbn " << lbn << ": " << r.status().ToString();
+    EXPECT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn << " after rebuild";
+  }
+}
+
 TEST(BizaArray, FaultInjectionIsDeterministic) {
   auto run = []() {
     Fixture f;

@@ -568,10 +568,11 @@ TEST(Mdraid, OnlineRebuildRestoresFailedChild) {
   }
 
   ASSERT_TRUE(f.mdraid->RebuildChild(2, f.AddSpare()).ok());
-  EXPECT_TRUE(f.mdraid->rebuild_active());
+  EXPECT_TRUE(f.mdraid->rebuild().active);
   f.sim.RunUntilIdle();
-  EXPECT_FALSE(f.mdraid->rebuild_active());
-  EXPECT_GT(f.mdraid->stats().rebuilt_blocks, 0u);
+  EXPECT_FALSE(f.mdraid->rebuild().active);
+  EXPECT_GT(f.mdraid->rebuild().chunks_migrated, 0u);
+  EXPECT_GT(f.mdraid->rebuild().finished_ns, f.mdraid->rebuild().started_ns);
 
   for (uint64_t lbn = 0; lbn < truth.size(); lbn += 71) {
     auto r = BlockReadSync(&f.sim, f.mdraid.get(), lbn, 1);
@@ -585,6 +586,49 @@ TEST(Mdraid, OnlineRebuildRestoresFailedChild) {
     auto r = BlockReadSync(&f.sim, f.mdraid.get(), lbn, 1);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn << " degraded post-rebuild";
+  }
+}
+
+// The replacement dies 300 us into the sweep. The sweep must end with the
+// child still failed, not report the rebuild finished, and every block must
+// still read back (degraded) right. The child can then be replaced again.
+TEST(Mdraid, RebuildEndsWhenReplacementDies) {
+  MdraidFixture f;
+  Rng rng(19);
+  std::vector<uint64_t> truth(8192);
+  for (uint64_t lbn = 0; lbn < truth.size(); lbn += 64) {
+    std::vector<uint64_t> chunk(64);
+    for (uint64_t i = 0; i < chunk.size(); ++i) {
+      truth[lbn + i] = chunk[i] = rng.Next() | 1;
+    }
+    ASSERT_TRUE(
+        BlockWriteSync(&f.sim, f.mdraid.get(), lbn, std::move(chunk)).ok());
+  }
+  f.mdraid->FlushBuffers([]() {});
+  f.sim.RunUntilIdle();
+
+  f.mdraid->SetChildFailed(1, true);
+  ASSERT_TRUE(f.mdraid->RebuildChild(1, f.AddSpare()).ok());
+  f.fault.KillDeviceAt(4, f.sim.Now() + 300 * kMicrosecond);
+  f.sim.RunUntilIdle();
+
+  EXPECT_GT(f.fault.stats().unavailable_rejections, 0u);
+  EXPECT_FALSE(f.mdraid->rebuild().active);
+  EXPECT_EQ(f.mdraid->rebuild().finished_ns, 0u);
+  for (uint64_t lbn = 0; lbn < truth.size(); ++lbn) {
+    auto r = BlockReadSync(&f.sim, f.mdraid.get(), lbn, 1);
+    ASSERT_TRUE(r.ok()) << "lbn " << lbn << ": " << r.status().ToString();
+    ASSERT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn;
+  }
+
+  // Still failed, so a second spare may take the slot.
+  ASSERT_TRUE(f.mdraid->RebuildChild(1, f.AddSpare()).ok());
+  f.sim.RunUntilIdle();
+  EXPECT_GT(f.mdraid->rebuild().finished_ns, f.mdraid->rebuild().started_ns);
+  for (uint64_t lbn = 0; lbn < truth.size(); lbn += 7) {
+    auto r = BlockReadSync(&f.sim, f.mdraid.get(), lbn, 1);
+    ASSERT_TRUE(r.ok()) << "lbn " << lbn << ": " << r.status().ToString();
+    EXPECT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn << " after rebuild";
   }
 }
 

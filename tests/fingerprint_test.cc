@@ -13,8 +13,9 @@
 // group GC to cycle, and folds the GC counters into the digest. Four more
 // run the fault paths (BIZA RAID 5 and RAID 6, ZapRAID, mdraid over
 // conventional SSDs): transient-error retries, a member death inside the run
-// and the reads around a fail-slow member. Re-pin a string only for an
-// intended behaviour change, and say so in the commit.
+// and the reads around a fail-slow member. Four more replace a dead member
+// and rebuild it online under foreground I/O (same four engines). Re-pin a
+// string only for an intended behaviour change, and say so in the commit.
 //
 // Verify failures are recorded, not required to be zero: the driver checks a
 // read against the newest write issued to each block, which a read racing a
@@ -315,6 +316,101 @@ TEST(FingerprintTest, ZapRaidFaultPaths) {
             "p50=123.9us p99=3244.0us p99.99=3419.2us max=3419.2us|n=1613 "
             "avg=272.7us p50=0.0us p99=11141.1us p99.99=16106.3us "
             "max=16106.3us|103569983|3691|4196|33|37|34");
+}
+
+// Online rebuild. Member 1 dies inside a web-profile run; a fresh spare
+// replaces it, and a second driver runs a web workload in the foreground
+// while the sweep migrates. The digest folds both runs and the sweep's
+// chunks_migrated, started_ns and finished_ns (not `passes`); the sweep
+// must have finished and moved data, or the case no longer pins the path it
+// is named for.
+std::string RunRebuild(PlatformKind kind, SimTime death_ns,
+                       int num_parity = 1) {
+  Simulator sim;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/64, /*zone_capacity_blocks=*/1024);
+  config.MatchConvCapacity();
+  config.seed = 1;
+  config.biza.num_parity = num_parity;
+  config.faults.Device(1).die_at = death_ns;
+  auto platform = Platform::Create(&sim, kind, config);
+
+  TraceProfile profile = TraceProfile::Web();
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 3);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/16,
+                /*verify_reads=*/true);
+  const DriverReport before = driver.Run(/*max_requests=*/3000, 60 * kSecond);
+  std::ostringstream fp;
+  fp << Digest(before, sim, *platform) << '|';
+  EXPECT_GT(platform->faults()->stats().unavailable_rejections, 0u)
+      << "member 1 never died inside the run";
+
+  const Status replaced = platform->ReplaceMember(&sim, 1);
+  EXPECT_TRUE(replaced.ok()) << replaced.ToString();
+  profile.seed++;
+  SyntheticTrace foreground_trace(profile);
+  Driver foreground(&sim, platform->block(), &foreground_trace,
+                    /*iodepth=*/16, /*verify_reads=*/true);
+  const DriverReport during =
+      foreground.Run(/*max_requests=*/3000, 60 * kSecond);
+  sim.RunUntilIdle();
+
+  const RebuildStats& p = *platform->rebuild();
+  EXPECT_FALSE(p.active) << "the sweep never finished";
+  EXPECT_GT(p.chunks_migrated, 0u) << "the sweep moved nothing";
+  EXPECT_GT(p.finished_ns, p.started_ns) << "the sweep never finished";
+  fp << Digest(during, sim, *platform) << '|' << p.chunks_migrated << '|'
+     << p.started_ns << '|' << p.finished_ns;
+  return fp.str();
+}
+
+TEST(FingerprintTest, BizaRaid5Rebuild) {
+  EXPECT_EQ(RunRebuild(PlatformKind::kBiza, 5 * kMillisecond),
+            "3000|2|11640832|78237696|9419919|n=1387 avg=104.2us p50=65.0us "
+            "p99=712.7us p99.99=971.5us max=971.5us|n=1613 avg=3.3us "
+            "p50=0.0us p99=55.8us p99.99=107.5us max=107.5us|9419919|10075|"
+            "827|3000|9|11653120|81821696|12169729|n=1360 avg=93.4us "
+            "p50=64.0us p99=548.9us p99.99=745.5us max=746.9us|n=1640 "
+            "avg=40.5us p50=0.0us p99=323.6us p99.99=356.4us max=356.7us|"
+            "27520992|31000|4174|1893|9419919|27520992");
+}
+
+// RAID 6 (m = 2): the sweep re-homes the replaced member's stripes with
+// both parity rows.
+TEST(FingerprintTest, BizaRaid6Rebuild) {
+  EXPECT_EQ(RunRebuild(PlatformKind::kBiza, 5 * kMillisecond,
+                       /*num_parity=*/2),
+            "3000|4|11653120|78237696|8321054|n=1387 avg=89.6us p50=66.6us "
+            "p99=348.2us p99.99=471.0us max=473.8us|n=1613 avg=5.1us "
+            "p50=0.0us p99=74.8us p99.99=115.7us max=116.0us|8335041|15182|"
+            "1829|3000|12|11653120|81821696|15970107|n=1360 avg=76.2us "
+            "p50=65.0us p99=194.6us p99.99=380.9us max=383.6us|n=1640 "
+            "avg=89.4us p50=0.0us p99=1097.7us p99.99=2588.7us max=2620.2us|"
+            "31440378|44757|8792|1848|8335041|31440378");
+}
+
+TEST(FingerprintTest, ZapRaidRebuild) {
+  EXPECT_EQ(RunRebuild(PlatformKind::kZapRaid, 5 * kMillisecond),
+            "3000|0|11661312|78237696|15132485|n=1387 avg=164.7us "
+            "p50=161.8us p99=282.6us p99.99=311.6us max=311.6us|n=1613 "
+            "avg=7.9us p50=0.0us p99=111.6us p99.99=173.0us max=173.0us|"
+            "15132485|2249|4074|3000|4|11653120|81821696|15269576|n=1360 "
+            "avg=155.1us p50=153.6us p99=243.7us p99.99=299.0us max=302.1us|"
+            "n=1640 avg=19.7us p50=0.0us p99=219.1us p99.99=266.2us "
+            "max=267.0us|30402061|8736|9142|752|15132485|20666006");
+}
+
+TEST(FingerprintTest, MdraidConvRebuild) {
+  EXPECT_EQ(RunRebuild(PlatformKind::kMdraidConv, 5 * kMillisecond),
+            "3000|12|11661312|78237696|67783334|n=1387 avg=1.5us p50=1.4us "
+            "p99=6.3us p99.99=11.1us max=11.2us|n=1613 avg=667.8us "
+            "p50=679.9us p99=1130.5us p99.99=1221.4us max=1221.4us|71183646|"
+            "66504|2928|3000|14|11653120|81821696|104338268|n=1360 avg=1.5us "
+            "p50=1.4us p99=6.3us p99.99=10.3us max=10.3us|n=1640 "
+            "avg=1013.3us p50=1065.0us p99=1556.5us p99.99=1751.1us "
+            "max=1751.1us|2360492250|666130|308033|65536|71183646|2360492250");
 }
 
 TEST(FingerprintTest, MdraidConvFaultPaths) {

@@ -80,7 +80,7 @@ TEST(DeviceHealthMonitor, HysteresisHealthySuspectGray) {
   h.ReadWindow(1, kSlow);  // second hot window: still only suspect
   EXPECT_EQ(h.mon.state(1), DeviceHealth::kSuspect);
 
-  h.ReadWindow(1, kSlow);  // third hot window crosses gray_windows
+  h.ReadWindow(1, kSlow);  // third hot window crosses kGrayWindows
   EXPECT_EQ(h.mon.state(1), DeviceHealth::kGray);
   EXPECT_TRUE(h.mon.IsGray(1));
 
@@ -100,7 +100,7 @@ TEST(DeviceHealthMonitor, CalmWindowsRecoverAGrayDevice) {
     h.ReadWindow(1, kBase);
     EXPECT_EQ(h.mon.state(1), DeviceHealth::kGray) << "recovered early: " << i;
   }
-  h.ReadWindow(1, kBase);  // fourth calm window crosses recover_windows
+  h.ReadWindow(1, kBase);  // fourth calm window crosses kRecoverWindows
   EXPECT_EQ(h.mon.state(1), DeviceHealth::kRecovered);
   EXPECT_EQ(h.mon.stats().recoveries, 1u);
 
@@ -178,7 +178,7 @@ TEST(DeviceHealthMonitor, ArrayWideSlowdownRaisesTheBaselineToo) {
 TEST(DeviceHealthMonitor, HedgeDelayDerivesFromPeerQuantile) {
   Harness h;
   // No peer windows yet: the floor applies.
-  EXPECT_EQ(h.mon.HedgeDelayNs(1), h.mon.config().hedge_floor_ns);
+  EXPECT_EQ(h.mon.HedgeDelayNs(1), DeviceHealthMonitor::kHedgeFloorNs);
   h.WarmPeers(1);
   // Peers' pooled last windows are all 100 us; q95 = 100 us, x2 safety.
   EXPECT_EQ(h.mon.HedgeDelayNs(1), 2 * kBase);

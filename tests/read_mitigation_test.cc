@@ -18,7 +18,7 @@ using Kind = DeviceHealthMonitor::Kind;
 
 constexpr SimTime kBase = 100000;  // healthy peer read, 100 us
 constexpr SimTime kSlow = 800000;  // 8x fail-slow member
-constexpr SimTime kHedgeDelay = 2 * kBase;  // hedge_multiplier x peer q95
+constexpr SimTime kHedgeDelay = 2 * kBase;  // kHedgeMultiplier x peer q95
 constexpr uint64_t kDirectPattern = 0xD1;
 constexpr uint64_t kReconPattern = 0xEC;
 constexpr int kMember = 1;

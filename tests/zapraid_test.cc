@@ -4,6 +4,7 @@
 // online rebuild, gray-member mitigations, and stripe-header recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -443,6 +444,123 @@ TEST(ZapRaid, OnlineRebuildRestoresRedundancy) {
     ASSERT_TRUE(r.ok());
     ASSERT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn;
   }
+}
+
+// The replacement dies 300 us into the sweep. The sweep must end with the
+// member still failed, not report the rebuild finished, and every block must
+// still read back (degraded) right. The member can then be replaced again.
+TEST(ZapRaid, RebuildEndsWhenReplacementDies) {
+  Fixture f;
+  Rng rng(53);
+  std::vector<uint64_t> truth(3000);
+  for (uint64_t lbn = 0; lbn < truth.size(); lbn += 50) {
+    std::vector<uint64_t> chunk(50);
+    for (uint64_t i = 0; i < chunk.size(); ++i) {
+      truth[lbn + i] = chunk[i] = rng.Next() | 1;
+    }
+    ASSERT_TRUE(f.WriteSync(lbn, std::move(chunk)).ok());
+  }
+  f.FlushSync();
+  f.array->SetDeviceFailed(1, true);
+  f.devs.push_back(std::make_unique<ZnsDevice>(&f.sim, DevConfig(98)));
+  f.devs.back()->AttachFaultInjector(&f.fault, 4);
+  ASSERT_TRUE(f.array->ReplaceDevice(1, f.devs.back().get()).ok());
+  f.fault.KillDeviceAt(4, f.sim.Now() + 300 * kMicrosecond);
+  f.sim.RunUntilIdle();
+
+  EXPECT_GT(f.fault.stats().unavailable_rejections, 0u);
+  EXPECT_FALSE(f.array->rebuild().active);
+  EXPECT_EQ(f.array->rebuild().finished_ns, 0u);
+  for (uint64_t lbn = 0; lbn < truth.size(); ++lbn) {
+    auto r = f.ReadSync(lbn, 1);
+    ASSERT_TRUE(r.ok()) << "lbn " << lbn << ": " << r.status().ToString();
+    ASSERT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn;
+  }
+  ExpectInvariants(*f.array);
+
+  // Still failed, so a second spare may take the slot.
+  f.devs.push_back(std::make_unique<ZnsDevice>(&f.sim, DevConfig(99)));
+  f.devs.back()->AttachFaultInjector(&f.fault, 5);
+  ASSERT_TRUE(f.array->ReplaceDevice(1, f.devs.back().get()).ok());
+  f.sim.RunUntilIdle();
+  EXPECT_GT(f.array->rebuild().finished_ns, f.array->rebuild().started_ns);
+  for (uint64_t lbn = 0; lbn < truth.size(); lbn += 7) {
+    auto r = f.ReadSync(lbn, 1);
+    ASSERT_TRUE(r.ok()) << "lbn " << lbn << ": " << r.status().ToString();
+    EXPECT_EQ((*r)[0], truth[lbn]) << "lbn " << lbn << " after rebuild";
+  }
+  ExpectInvariants(*f.array);
+}
+
+// A sweep that gives up (MemberDeathUnderGcAbandonsAtMostOnce's run, whose
+// dead member's chunks pin the groups GC could collect, so the sweep's
+// migrations park for a free group) must leave the member failed: the L2P
+// still points at chunks the sweep never re-homed, and only a degraded read
+// can serve them. Reads may fail, but an acked block may never read back as
+// zero or as another LBN's pattern with OK status.
+TEST(ZapRaid, RebuildThatGivesUpKeepsMemberFailed) {
+  Fixture f(ZapRaidConfig{}, /*num_zones=*/24, /*zone_cap=*/256);
+  const uint64_t span = f.array->capacity_blocks() / 2;
+  Rng rng(13);
+  uint64_t issued = 0;
+  std::unordered_map<uint64_t, uint64_t> acked;  // lbn -> acked version
+  std::function<void()> issue = [&] {
+    if (issued >= 40000) {
+      return;
+    }
+    const uint64_t version = ++issued;
+    const uint64_t n = 1 + rng.Uniform(8);
+    const uint64_t lbn = rng.Uniform(span - n);
+    std::vector<uint64_t> patterns(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      patterns[i] = ((lbn + i) << 24) | version;
+    }
+    f.array->SubmitWrite(lbn, std::move(patterns),
+                         [&, lbn, n, version](const Status& s) {
+                           if (s.ok()) {
+                             for (uint64_t i = 0; i < n; ++i) {
+                               uint64_t& v = acked[lbn + i];
+                               v = std::max(v, version);
+                             }
+                           }
+                           issue();
+                         },
+                         WriteTag::kData);
+  };
+  for (int w = 0; w < 16; ++w) {
+    issue();
+  }
+  while (f.array->stats().gc_runs < 20 && f.sim.pending_events() > 0) {
+    f.sim.RunFor(100 * kMicrosecond);
+  }
+  ASSERT_GE(f.array->stats().gc_runs, 20u) << "GC never reached steady state";
+  f.fault.KillDeviceAt(1, f.sim.Now() + 1);
+  f.sim.RunUntilIdle();
+
+  f.devs.push_back(
+      std::make_unique<ZnsDevice>(&f.sim, DevConfig(99, 24, 256)));
+  ASSERT_TRUE(f.array->ReplaceDevice(1, f.devs.back().get()).ok());
+  f.sim.RunUntilIdle();
+  EXPECT_FALSE(f.array->rebuild().active);
+  EXPECT_EQ(f.array->rebuild().finished_ns, 0u) << "the sweep cannot finish";
+  EXPECT_EQ(f.array->rebuild().passes, RebuildSweep::kMaxPasses);
+
+  uint64_t wrong = 0;
+  uint64_t ok_reads = 0;
+  for (const auto& [lbn, version] : acked) {
+    auto r = f.ReadSync(lbn, 1);
+    if (!r.ok()) {
+      continue;
+    }
+    ++ok_reads;
+    const uint64_t got = (*r)[0];
+    if (got == 0 || (got >> 24) != lbn) {
+      ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "of " << acked.size() << " acked blocks";
+  EXPECT_GT(ok_reads, 0u);
+  ExpectInvariants(*f.array);
 }
 
 // A member death with hundreds of chunks in flight re-homes those chunks

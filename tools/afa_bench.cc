@@ -31,7 +31,8 @@
 //
 // A run that ends with requests stranded (issued but never completed: the
 // array wedged and parked them for good) prints a "stranded" line and makes
-// afa_bench exit 1, so a partial run never passes for a result.
+// afa_bench exit 1, so a partial run never passes for a result. So does a
+// --rebuild run whose sweep did not restore the member.
 //
 // --bench-metric=ID wraps the whole invocation in a BenchMetricScope so one
 // machine-readable metric record ("BENCH_RECORD {"kind":"metric",...}":
@@ -65,12 +66,14 @@
 //                       (intermittent gray failure)
 //   --rebuild           after the workload, hot-swap the first dead device
 //                       for a fresh spare and run the online rebuild to
-//                       completion (BIZA and mdraid+ConvSSD platforms)
+//                       its end (BIZA, ZapRAID and mdraid+ConvSSD
+//                       platforms); exits 1 unless the sweep restored the
+//                       member
 //
 // Gray-failure self-defense (src/health, DESIGN.md):
 //   --mitigate          attach a DeviceHealthMonitor and arm hedged reads,
 //                       reconstruct-around reads and steering-aware writes
-//                       (BIZA and mdraid platforms)
+//                       (BIZA, ZapRAID and mdraid platforms)
 //   --hedge-quantile=Q  peer latency quantile deriving the hedge delay
 //                       (default 0.95)
 //   --suspect-factor=X / --gray-factor=X
@@ -230,11 +233,12 @@ void PrintUsage() {
       "            throughput|batch; prefixes ok) --admission=fifo|drr\n"
       "            --qos (SLO hedging + gray shedding; --iodepth is the\n"
       "            global in-flight cap)\n"
-      "faults    : --fail-device=D@T --fail-slow=D:X --rebuild\n"
+      "faults    : --fail-device=D@T --fail-slow=D:X --rebuild (BIZA,\n"
+      "            ZapRAID, mdraid+ConvSSD; needs --fail-device)\n"
       "            --fail-slow-ramp=D:X@S+DUR --fail-slow-duty=D:X@P/ON\n"
-      "health    : --mitigate --hedge-quantile=Q --suspect-factor=X\n"
-      "            --gray-factor=X --health-window-ios=N\n"
-      "            --health-min-window-ms=M\n"
+      "health    : --mitigate (BIZA, ZapRAID, mdraid) --hedge-quantile=Q\n"
+      "            --suspect-factor=X --gray-factor=X\n"
+      "            --health-window-ios=N --health-min-window-ms=M\n"
       "observe   : --trace=FILE --trace-start=S --trace-end=S\n"
       "            --sample-csv=FILE --sample-interval-ms=M --stats\n");
 }
@@ -336,7 +340,8 @@ struct RunResult {
   uint64_t degraded_reads = 0;
   uint64_t read_retries = 0;
   uint64_t write_retries = 0;
-  bool rebuild_ran = false;
+  bool rebuild_ran = false;       // the sweep started
+  bool rebuild_finished = false;  // ... and restored the member
   uint64_t rebuild_blocks = 0;
   uint64_t rebuild_passes = 0;
   double rebuild_seconds = 0.0;
@@ -519,59 +524,22 @@ RunResult RunExperiment(const Options& opt, uint64_t seed_offset) {
         driver.Run(opt.requests, static_cast<SimTime>(opt.seconds * 1e9));
   }
 
-  if (opt.rebuild && !opt.fail_device.empty()) {
-    const int dead = opt.fail_device[0].device;
-    if (platform->biza() != nullptr) {
-      ZnsDevice* spare = platform->AddSpareZnsDevice(&sim);
-      const SimTime start = sim.Now();
-      // The array may not have witnessed the death yet (e.g. the workload
-      // drained before die_at, or no I/O touched the device since): fail it
-      // explicitly so the swap is always legal.
-      platform->biza()->SetDeviceFailed(dead, true);
-      const Status s = platform->biza()->ReplaceDevice(dead, spare);
-      if (!s.ok()) {
-        std::fprintf(stderr, "ReplaceDevice: %s\n", s.ToString().c_str());
-      } else {
-        sim.RunUntilIdle();  // rebuild self-schedules until FinishRebuild
-        result.rebuild_ran = !platform->biza()->rebuild().active;
-        result.rebuild_blocks = platform->biza()->rebuild().chunks_migrated;
-        result.rebuild_passes = platform->biza()->rebuild().passes;
-        result.rebuild_seconds =
-            static_cast<double>(sim.Now() - start) / 1e9;
-      }
-    } else if (platform->zapraid() != nullptr) {
-      ZnsDevice* spare = platform->AddSpareZnsDevice(&sim);
-      const SimTime start = sim.Now();
-      platform->zapraid()->SetDeviceFailed(dead, true);
-      const Status s = platform->zapraid()->ReplaceDevice(dead, spare);
-      if (!s.ok()) {
-        std::fprintf(stderr, "ReplaceDevice: %s\n", s.ToString().c_str());
-      } else {
-        sim.RunUntilIdle();  // rebuild self-schedules until FinishRebuild
-        result.rebuild_ran = !platform->zapraid()->rebuild().active;
-        result.rebuild_blocks = platform->zapraid()->rebuild().chunks_migrated;
-        result.rebuild_passes = platform->zapraid()->rebuild().passes;
-        result.rebuild_seconds =
-            static_cast<double>(sim.Now() - start) / 1e9;
-      }
-    } else if (platform->mdraid() != nullptr &&
-               KindFromName(opt.platform) == PlatformKind::kMdraidConv) {
-      BlockTarget* spare = platform->AddSpareConvTarget(&sim);
-      const SimTime start = sim.Now();
-      platform->mdraid()->SetChildFailed(dead, true);
-      const Status s = platform->mdraid()->RebuildChild(dead, spare);
-      if (!s.ok()) {
-        std::fprintf(stderr, "RebuildChild: %s\n", s.ToString().c_str());
-      } else {
-        sim.RunUntilIdle();
-        result.rebuild_ran = !platform->mdraid()->rebuild_active();
-        result.rebuild_blocks = platform->mdraid()->stats().rebuilt_blocks;
-        result.rebuild_seconds =
-            static_cast<double>(sim.Now() - start) / 1e9;
-      }
+  if (opt.rebuild) {
+    // The array may not have witnessed the death yet (e.g. the workload
+    // drained before die_at, or no I/O touched the device since):
+    // ReplaceMember fails the member first, so the swap is always legal.
+    const SimTime start = sim.Now();
+    const Status s = platform->ReplaceMember(&sim, opt.fail_device[0].device);
+    if (!s.ok()) {
+      std::fprintf(stderr, "--rebuild: %s\n", s.ToString().c_str());
     } else {
-      std::fprintf(stderr,
-                   "--rebuild supports BIZA and mdraid+ConvSSD platforms\n");
+      sim.RunUntilIdle();  // the sweep self-schedules until it ends
+      const RebuildStats& sweep = *platform->rebuild();
+      result.rebuild_ran = true;
+      result.rebuild_finished = sweep.finished_ns != 0;
+      result.rebuild_blocks = sweep.chunks_migrated;
+      result.rebuild_passes = sweep.passes;
+      result.rebuild_seconds = static_cast<double>(sim.Now() - start) / 1e9;
     }
   }
 
@@ -759,10 +727,11 @@ void PrintResult(const Options& opt, const RunResult& result) {
                 static_cast<unsigned long long>(result.write_retries));
   }
   if (result.rebuild_ran) {
-    std::printf("  rebuild: %llu blocks in %.3f s virtual (%llu passes)\n",
+    std::printf("  rebuild: %llu blocks in %.3f s virtual (%llu passes)%s\n",
                 static_cast<unsigned long long>(result.rebuild_blocks),
                 result.rebuild_seconds,
-                static_cast<unsigned long long>(result.rebuild_passes));
+                static_cast<unsigned long long>(result.rebuild_passes),
+                result.rebuild_finished ? "" : ", member still failed");
   }
   if (result.have_health) {
     const HealthStats& hs = result.health_stats;
@@ -991,6 +960,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (opt.rebuild && opt.fail_device.empty()) {
+    std::fprintf(stderr, "--rebuild needs --fail-device=D@T\n");
+    return 2;
+  }
   if (opt.full_geometry) {
     ApplyFullGeometry(&opt);
   }
@@ -1022,12 +995,16 @@ int main(int argc, char** argv) {
 
   double mean_write = 0.0, mean_read = 0.0, mean_wa = 0.0;
   uint64_t stranded = 0;
+  int unrebuilt = 0;  // seeds whose --rebuild did not restore the member
   for (int s = 0; s < opt.seeds; ++s) {
     if (opt.seeds > 1) {
       std::printf("-- seed %d --\n", s);
     }
     PrintResult(opt, results[static_cast<size_t>(s)]);
     stranded += results[static_cast<size_t>(s)].report.stranded_requests;
+    if (opt.rebuild && !results[static_cast<size_t>(s)].rebuild_finished) {
+      unrebuilt++;
+    }
     mean_write += results[static_cast<size_t>(s)].report.WriteMBps();
     mean_read += results[static_cast<size_t>(s)].report.ReadMBps();
     mean_wa += results[static_cast<size_t>(s)].wa.TotalRatio();
@@ -1085,6 +1062,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "afa_bench: %llu requests stranded: the run is "
                          "partial\n",
                  static_cast<unsigned long long>(stranded));
+    return 1;
+  }
+  if (unrebuilt > 0) {
+    std::fprintf(stderr, "afa_bench: --rebuild did not restore the member "
+                         "in %d of %d seeds\n",
+                 unrebuilt, opt.seeds);
     return 1;
   }
   return 0;
