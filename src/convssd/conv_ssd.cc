@@ -319,9 +319,12 @@ void ConvSsd::DoWrite(uint64_t lbn, std::vector<uint64_t> patterns,
 }
 
 void ConvSsd::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
-  AtArrival([this, lbn, nblocks, cb = std::move(cb)]() mutable {
+  auto arrival = [this, lbn, nblocks, cb = std::move(cb)]() mutable {
     DoRead(lbn, nblocks, std::move(cb));
-  });
+  };
+  static_assert(InlineCallback::FitsInline<decltype(arrival)>(),
+                "a device read's arrival must not allocate");
+  AtArrival(std::move(arrival));
 }
 
 void ConvSsd::DoRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
@@ -352,10 +355,13 @@ void ConvSsd::DoRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   }
   stats_.host_read_blocks += nblocks;
   const SimTime done = backend_->Read(channel, nblocks * kBlockSize);
-  CompleteIo(Stretch(done),
-             [cb = std::move(cb), patterns = std::move(patterns)]() mutable {
-               cb(OkStatus(), std::move(patterns));
-             });
+  auto completion = [cb = std::move(cb),
+                     patterns = std::move(patterns)]() mutable {
+    cb(OkStatus(), std::move(patterns));
+  };
+  static_assert(InlineCallback::FitsInline<decltype(completion)>(),
+                "a device read's completion must not allocate");
+  CompleteIo(Stretch(done), std::move(completion));
 }
 
 Result<uint64_t> ConvSsd::ReadPatternSync(uint64_t lbn) const {

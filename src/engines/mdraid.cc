@@ -1,9 +1,9 @@
 #include "src/engines/mdraid.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <memory>
-#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/engines/join.h"
@@ -32,6 +32,7 @@ Mdraid::Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
   stripes_total_ = child_cap;
   capacity_blocks_ = stripes_total_ * static_cast<uint64_t>(k_);
   child_failed_.assign(static_cast<size_t>(n_), false);
+  written_stripes_ = ChunkedArray<uint64_t>((stripes_total_ + 63) / 64);
 }
 
 void Mdraid::AttachObservability(Observability* obs) {
@@ -729,6 +730,9 @@ void Mdraid::ChildRead(
 void Mdraid::ChildWrite(int child, uint64_t offset,
                         std::vector<uint64_t> patterns, WriteTag tag,
                         WriteCallback cb) {
+  for (uint64_t s = offset; s < offset + patterns.size(); ++s) {
+    written_stripes_.Mut(s / 64) |= uint64_t{1} << (s % 64);
+  }
   IssueWithRetry(
       sim_, &stats_.write_retries,
       [this, child, offset, patterns = std::move(patterns),
@@ -767,8 +771,16 @@ void Mdraid::RebuildRescan(std::function<void(RebuildSweep::Keys)> next) {
   std::vector<uint64_t> stripes = std::move(rebuild_deferred_);
   rebuild_deferred_.clear();
   if (rebuild_.stats().passes == 0) {
-    stripes.resize(stripes_total_);
-    std::iota(stripes.begin(), stripes.end(), uint64_t{0});
+    stripes.clear();
+    for (uint64_t w = written_stripes_.SkipUnallocated(0);
+         w < written_stripes_.size();
+         w = written_stripes_.SkipUnallocated(w + 1)) {
+      for (uint64_t bits = written_stripes_.Get(w); bits != 0;
+           bits &= bits - 1) {
+        stripes.push_back(w * 64 +
+                          static_cast<uint64_t>(std::countr_zero(bits)));
+      }
+    }
     next(std::move(stripes));
     return;
   }

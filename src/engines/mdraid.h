@@ -28,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/sparse_array.h"
 #include "src/engines/rebuild.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
@@ -147,8 +148,8 @@ class Mdraid : public BlockTarget, private RebuildSweep::Engine {
                  std::function<void(const Status&, std::vector<uint64_t>)> cb);
   void ChildWrite(int child, uint64_t offset, std::vector<uint64_t> patterns,
                   WriteTag tag, WriteCallback cb);
-  // The rebuild's engine side: every stripe, with those dirty in the cache
-  // put off to a second pass after one cache flush.
+  // The rebuild's engine side: every written stripe, with those dirty in
+  // the cache put off to a second pass after one cache flush.
   void RebuildRescan(std::function<void(RebuildSweep::Keys)> next) override;
   bool RebuildTake(uint64_t stripe) override;
   void RebuildMigrate(RebuildSweep::Keys stripes,
@@ -201,6 +202,11 @@ class Mdraid : public BlockTarget, private RebuildSweep::Engine {
   // Online-rebuild state (see RebuildChild).
   RebuildSweep rebuild_;
   std::vector<uint64_t> rebuild_deferred_;  // dirty-in-cache, revisit later
+  // Written-stripe bitmap, like md's write-intent bitmap: ChildWrite sets
+  // bit s for every offset s it writes, on any child. A stripe never
+  // written reads zero on every member, the spare included, so the rebuild
+  // skips it. Chunked, so resident memory follows the written footprint.
+  ChunkedArray<uint64_t> written_stripes_;
 
   MdraidStats stats_;
   CpuAccount cpu_;

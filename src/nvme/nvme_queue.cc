@@ -21,9 +21,13 @@ NvmeQueuePair::NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
   inflight_.assign(config_.num_queues, 0);
   overflow_.resize(config_.num_queues);
   arb_lists_.resize(config_.num_queues);
+  power_cuts_ = sim_->power_cuts();
 }
 
 uint64_t NvmeQueuePair::inflight() const {
+  if (sim_->power_cuts() != power_cuts_) {
+    return 0;  // the cut destroyed them; Submit forgets them for good
+  }
   uint64_t parked = 0;
   for (const auto& q : overflow_) {
     parked += q.size();
@@ -31,7 +35,43 @@ uint64_t NvmeQueuePair::inflight() const {
   return host_inflight_ + parked;
 }
 
+void NvmeQueuePair::ForgetCommandsLostToPowerCut() {
+  power_cuts_ = sim_->power_cuts();
+  // Take every parked callback out before destroying any: a destructor that
+  // submits again must find the pair already reset.
+  std::vector<InlineCallback> lost;
+  free_batches_.clear();
+  for (Batch& batch : batches_) {
+    for (Sqe& sqe : batch.entries) {
+      lost.push_back(std::move(sqe.fn));
+    }
+    batch.entries.clear();
+    free_batches_.push_back(&batch);
+  }
+  open_batch_ = nullptr;
+  cq_.clear();
+  cq_free_.clear();
+  for (uint32_t slot = 0; slot < cq_slots_.size(); ++slot) {
+    if (cq_slots_[slot]) {
+      lost.push_back(std::move(cq_slots_[slot]));
+    }
+    cq_free_.push_back(slot);
+  }
+  for (auto& parked : overflow_) {
+    for (InlineCallback& fn : parked) {
+      lost.push_back(std::move(fn));
+    }
+    parked.clear();
+  }
+  inflight_.assign(config_.num_queues, 0);
+  host_inflight_ = 0;
+  irq_at_ = kNotArmed;
+}  // `lost` destroys the callbacks here, none of them invoked
+
 void NvmeQueuePair::Submit(InlineCallback fn) {
+  if (sim_->power_cuts() != power_cuts_) {
+    ForgetCommandsLostToPowerCut();
+  }
   stats_.commands++;
   const uint32_t sq = static_cast<uint32_t>(sq_rr_++ % config_.num_queues);
   if (inflight_[sq] >= config_.queue_depth) {
@@ -54,14 +94,23 @@ void NvmeQueuePair::Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn) {
     // it — and conversely, every command this batch holds was posted at
     // least one (non-zero) doorbell delay before the ring, so the ring event
     // is provably still pending when the host appends.
-    auto batch = std::make_shared<Batch>();
+    if (free_batches_.empty()) {
+      free_batches_.push_back(&batches_.emplace_back());
+    }
+    Batch* batch = free_batches_.back();
+    free_batches_.pop_back();
     open_batch_ = batch;
     open_deliver_at_ = submitted + db;
     stats_.doorbells++;
-    sim_->ScheduleAt(open_deliver_at_,
-                     [this, batch = std::move(batch)]() mutable {
-                       RingDoorbell(batch.get());
-                     });
+    sim_->ScheduleAt(open_deliver_at_, [this, batch] {
+      RingDoorbell(batch);
+      // Every SQE ran: give the batch (and its vector's capacity) back.
+      batch->entries.clear();
+      free_batches_.push_back(batch);
+      if (open_batch_ == batch) {
+        open_batch_ = nullptr;
+      }
+    });
   } else {
     stats_.coalesced_commands++;  // rode an already-scheduled ring event
   }
@@ -131,7 +180,17 @@ void NvmeQueuePair::RingDoorbell(Batch* batch) {
 
 void NvmeQueuePair::Complete(SimTime when, InlineCallback fn) {
   const SimTime ready = when + fetch_skew_;
-  cq_.push_back(Cqe{ready, cq_seq_++, cur_sq_, std::move(fn)});
+  uint32_t slot;
+  if (cq_free_.empty()) {
+    slot = static_cast<uint32_t>(cq_slots_.size());
+    cq_slots_.push_back(std::move(fn));
+  } else {
+    slot = cq_free_.back();
+    cq_free_.pop_back();
+    cq_slots_[slot] = std::move(fn);
+  }
+  cq_.push_back(CqKey{ready, cq_seq_++, slot, cur_sq_});
+  std::push_heap(cq_.begin(), cq_.end(), Later);
   ArmInterrupt(cq_.size() >= config_.irq_threshold
                    ? ready
                    : ready + config_.irq_timer_ns);
@@ -158,57 +217,39 @@ void NvmeQueuePair::FireInterrupt() {
   }
   irq_at_ = kNotArmed;
   const SimTime now = sim_->Now();
-  // Partition ready CQEs out of the pending list in place: `fire` is handed
-  // to the host message below, survivors compact to the front of cq_ in
-  // their original posting order.
-  std::vector<Cqe> fire;
-  fire.reserve(cq_.size());
-  size_t keep = 0;
-  for (size_t i = 0; i < cq_.size(); ++i) {
-    if (cq_[i].ready <= now) {
-      fire.push_back(std::move(cq_[i]));
-    } else {
-      if (keep != i) {
-        cq_[keep] = std::move(cq_[i]);
-      }
-      keep++;
-    }
+  // Pop the ready CQEs; they leave the heap in delivery order (ready time,
+  // then CQ posting order).
+  fire_.clear();
+  while (!cq_.empty() && cq_.front().ready <= now) {
+    std::pop_heap(cq_.begin(), cq_.end(), Later);
+    fire_.push_back(cq_.back());
+    cq_.pop_back();
   }
-  cq_.resize(keep);
   if (!cq_.empty()) {
-    SimTime min_ready = cq_.front().ready;
-    for (const auto& cqe : cq_) {
-      min_ready = std::min(min_ready, cqe.ready);
-    }
+    const SimTime min_ready = cq_.front().ready;
     ArmInterrupt(cq_.size() >= config_.irq_threshold
                      ? min_ready
                      : min_ready + config_.irq_timer_ns);
   }
-  if (fire.empty()) {
+  if (fire_.empty()) {
     return;
   }
-  // Deliver in completion order (ready time, then CQ posting order). CQEs
-  // mostly post in ready order already, so check before paying the sort.
-  const auto by_ready = [](const Cqe& a, const Cqe& b) {
-    return a.ready != b.ready ? a.ready < b.ready : a.seq < b.seq;
-  };
-  if (!std::is_sorted(fire.begin(), fire.end(), by_ready)) {
-    std::sort(fire.begin(), fire.end(), by_ready);
-  }
   stats_.interrupts++;
-  stats_.coalesced_cqes += fire.size() - 1;
+  stats_.coalesced_cqes += fire_.size() - 1;
   // The interrupt drains the whole CQ batch inline: free the SQ slots,
   // refill from the software queues, then run the completion callbacks in
-  // order.
-  for (auto& cqe : fire) {
-    assert(inflight_[cqe.sq] > 0);
-    inflight_[cqe.sq]--;
+  // order. Each runs in its parked slot, which is freed only after it
+  // returns.
+  for (const CqKey& key : fire_) {
+    assert(inflight_[key.sq] > 0);
+    inflight_[key.sq]--;
     assert(host_inflight_ > 0);
     host_inflight_--;
   }
   DrainOverflow();
-  for (auto& cqe : fire) {
-    cqe.fn.ConsumeInvoke();
+  for (const CqKey& key : fire_) {
+    cq_slots_[key.slot].ConsumeInvoke();
+    cq_free_.push_back(key.slot);
   }
 }
 

@@ -23,6 +23,23 @@
 //   are pending or `irq_timer_ns` elapses past the first; one interrupt
 //   event drains everything ready and delivers it to the host in one pass.
 //
+// Host cost: the CQ is a binary min-heap of 24-byte {ready, seq, slot, sq}
+// keys whose callbacks stay parked in slots that never move (a deque plus a
+// free list, like the Simulator's slab). An interrupt pops the ready keys
+// straight into delivery order, (ready time, posting order), so a command
+// costs O(log pending) and no CQE is ever rescanned or relocated. Doorbell
+// batches come from a free list the pair owns: a ring event carries a raw
+// Batch* and hands it back after the fetch, so steady-state submission
+// allocates nothing.
+//
+// Power cuts: Simulator::DropPending (called between events, as the crash
+// harness does) destroys the ring and interrupt events of every command in
+// flight. The pair notices the cut (power_cuts()) at the next Submit and
+// forgets those commands: their parked SQE, CQE and overflow callbacks are
+// destroyed without running, slots and batches go back to their free
+// lists, the in-flight counts drop to zero and the interrupt is disarmed.
+// inflight() reads 0 from the cut on.
+//
 // Determinism: a batch admits a command submitted at time T only when its
 // ring time D satisfies D >= T + doorbell delay; the doorbell delay is the
 // device's non-zero dispatch base, so the ring event has not fired yet.
@@ -33,7 +50,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "src/common/units.h"
@@ -96,7 +112,8 @@ class NvmeQueuePair {
   void Complete(SimTime when, InlineCallback fn);
 
   // Commands admitted to SQs or parked in software queues but not yet
-  // delivered back to the host (test/quiesce visibility).
+  // delivered back to the host (test/quiesce visibility). 0 after a power
+  // cut until the next Submit.
   uint64_t inflight() const;
 
  private:
@@ -105,15 +122,22 @@ class NvmeQueuePair {
     uint32_t sq = 0;
     InlineCallback fn;
   };
+  // One doorbell's SQEs. Pooled: the vector keeps its capacity across rings.
   struct Batch {
     std::vector<Sqe> entries;
   };
-  struct Cqe {
-    SimTime ready = 0;
-    uint64_t seq = 0;
-    uint32_t sq = 0;
-    InlineCallback fn;
+  // A pending CQE's heap key; its callback is parked in cq_slots_[slot].
+  struct CqKey {
+    SimTime ready;
+    uint64_t seq;
+    uint32_t slot;
+    uint32_t sq;
   };
+  // Heap order for std::push_heap/pop_heap: the front is the earliest
+  // (ready, seq), i.e. the next CQE in delivery order.
+  static bool Later(const CqKey& a, const CqKey& b) {
+    return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
+  }
 
   static constexpr SimTime kNotArmed = ~SimTime{0};
   // Serial per-SQE fetch/decode cost charged in arbitration order.
@@ -121,6 +145,9 @@ class NvmeQueuePair {
   // Commands the arbiter takes from one SQ before rotating (NVMe RR burst).
   static constexpr uint32_t kArbBurst = 8;
 
+  // Host side: after a power cut, forgets every command the cut destroyed
+  // the events of (see the header comment).
+  void ForgetCommandsLostToPowerCut();
   // Host side: places an accepted command into its SQ and makes sure a
   // doorbell ring covers it.
   void Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn);
@@ -139,14 +166,17 @@ class NvmeQueuePair {
   NvmeQueueStats stats_;
 
   // --- host-side state ----------------------------------------------------
+  uint64_t power_cuts_ = 0;                  // Simulator::power_cuts() seen
   uint64_t sq_rr_ = 0;                       // SQ rotation for new commands
   std::vector<uint32_t> inflight_;           // per-SQ occupied slots
   std::vector<std::deque<InlineCallback>> overflow_;  // QD backpressure
-  // The newest batch with a scheduled ring event. The shared_ptr keeps the
-  // batch alive for appends until the ring event (which holds the other
-  // reference) consumes it; the admission rule (deliver_at >= T + doorbell)
-  // proves the event has not fired while the host still appends.
-  std::shared_ptr<Batch> open_batch_;
+  // Every batch ever made (deque: addresses stay put) and the idle ones.
+  std::deque<Batch> batches_;
+  std::vector<Batch*> free_batches_;
+  // The newest batch with a scheduled ring event; the admission rule
+  // (deliver_at >= T + doorbell) proves the event has not fired while the
+  // host still appends. The ring event returns it to free_batches_.
+  Batch* open_batch_ = nullptr;
   SimTime open_deliver_at_ = 0;
   uint64_t host_inflight_ = 0;               // accepted - delivered
 
@@ -155,7 +185,10 @@ class NvmeQueuePair {
   SimTime fetch_skew_ = 0;                   // current command's fetch delay
   uint32_t cur_sq_ = 0;                      // current command's SQ
   uint64_t cq_seq_ = 0;
-  std::vector<Cqe> cq_;
+  std::vector<CqKey> cq_;                    // min-heap under Later
+  std::deque<InlineCallback> cq_slots_;      // parked CQE callbacks
+  std::vector<uint32_t> cq_free_;            // idle cq_slots_ indices
+  std::vector<CqKey> fire_;                  // one interrupt's deliveries
   SimTime irq_at_ = kNotArmed;
   // Scratch for arbitration bucketing (device side only), reused across
   // rings so the per-doorbell path stays allocation-free.

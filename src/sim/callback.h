@@ -20,8 +20,17 @@ namespace biza {
 class InlineCallback {
  public:
   // Sized so an InlineCallback is one cache line together with its ops
-  // pointer. Covers captures of ~6 pointers/words.
-  static constexpr size_t kInlineSize = 48;
+  // pointer. Covers captures of 7 pointers/words: a device read's
+  // completion (a std::function callback plus the result vector) fits.
+  static constexpr size_t kInlineSize = 56;
+
+  // Whether a callable of type D is stored inline (no heap allocation).
+  template <typename D>
+  static constexpr bool FitsInline() {
+    return sizeof(D) <= kInlineSize &&
+           alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   InlineCallback() noexcept = default;
 
@@ -91,13 +100,6 @@ class InlineCallback {
   };
 
   template <typename D>
-  static constexpr bool FitsInline() {
-    return sizeof(D) <= kInlineSize &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
-  template <typename D>
   static constexpr Ops kInlineOps = {
       [](void* storage) { (*std::launder(reinterpret_cast<D*>(storage)))(); },
       [](void* src, void* dst) {
@@ -149,6 +151,9 @@ class InlineCallback {
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(InlineCallback) == 64,
+              "an InlineCallback is one cache line: storage plus ops pointer");
 
 }  // namespace biza
 

@@ -61,6 +61,7 @@ void Simulator::RunUntil(SimTime deadline) {
 }
 
 void Simulator::DropPending() {
+  power_cuts_++;
   for (const HeapEntry& entry : heap_) {
     // Destroy (never invoke) the parked callback, then recycle its slot.
     SlotPtr(entry.slot)->Reset();

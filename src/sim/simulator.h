@@ -88,6 +88,11 @@ class Simulator {
   // simulation can continue past the crash (e.g. to run recovery).
   void DropPending();
 
+  // How many times DropPending has run. Components that park work outside
+  // the event heap (NVMe queue pairs) compare it to forget what a power cut
+  // destroyed the events of.
+  uint64_t power_cuts() const { return power_cuts_; }
+
   size_t pending_events() const { return heap_.size(); }
   uint64_t fired_events() const { return fired_; }
 
@@ -155,6 +160,7 @@ class Simulator {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t fired_ = 0;
+  uint64_t power_cuts_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<InlineCallback[]>> slabs_;
   uint32_t num_slots_ = 0;

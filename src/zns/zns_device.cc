@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -382,9 +383,17 @@ void ZnsDevice::DoAppend(uint32_t zone, std::vector<uint64_t> patterns,
 
 void ZnsDevice::SubmitRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
                            ReadCallback cb) {
-  AtArrival([this, zone, offset, nblocks, cb = std::move(cb)]() mutable {
-    DoRead(zone, offset, nblocks, std::move(cb));
-  });
+  // The block count rides as 32 bits beside the zone so the closure fits
+  // an InlineCallback; a count past that saturates and still fails the
+  // capacity check in DoRead.
+  const auto n = static_cast<uint32_t>(
+      std::min<uint64_t>(nblocks, std::numeric_limits<uint32_t>::max()));
+  auto arrival = [this, zone, n, offset, cb = std::move(cb)]() mutable {
+    DoRead(zone, offset, n, std::move(cb));
+  };
+  static_assert(InlineCallback::FitsInline<decltype(arrival)>(),
+                "a device read's arrival must not allocate");
+  AtArrival(std::move(arrival));
 }
 
 void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
@@ -438,10 +447,13 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
   }
   const SimTime fin = Stretch(z.channel, done);
   ObserveIo(span_read_, h_read_, fin, zone, offset, nblocks);
-  CompleteIo(fin,
-             [cb = std::move(cb), patterns = std::move(patterns)]() mutable {
-               cb(OkStatus(), std::move(patterns));
-             });
+  auto completion = [cb = std::move(cb),
+                     patterns = std::move(patterns)]() mutable {
+    cb(OkStatus(), std::move(patterns));
+  };
+  static_assert(InlineCallback::FitsInline<decltype(completion)>(),
+                "a device read's completion must not allocate");
+  CompleteIo(fin, std::move(completion));
 }
 
 Status ZnsDevice::OpenZone(uint32_t zone, bool with_zrwa) {

@@ -402,15 +402,17 @@ TEST(FingerprintTest, ZapRaidRebuild) {
             "max=267.0us|30402061|8736|9142|752|15132485|20666006");
 }
 
+// mdraid sweeps only the stripes a child write touched (its written-stripe
+// bitmap): 1 243 of the child's 65 536 here.
 TEST(FingerprintTest, MdraidConvRebuild) {
   EXPECT_EQ(RunRebuild(PlatformKind::kMdraidConv, 5 * kMillisecond),
             "3000|12|11661312|78237696|67783334|n=1387 avg=1.5us p50=1.4us "
             "p99=6.3us p99.99=11.1us max=11.2us|n=1613 avg=667.8us "
             "p50=679.9us p99=1130.5us p99.99=1221.4us max=1221.4us|71183646|"
-            "66504|2928|3000|14|11653120|81821696|104338268|n=1360 avg=1.5us "
-            "p50=1.4us p99=6.3us p99.99=10.3us max=10.3us|n=1640 "
-            "avg=1013.3us p50=1065.0us p99=1556.5us p99.99=1751.1us "
-            "max=1751.1us|2360492250|666130|308033|65536|71183646|2360492250");
+            "66504|2928|3000|12|11653120|81821696|76633908|n=1360 avg=1.5us "
+            "p50=1.4us p99=5.6us p99.99=9.1us max=9.1us|n=1640 avg=744.0us "
+            "p50=712.7us p99=1196.0us p99.99=1294.3us max=1307.7us|"
+            "148774178|150499|8096|1243|71183646|148774178");
 }
 
 TEST(FingerprintTest, MdraidConvFaultPaths) {

@@ -5,16 +5,22 @@
 //   - frontend-enabled runs are byte-identical per seed,
 //   - queue-depth backpressure, doorbell batching and interrupt coalescing
 //     each do what the model claims (stalls counted, events collapsed),
+//   - a bare queue pair delivers CQEs in (ready time, posting order) and
+//     its delivery sequence is pinned across coalescing settings,
+//   - a power cut leaves no command of the queue pair in flight,
 //   - the write-back buffer absorbs hot updates, overlays reads with the
 //     newest buffered data, and drains completely on FlushBuffers; the
 //     write-through mode leaves the device-write stream unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/convssd/conv_ssd.h"
 #include "src/engines/adapters.h"
 #include "src/nvme/host_buffer.h"
@@ -23,6 +29,7 @@
 #include "src/testbed/platforms.h"
 #include "src/workload/driver.h"
 #include "src/workload/workload.h"
+#include "src/zns/zns_device.h"
 
 namespace biza {
 namespace {
@@ -169,6 +176,207 @@ TEST(NvmeFrontend, InterruptCoalescingDrainsCompletionBatches) {
   const FrontendOutcome a = RunCasa(/*seed=*/6, nq);
   EXPECT_GT(a.nvme.coalesced_cqes, 0u);
   EXPECT_LT(a.nvme.interrupts, a.nvme.commands);
+}
+
+// ---------------------------------------------------------------------------
+// A bare queue pair: the CQ's delivery order and the interrupt rules.
+
+NvmeQueueConfig Coalesced(uint32_t queues, uint32_t qd, uint32_t threshold,
+                          SimTime timer) {
+  NvmeQueueConfig nq = Frontend(queues, qd);
+  nq.irq_threshold = threshold;
+  nq.irq_timer_ns = timer;
+  return nq;
+}
+
+// Commands whose device handler completes at a chosen time; each delivery
+// records (Now(), id).
+struct QueueRig {
+  Simulator sim;
+  NvmeQueuePair q;
+  std::vector<std::pair<SimTime, int>> delivered;
+
+  explicit QueueRig(const NvmeQueueConfig& nq)
+      : q(&sim, nq, /*doorbell_ns=*/2 * kMicrosecond) {}
+
+  // Completes at `done` (the queue adds the command's fetch skew).
+  void SubmitUntil(int id, SimTime done) {
+    q.Submit([this, id, done] {
+      q.Complete(done, [this, id] { delivered.emplace_back(sim.Now(), id); });
+    });
+  }
+  // Completes `latency` after the SQE is fetched.
+  void Submit(int id, SimTime latency) {
+    q.Submit([this, id, latency] {
+      q.Complete(sim.Now() + latency,
+                 [this, id] { delivered.emplace_back(sim.Now(), id); });
+    });
+  }
+};
+
+TEST(NvmeQueuePair, DeliverySequencePinned) {
+  uint64_t hash = 14695981039346656037ULL;  // FNV-1a
+  auto mix = [&](uint64_t v) { hash = (hash ^ v) * 1099511628211ULL; };
+  uint64_t total = 0;
+  for (const uint32_t threshold : {1u, 8u, 64u}) {
+    for (const SimTime timer :
+         {SimTime{0}, 16 * kMicrosecond, 100 * kMicrosecond}) {
+      for (const uint32_t queues : {1u, 4u}) {
+        Simulator sim;
+        NvmeQueuePair q(&sim, Coalesced(queues, /*qd=*/6, threshold, timer),
+                        /*doorbell_ns=*/2 * kMicrosecond);
+        Rng rng(threshold * 7919 + timer + queues);
+        uint64_t submitted = 0;
+        uint64_t delivered = 0;
+        std::function<void()> submit = [&] {
+          const uint64_t id = submitted++;
+          // Error-like completions at fetch, completions on a 10 us grid
+          // (equal ready times across rings), and uniform latencies (CQEs
+          // posted out of ready order).
+          const uint64_t kind = rng.Uniform(4);
+          const SimTime latency = rng.UniformRange(1, 80 * kMicrosecond);
+          q.Submit([&, id, kind, latency] {
+            SimTime done = sim.Now();
+            if (kind == 1) {
+              const SimTime grid = 10 * kMicrosecond;
+              done = (sim.Now() + latency + grid - 1) / grid * grid;
+            } else if (kind >= 2) {
+              done = sim.Now() + latency;
+            }
+            q.Complete(done, [&, id] {
+              delivered++;
+              mix(sim.Now());
+              mix(id);
+              if (rng.Uniform(8) == 0) {
+                submit();  // a closed-loop resubmission from the interrupt
+              }
+            });
+          });
+        };
+        for (int round = 0; round < 200; ++round) {
+          // Mostly sparse single-SQE rings; every fourth round a burst that
+          // overflows the queue depth and fills multi-SQE batches.
+          const uint64_t burst =
+              rng.Uniform(4) == 0 ? 1 + rng.Uniform(24) : rng.Uniform(2);
+          for (uint64_t i = 0; i < burst; ++i) {
+            submit();
+          }
+          sim.RunFor(rng.Uniform(30 * kMicrosecond));
+        }
+        sim.RunUntilIdle();
+        EXPECT_EQ(delivered, submitted);
+        EXPECT_EQ(q.inflight(), 0u);
+        const NvmeQueueStats& s = q.stats();
+        for (const uint64_t v :
+             {s.commands, s.doorbells, s.interrupts, s.coalesced_commands,
+              s.coalesced_cqes, s.qd_stalls, s.max_batch}) {
+          mix(v);
+        }
+        total += submitted;
+      }
+    }
+  }
+  EXPECT_EQ(total, 14352u);
+  EXPECT_EQ(hash, 0xdd398ff7f4a9f997ULL);
+}
+
+TEST(NvmeQueuePair, LaterCqeWithEarlierReadyTimeIsDeliveredFirst) {
+  QueueRig rig(Coalesced(/*queues=*/1, /*qd=*/32, /*threshold=*/8,
+                         /*timer=*/100 * kMicrosecond));
+  rig.Submit(0, 50 * kMicrosecond);  // posted first, ready last
+  rig.Submit(1, 10 * kMicrosecond);
+  rig.sim.RunUntilIdle();
+  // One interrupt, 100 us after command 1's CQE became ready (2 us doorbell
+  // + its fetch slot at 400 ns + 10 us), drains both in ready order.
+  const SimTime irq = 2 * kMicrosecond + 400 + 10 * kMicrosecond +
+                      100 * kMicrosecond;
+  const std::vector<std::pair<SimTime, int>> want = {{irq, 1}, {irq, 0}};
+  EXPECT_EQ(rig.delivered, want);
+  EXPECT_EQ(rig.q.stats().interrupts, 1u);
+}
+
+TEST(NvmeQueuePair, EqualReadyTimesAreDeliveredInPostingOrder) {
+  QueueRig rig(Coalesced(/*queues=*/4, /*qd=*/32, /*threshold=*/8,
+                         /*timer=*/16 * kMicrosecond));
+  // Three single-SQE rings (one fetch slot each) that all complete at
+  // 30 us: equal ready times, posted in the order 2, 0, 1.
+  rig.SubmitUntil(2, 30 * kMicrosecond);
+  rig.sim.RunFor(5 * kMicrosecond);
+  rig.SubmitUntil(0, 30 * kMicrosecond);
+  rig.sim.RunFor(5 * kMicrosecond);
+  rig.SubmitUntil(1, 30 * kMicrosecond);
+  rig.sim.RunUntilIdle();
+  const SimTime irq = 30 * kMicrosecond + 200 + 16 * kMicrosecond;
+  const std::vector<std::pair<SimTime, int>> want = {
+      {irq, 2}, {irq, 0}, {irq, 1}};
+  EXPECT_EQ(rig.delivered, want);
+}
+
+TEST(NvmeQueuePair, SupersededInterruptDeliversNothing) {
+  QueueRig rig(Coalesced(/*queues=*/1, /*qd=*/32, /*threshold=*/2,
+                         /*timer=*/100 * kMicrosecond));
+  // Command 0 arms a timer interrupt at 12.2 + 100 us; command 1 reaches
+  // the threshold and re-arms at its own ready time, which drains both.
+  rig.Submit(0, 10 * kMicrosecond);
+  rig.Submit(1, 20 * kMicrosecond);
+  // Command 2 is ready at 62.2 us but alone under the threshold: its timer
+  // interrupt is armed for 162.2 us, so the superseded event at 112.2 us
+  // must not deliver it.
+  rig.sim.RunUntil(50 * kMicrosecond);
+  rig.Submit(2, 10 * kMicrosecond);
+  rig.sim.RunUntilIdle();
+  const SimTime first = 2 * kMicrosecond + 400 + 20 * kMicrosecond;
+  const SimTime third =
+      50 * kMicrosecond + 2 * kMicrosecond + 200 + 10 * kMicrosecond +
+      100 * kMicrosecond;
+  const std::vector<std::pair<SimTime, int>> want = {
+      {first, 0}, {first, 1}, {third, 2}};
+  EXPECT_EQ(rig.delivered, want);
+  EXPECT_EQ(rig.q.stats().interrupts, 2u);
+  EXPECT_EQ(rig.sim.Now(), third);
+}
+
+// A power cut (Simulator::DropPending) destroys the ring and interrupt
+// events of every command in flight. The queue pair must forget those
+// commands too: none of their callbacks may run after the cut, and the
+// next command must not wait behind their SQ slots or a dead interrupt.
+TEST(NvmeFrontend, PowerCutForgetsInFlightCommands) {
+  Simulator sim;
+  ZnsConfig zc = ZnsConfig::Zn540(/*num_zones=*/8, /*zone_capacity_blocks=*/1024);
+  zc.nvme = Frontend(/*queues=*/1, /*qd=*/5);
+  ZnsDevice dev(&sim, zc);
+  bool written = false;
+  dev.SubmitWrite(0, 0, {41, 42}, {}, [&written](const Status& s) {
+    EXPECT_TRUE(s.ok());
+    written = true;
+  });
+  sim.RunUntilIdle();
+  ASSERT_TRUE(written);
+
+  int pre_cut = 0;
+  auto count = [&pre_cut](const Status&, std::vector<uint64_t>) { pre_cut++; };
+  // Four reads fetched by the first ring (CQEs pending at the cut), one in
+  // a second batch whose ring has not fired, one parked for a free slot.
+  for (int i = 0; i < 4; ++i) {
+    dev.SubmitRead(0, 0, 2, count);
+  }
+  sim.RunUntil(sim.Now() + 3 * kMicrosecond);
+  dev.SubmitRead(0, 0, 2, count);
+  dev.SubmitRead(0, 0, 2, count);
+  EXPECT_EQ(dev.nvme_queue().inflight(), 6u);
+  EXPECT_EQ(dev.nvme_queue().stats().qd_stalls, 1u);
+  sim.DropPending();
+  EXPECT_EQ(dev.nvme_queue().inflight(), 0u);
+
+  std::vector<uint64_t> got;
+  dev.SubmitRead(0, 0, 2, [&got](const Status& s, std::vector<uint64_t> p) {
+    EXPECT_TRUE(s.ok());
+    got = std::move(p);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(got, (std::vector<uint64_t>{41, 42}));
+  EXPECT_EQ(pre_cut, 0);
+  EXPECT_EQ(dev.nvme_queue().inflight(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -259,8 +259,10 @@ TEST(Simulator, DropPendingDiscardsQueuedWork) {
   sim.RunUntil(50);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(sim.power_cuts(), 0u);
   sim.DropPending();
   EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.power_cuts(), 1u);  // what parked-work owners compare
   // The dropped callback's capture was destroyed, not leaked.
   EXPECT_EQ(token.use_count(), 1);
   sim.RunUntilIdle();
