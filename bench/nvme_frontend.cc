@@ -65,7 +65,6 @@ FrontendCell RunCase(const Series& s, uint64_t seed) {
       nq.irq_timer_ns = s.irq_timer_ns;
     }
     config.zns.nvme = nq;
-    config.conv.nvme = nq;
   }
   auto platform = Platform::Create(&sim, PlatformKind::kBiza, config);
   const DriverReport report =

@@ -10,8 +10,7 @@ ConvSsd::ConvSsd(Simulator* sim, const ConvSsdConfig& config)
     : sim_(sim),
       config_(config),
       backend_(std::make_unique<NandBackend>(sim, config.timing)),
-      nvmeq_(sim, config.nvme, kDispatchBaseNs),
-      rng_(config.seed) {
+      port_(sim, config, config.seed) {
   const uint64_t physical_pages = static_cast<uint64_t>(
       static_cast<double>(config_.capacity_blocks) *
       (1.0 + config_.over_provision));
@@ -74,14 +73,6 @@ uint64_t ConvSsd::GrabFreeBlock(int channel_pref) {
   return fallback;
 }
 
-SimTime ConvSsd::DispatchDelay() {
-  SimTime delay = kDispatchBaseNs;
-  if (config_.dispatch_jitter_ns > 0) {
-    delay += rng_.Uniform(config_.dispatch_jitter_ns);
-  }
-  return delay;
-}
-
 void ConvSsd::AttachObservability(Observability* obs, int device_id) {
   if (obs == nullptr) {
     backend_->SetTracer(nullptr, device_id);
@@ -100,21 +91,14 @@ void ConvSsd::AttachObservability(Observability* obs, int device_id) {
   reg.RegisterCounter(prefix + "erases", [this] { return stats_.erases; });
   reg.RegisterCounter(prefix + "gc_runs", [this] { return stats_.gc_runs; });
   reg.RegisterGauge(prefix + "free_blocks", [this] { return free_blocks_; });
-  if (nvmeq_.enabled()) {
-    reg.RegisterCounter(prefix + "nvme.doorbells",
-                        [this] { return nvmeq_.stats().doorbells; });
-    reg.RegisterCounter(prefix + "nvme.interrupts",
-                        [this] { return nvmeq_.stats().interrupts; });
-    reg.RegisterCounter(prefix + "nvme.qd_stalls",
-                        [this] { return nvmeq_.stats().qd_stalls; });
-  }
+  port_.RegisterCounters(reg, prefix);
   backend_->SetTracer(&obs->tracer, device_id);
 }
 
 void ConvSsd::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                           WriteCallback cb, WriteTag tag) {
-  AtArrival([this, lbn, patterns = std::move(patterns), cb = std::move(cb),
-             tag]() mutable {
+  port_.AtArrival([this, lbn, patterns = std::move(patterns),
+                   cb = std::move(cb), tag]() mutable {
     DoWrite(lbn, std::move(patterns), std::move(cb), tag);
   });
 }
@@ -268,18 +252,14 @@ bool ConvSsd::CollectOne() {
 
 void ConvSsd::DoWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                       WriteCallback cb, WriteTag tag) {
-  auto fail = [this, &cb](Status status) {
-    CompleteIoNow(
-        [cb = std::move(cb), status = std::move(status)] { cb(status); });
-  };
-  Status fault = FaultCheck(IoKind::kWrite);
+  Status fault = port_.FaultCheck(IoKind::kWrite);
   if (!fault.ok()) {
-    fail(std::move(fault));
+    port_.Fail(cb, std::move(fault));
     return;
   }
   const uint64_t n = patterns.size();
   if (n == 0 || lbn + n > config_.capacity_blocks) {
-    fail(OutOfRangeError("write beyond capacity"));
+    port_.Fail(cb, OutOfRangeError("write beyond capacity"));
     return;
   }
   SimTime done = sim_->Now();
@@ -315,7 +295,8 @@ void ConvSsd::DoWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   stats_.host_written_blocks += n;
   stats_.flash_programmed_blocks += n;
   stats_.flash_by_tag[static_cast<int>(tag)] += n;
-  CompleteIo(Stretch(done), [cb = std::move(cb)]() { cb(OkStatus()); });
+  port_.Complete(port_.Stretch(-1, done),
+                 [cb = std::move(cb)]() { cb(OkStatus()); });
 }
 
 void ConvSsd::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
@@ -324,21 +305,17 @@ void ConvSsd::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   };
   static_assert(InlineCallback::FitsInline<decltype(arrival)>(),
                 "a device read's arrival must not allocate");
-  AtArrival(std::move(arrival));
+  port_.AtArrival(std::move(arrival));
 }
 
 void ConvSsd::DoRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
-  auto fail = [this, &cb](Status status) {
-    CompleteIoNow(
-        [cb = std::move(cb), status = std::move(status)] { cb(status, {}); });
-  };
-  Status fault = FaultCheck(IoKind::kRead);
+  Status fault = port_.FaultCheck(IoKind::kRead);
   if (!fault.ok()) {
-    fail(std::move(fault));
+    port_.Fail(cb, std::move(fault));
     return;
   }
   if (nblocks == 0 || lbn + nblocks > config_.capacity_blocks) {
-    fail(OutOfRangeError("read beyond capacity"));
+    port_.Fail(cb, OutOfRangeError("read beyond capacity"));
     return;
   }
   std::vector<uint64_t> patterns;
@@ -361,7 +338,7 @@ void ConvSsd::DoRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   };
   static_assert(InlineCallback::FitsInline<decltype(completion)>(),
                 "a device read's completion must not allocate");
-  CompleteIo(Stretch(done), std::move(completion));
+  port_.Complete(port_.Stretch(-1, done), std::move(completion));
 }
 
 Result<uint64_t> ConvSsd::ReadPatternSync(uint64_t lbn) const {

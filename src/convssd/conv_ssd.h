@@ -11,7 +11,9 @@
 // * Internal write-amplification accounting (host vs flash writes).
 //
 // The device is intentionally "dumb": no stream separation and no hints, as
-// with a real conventional SSD. The mdraid+ConvSSD baseline builds on it.
+// with a real conventional SSD. It is itself a BlockTarget, and the
+// mdraid+ConvSSD baseline builds on it. Commands cross the host interface
+// through a DevicePort (src/nvme/device_port.h), as on the ZNS device.
 #ifndef BIZA_SRC_CONVSSD_CONV_SSD_H_
 #define BIZA_SRC_CONVSSD_CONV_SSD_H_
 
@@ -20,33 +22,26 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/sparse_array.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/common/write_tag.h"
+#include "src/engines/target.h"
 #include "src/fault/fault_injector.h"
 #include "src/metrics/observability.h"
 #include "src/nand/nand_backend.h"
-#include "src/nvme/nvme_queue.h"
+#include "src/nvme/device_port.h"
 #include "src/sim/simulator.h"
 
 namespace biza {
 
-struct ConvSsdConfig {
+// The host interface (dispatch_jitter_ns, nvme) is inherited.
+struct ConvSsdConfig : HostInterfaceConfig {
   std::string model = "SIM-SN640";
   uint64_t capacity_blocks = 512 * 1024;  // 2 GiB user-visible
   double over_provision = 0.10;
   uint64_t pages_per_flash_block = 1024;  // 4 MiB erase unit
   NandTimingConfig timing = ConvTiming();
-  // Legacy dispatch path: ConvSsd::kDispatchBaseNs + U[0, jitter) per
-  // command. The jitter constant is DEPRECATED in favor of the queue-derived
-  // delay of the NVMe frontend below; the legacy default stays bit-identical
-  // to seed. The base is also the frontend's doorbell delay.
-  SimTime dispatch_jitter_ns = 8 * kMicrosecond;  // deprecated, see above
-  // Modeled NVMe SQ/CQ pairs; when enabled the dispatch RNG is never
-  // consumed and dispatch_jitter_ns is ignored.
-  NvmeQueueConfig nvme;
   uint64_t seed = 1;
 
   static NandTimingConfig ConvTiming() {
@@ -76,26 +71,25 @@ struct ConvSsdStats {
   }
 };
 
-class ConvSsd {
+class ConvSsd final : public BlockTarget {
  public:
-  using WriteCallback = std::function<void(const Status&)>;
-  using ReadCallback =
-      std::function<void(const Status&, std::vector<uint64_t> patterns)>;
-
   ConvSsd(Simulator* sim, const ConvSsdConfig& config);
 
   // Writes patterns.size() blocks starting at `lbn` (async). `tag`
   // classifies the write for WA-breakdown accounting.
   void SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
-                   WriteCallback cb, WriteTag tag = WriteTag::kData);
-  void SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb);
+                   WriteCallback cb, WriteTag tag = WriteTag::kData) override;
+  void SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) override;
+  uint64_t capacity_blocks() const override {
+    return config_.capacity_blocks;
+  }
 
   Result<uint64_t> ReadPatternSync(uint64_t lbn) const;
 
   const ConvSsdConfig& config() const { return config_; }
   const ConvSsdStats& stats() const { return stats_; }
   NandBackend& backend() { return *backend_; }
-  const NvmeQueuePair& nvme_queue() const { return nvmeq_; }
+  const NvmeQueuePair& nvme_queue() const { return port_.queue(); }
 
   // Bytes of FTL state currently resident (L2P + physical-page tables +
   // flash-block descriptors). Scales with written data, not raw capacity.
@@ -104,8 +98,7 @@ class ConvSsd {
   // Interposes `injector` on every command this device serves; `device_id`
   // names this device in the injector's fault plan. Pass nullptr to detach.
   void AttachFaultInjector(FaultInjector* injector, int device_id) {
-    fault_ = injector;
-    fault_device_id_ = device_id;
+    port_.AttachFaultInjector(injector, device_id);
   }
 
   // Registers this device's counters ("dev<id>.conv.*") with the registry
@@ -116,8 +109,6 @@ class ConvSsd {
  private:
   static constexpr double kGcTriggerFreeRatio = 0.06;  // start GC below this
   static constexpr double kGcStopFreeRatio = 0.10;     // collect until this
-  // Legacy dispatch base and the NVMe frontend's doorbell delay.
-  static constexpr SimTime kDispatchBaseNs = 2 * kMicrosecond;
   static constexpr uint64_t kUnmapped = ~0ULL;
 
   struct FlashBlock {
@@ -139,55 +130,10 @@ class ConvSsd {
   // Returns false when no victim exists.
   bool CollectOne();
 
-  SimTime DispatchDelay();
-
-  // Submission/completion paths: through the modeled NVMe queue pairs when
-  // enabled, otherwise the legacy jittered dispatch and direct completions.
-  template <typename F>
-  void AtArrival(F&& fn) {
-    if (nvmeq_.enabled()) {
-      nvmeq_.Submit(InlineCallback(std::forward<F>(fn)));
-      return;
-    }
-    sim_->Schedule(DispatchDelay(), std::forward<F>(fn));
-  }
-  template <typename F>
-  void CompleteIo(SimTime when, F&& fn) {
-    if (nvmeq_.enabled()) {
-      nvmeq_.Complete(when, InlineCallback(std::forward<F>(fn)));
-      return;
-    }
-    sim_->ScheduleAt(when, std::forward<F>(fn));
-  }
-  template <typename F>
-  void CompleteIoNow(F&& fn) {
-    if (nvmeq_.enabled()) {
-      nvmeq_.Complete(sim_->Now(), InlineCallback(std::forward<F>(fn)));
-      return;
-    }
-    fn();
-  }
-
-  // Fault-plane hooks: consulted at command arrival / completion scheduling.
-  Status FaultCheck(IoKind kind) {
-    return fault_ != nullptr
-               ? fault_->OnIo(fault_device_id_, kind, sim_->Now())
-               : OkStatus();
-  }
-  SimTime Stretch(SimTime done) const {
-    return fault_ != nullptr
-               ? fault_->StretchCompletion(fault_device_id_, -1, done,
-                                           sim_->Now())
-               : done;
-  }
-
   Simulator* sim_;
   ConvSsdConfig config_;
   std::unique_ptr<NandBackend> backend_;
-  NvmeQueuePair nvmeq_;
-  Rng rng_;
-  FaultInjector* fault_ = nullptr;
-  int fault_device_id_ = -1;
+  DevicePort port_;
 
   // l2p_ is hash-keyed because host writes are uniform-random over a vast
   // LBA space (chunking would allocate a chunk per write); the physical

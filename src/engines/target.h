@@ -1,11 +1,12 @@
 // Target interfaces: the two I/O abstractions AFA engines expose/consume.
 //
 // BlockTarget is the classic block interface (random 4 KiB-block reads and
-// writes); ZonedTarget is the ZNS interface (sequential-write zones). The
-// AFA designs of the paper are compositions over these:
+// writes); ZonedTarget is the ZNS interface (sequential-write zones). ConvSsd
+// is a BlockTarget and ZnsDevice a ZonedTarget themselves. The AFA designs of
+// the paper are compositions over these:
 //
-//   mdraid+ConvSSD : Mdraid( ConvSsdTarget x4 )            -> BlockTarget
-//   mdraid+dmzap   : Mdraid( DmZap(ZnsZonedTarget) x4 )    -> BlockTarget
+//   mdraid+ConvSSD : Mdraid( ConvSsd x4 )                  -> BlockTarget
+//   mdraid+dmzap   : Mdraid( DmZap(ZnsDevice) x4 )         -> BlockTarget
 //   RAIZN          : Raizn( ZnsDevice x4 )                 -> ZonedTarget
 //   dmzap+RAIZN    : DmZap( Raizn )                        -> BlockTarget
 //   BIZA           : BizaArray( ZnsDevice x4 )             -> BlockTarget

@@ -1,8 +1,9 @@
 // Modeled NVMe submission/completion queue pairs (the host<->device
 // boundary every data-plane command crosses).
 //
-// Replaces the per-command dispatch path of ZnsDevice/ConvSsd — one arrival
-// event per command in, one completion event per command out — with the
+// With nvme.enabled, a DevicePort (src/nvme/device_port.h) sends commands
+// through these instead of its legacy dispatch path (one arrival event per
+// command in, one completion event per command out). They model the
 // mechanics of a real NVMe driver, following the NVMe-virt idiom (FEMU):
 //
 // * Per-core SQ/CQ pairs: commands rotate over `num_queues` submission
@@ -42,7 +43,7 @@
 //
 // Determinism: a batch admits a command submitted at time T only when its
 // ring time D satisfies D >= T + doorbell delay; the doorbell delay is the
-// device's non-zero dispatch base, so the ring event has not fired yet.
+// port's non-zero dispatch base, so the ring event has not fired yet.
 // Everything else is a pure function of event order, so runs are
 // byte-identical per seed, exactly like the legacy path.
 #ifndef BIZA_SRC_NVME_NVME_QUEUE_H_
@@ -90,10 +91,11 @@ struct NvmeQueueStats {
   }
 };
 
-// One device's NVMe frontend (all of its SQ/CQ pairs). Owned by the device.
+// One device's NVMe frontend (all of its SQ/CQ pairs). Owned by the device's
+// DevicePort.
 class NvmeQueuePair {
  public:
-  // `doorbell_ns` (ring -> SQE fetch) is the device's legacy dispatch base:
+  // `doorbell_ns` (ring -> SQE fetch) is the port's legacy dispatch base:
   // no command reaches the device sooner on the legacy path either.
   NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
                 SimTime doorbell_ns);

@@ -77,10 +77,8 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
       make_zns();
       std::vector<BlockTarget*> children;
       for (auto& dev : p.zns_) {
-        p.zoned_adapters_.push_back(
-            std::make_unique<ZnsZonedTarget>(dev.get()));
-        p.dmzaps_.push_back(std::make_unique<DmZap>(
-            sim, p.zoned_adapters_.back().get(), config.dmzap));
+        p.dmzaps_.push_back(
+            std::make_unique<DmZap>(sim, dev.get(), config.dmzap));
         children.push_back(p.dmzaps_.back().get());
       }
       MdraidConfig mc = config.mdraid;
@@ -96,9 +94,7 @@ std::unique_ptr<Platform> Platform::Create(Simulator* sim, PlatformKind kind,
         ConvSsdConfig cc = config.conv;
         cc.seed = config.seed * 2000003ULL + static_cast<uint64_t>(d);
         p.conv_.push_back(std::make_unique<ConvSsd>(sim, cc));
-        p.conv_adapters_.push_back(
-            std::make_unique<ConvSsdTarget>(p.conv_.back().get()));
-        children.push_back(p.conv_adapters_.back().get());
+        children.push_back(p.conv_.back().get());
       }
       MdraidConfig mc = config.mdraid;
       mc.block_layer_merge = true;  // the block layer re-merges 4 KiB pages
@@ -268,10 +264,8 @@ Status Platform::ReplaceMember(Simulator* sim, int device) {
     cc.seed = config_.seed * 2000003ULL + seed_offset;
     conv_.push_back(std::make_unique<ConvSsd>(sim, cc));
     attach(*conv_.back());
-    conv_adapters_.push_back(
-        std::make_unique<ConvSsdTarget>(conv_.back().get()));
     mdraid_->SetChildFailed(device, true);
-    return mdraid_->RebuildChild(device, conv_adapters_.back().get());
+    return mdraid_->RebuildChild(device, conv_.back().get());
   }
   ZnsConfig zc = config_.zns;
   zc.seed = config_.seed * 1000003ULL + seed_offset;

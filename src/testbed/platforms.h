@@ -20,7 +20,6 @@
 
 #include "src/biza/biza_array.h"
 #include "src/convssd/conv_ssd.h"
-#include "src/engines/adapters.h"
 #include "src/engines/dmzap.h"
 #include "src/engines/mdraid.h"
 #include "src/engines/raizn.h"
@@ -147,8 +146,6 @@ class Platform {
 
   std::vector<std::unique_ptr<ZnsDevice>> zns_;
   std::vector<std::unique_ptr<ConvSsd>> conv_;
-  std::vector<std::unique_ptr<ZnsZonedTarget>> zoned_adapters_;
-  std::vector<std::unique_ptr<ConvSsdTarget>> conv_adapters_;
   std::vector<std::unique_ptr<DmZap>> dmzaps_;
   std::unique_ptr<Raizn> raizn_;
   std::unique_ptr<Mdraid> mdraid_;

@@ -11,11 +11,12 @@
 
 #include "src/common/units.h"
 #include "src/nand/nand_backend.h"
-#include "src/nvme/nvme_queue.h"
+#include "src/nvme/device_port.h"
 
 namespace biza {
 
-struct ZnsConfig {
+// The host interface (dispatch_jitter_ns, nvme) is inherited.
+struct ZnsConfig : HostInterfaceConfig {
   std::string model = "SIM-ZN540";
 
   // Geometry (in 4 KiB logical blocks).
@@ -33,22 +34,6 @@ struct ZnsConfig {
   // Probability that an opened zone is NOT mapped round-robin to channels
   // (models wear-leveling decisions hidden behind the ZNS interface, §3.3).
   double wear_level_deviation = 0.0;
-
-  // Legacy submission path (nvme.enabled == false): every command reaches
-  // the device at submit_time + base + U[0, jitter), the base being
-  // ZnsDevice::kDispatchBaseNs. Non-zero jitter reorders in-flight commands
-  // like the Linux block layer / NVMe driver (§3.2), but is DEPRECATED as a
-  // model: it makes queue depth, queue count and batching unmodelable.
-  // Prefer the NVMe queue-pair frontend below, which derives dispatch delay
-  // from doorbell batching, round-robin arbitration and SQE fetch order. The
-  // legacy default stays bit-identical to pre-frontend builds; the base is
-  // also the frontend's doorbell delay.
-  SimTime dispatch_jitter_ns = 8 * kMicrosecond;  // deprecated, see above
-
-  // Modeled NVMe SQ/CQ pairs (src/nvme/nvme_queue.h). Disabled by default;
-  // when enabled, dispatch_jitter_ns is ignored and the dispatch RNG is
-  // never consumed.
-  NvmeQueueConfig nvme;
 
   // Future-ZNS extension (§6 of the paper): expose the zone-to-channel
   // mapping in the OPEN command's completion. When set, DebugChannelOf()

@@ -30,8 +30,7 @@ ZnsDevice::ZnsDevice(Simulator* sim, const ZnsConfig& config)
     : sim_(sim),
       config_(config),
       backend_(std::make_unique<NandBackend>(sim, config.timing)),
-      nvmeq_(sim, config.nvme, kDispatchBaseNs),
-      rng_(config.seed) {
+      port_(sim, config, config.seed) {
   zones_.resize(config_.num_zones);
   // Chunk granularity: zones fill sequentially (append discipline), so
   // 1024-block chunks keep overhead near one chunk of slack per open zone
@@ -85,14 +84,7 @@ void ZnsDevice::AttachObservability(Observability* obs, int device_id) {
     reg.RegisterGauge(prefix + "chan" + std::to_string(c) + ".backlog_ns",
                       [this, c] { return backend_->ChannelBacklogNs(c); });
   }
-  if (nvmeq_.enabled()) {
-    reg.RegisterCounter(prefix + "nvme.doorbells",
-                        [this] { return nvmeq_.stats().doorbells; });
-    reg.RegisterCounter(prefix + "nvme.interrupts",
-                        [this] { return nvmeq_.stats().interrupts; });
-    reg.RegisterCounter(prefix + "nvme.qd_stalls",
-                        [this] { return nvmeq_.stats().qd_stalls; });
-  }
+  port_.RegisterCounters(reg, prefix);
   h_write_ = reg.Histogram(prefix + "write_latency_ns");
   h_read_ = reg.Histogram(prefix + "read_latency_ns");
   span_write_ = obs_->tracer.Intern("zns.write");
@@ -104,14 +96,6 @@ void ZnsDevice::AttachObservability(Observability* obs, int device_id) {
   backend_->SetTracer(&obs_->tracer, device_id);
 }
 
-SimTime ZnsDevice::DispatchDelay() {
-  SimTime delay = kDispatchBaseNs;
-  if (config_.dispatch_jitter_ns > 0) {
-    delay += rng_.Uniform(config_.dispatch_jitter_ns);
-  }
-  return delay;
-}
-
 Status ZnsDevice::ValidateZoneId(uint32_t zone) const {
   if (zone >= config_.num_zones) {
     return OutOfRangeError("zone " + std::to_string(zone) + " out of range");
@@ -120,9 +104,10 @@ Status ZnsDevice::ValidateZoneId(uint32_t zone) const {
 }
 
 void ZnsDevice::AssignChannel(Zone& z) {
+  Rng& rng = port_.rng();
   if (config_.wear_level_deviation > 0.0 &&
-      rng_.Chance(config_.wear_level_deviation)) {
-    z.channel = static_cast<int>(rng_.Uniform(
+      rng.Chance(config_.wear_level_deviation)) {
+    z.channel = static_cast<int>(rng.Uniform(
         static_cast<uint64_t>(config_.timing.num_channels)));
   } else {
     z.channel = static_cast<int>(open_rr_counter_ %
@@ -193,44 +178,50 @@ void ZnsDevice::MaybeTransitionFull(Zone& z) {
 void ZnsDevice::SubmitWrite(uint32_t zone, uint64_t offset,
                             std::vector<uint64_t> patterns,
                             std::vector<OobRecord> oobs, WriteCallback cb) {
-  AtArrival([this, zone, offset, patterns = std::move(patterns),
-             oobs = std::move(oobs), cb = std::move(cb)]() mutable {
+  port_.AtArrival([this, zone, offset, patterns = std::move(patterns),
+                   oobs = std::move(oobs), cb = std::move(cb)]() mutable {
     DoWrite(zone, offset, std::move(patterns), std::move(oobs), std::move(cb));
   });
+}
+
+void ZnsDevice::SubmitZoneWrite(uint32_t zone, uint64_t offset,
+                                std::vector<uint64_t> patterns,
+                                WriteCallback cb, WriteTag tag) {
+  std::vector<OobRecord> oobs(patterns.size());
+  for (auto& oob : oobs) {
+    oob.tag = tag;
+  }
+  SubmitWrite(zone, offset, std::move(patterns), std::move(oobs),
+              std::move(cb));
 }
 
 void ZnsDevice::DoWrite(uint32_t zone, uint64_t offset,
                         std::vector<uint64_t> patterns,
                         std::vector<OobRecord> oobs, WriteCallback cb) {
-  // Error completions leave the device with zero device-side latency.
-  auto fail = [this, &cb](Status status) {
-    CompleteIoNow(
-        [cb = std::move(cb), status = std::move(status)] { cb(status); });
-  };
-  Status status = FaultCheck(IoKind::kWrite);
+  Status status = port_.FaultCheck(IoKind::kWrite);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   status = ValidateZoneId(zone);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   const uint64_t n = patterns.size();
   if (n == 0 || (!oobs.empty() && oobs.size() != n)) {
-    fail(InvalidArgumentError("bad write payload"));
+    port_.Fail(cb, InvalidArgumentError("bad write payload"));
     return;
   }
   Zone& z = zones_[zone];
   const uint64_t end = offset + n;
   if (end > z.blocks.size()) {
-    fail(OutOfRangeError("write beyond zone capacity"));
+    port_.Fail(cb, OutOfRangeError("write beyond zone capacity"));
     return;
   }
   status = EnsureOpenForWrite(z, zone);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
 
@@ -241,9 +232,9 @@ void ZnsDevice::DoWrite(uint32_t zone, uint64_t offset,
     if (offset < z.flush_ptr) {
       // The reorder hazard of §3.2: the window has shifted past this write.
       stats_.write_failures++;
-      fail(WriteFailureError("write at " + std::to_string(offset) +
-                             " behind ZRWA window start " +
-                             std::to_string(z.flush_ptr)));
+      port_.Fail(cb, WriteFailureError("write at " + std::to_string(offset) +
+                                       " behind ZRWA window start " +
+                                       std::to_string(z.flush_ptr)));
       return;
     }
     const uint64_t window_end = z.flush_ptr + config_.zrwa_blocks;
@@ -285,17 +276,18 @@ void ZnsDevice::DoWrite(uint32_t zone, uint64_t offset,
       }
     }
     MaybeTransitionFull(z);
-    const SimTime fin = Stretch(z.channel, done);
+    const SimTime fin = port_.Stretch(z.channel, done);
     ObserveIo(span_write_, h_write_, fin, zone, offset, n);
-    CompleteIo(fin, [cb = std::move(cb)]() { cb(OkStatus()); });
+    port_.Complete(fin, [cb = std::move(cb)]() { cb(OkStatus()); });
     return;
   }
 
   // Sequential-write-required zone.
   if (offset != z.flush_ptr) {
     stats_.write_failures++;
-    fail(WriteFailureError("non-sequential write at " + std::to_string(offset) +
-                           ", wptr=" + std::to_string(z.flush_ptr)));
+    port_.Fail(cb, WriteFailureError("non-sequential write at " +
+                                     std::to_string(offset) + ", wptr=" +
+                                     std::to_string(z.flush_ptr)));
     return;
   }
   for (uint64_t i = 0; i < n; ++i) {
@@ -311,53 +303,49 @@ void ZnsDevice::DoWrite(uint32_t zone, uint64_t offset,
   stats_.flash_programmed_blocks += n;
   const SimTime done = backend_->Write(z.channel, bytes);
   MaybeTransitionFull(z);
-  const SimTime fin = Stretch(z.channel, done);
+  const SimTime fin = port_.Stretch(z.channel, done);
   ObserveIo(span_write_, h_write_, fin, zone, offset, n);
-  CompleteIo(fin, [cb = std::move(cb)]() { cb(OkStatus()); });
+  port_.Complete(fin, [cb = std::move(cb)]() { cb(OkStatus()); });
 }
 
 void ZnsDevice::SubmitAppend(uint32_t zone, std::vector<uint64_t> patterns,
                              std::vector<OobRecord> oobs, AppendCallback cb) {
-  AtArrival([this, zone, patterns = std::move(patterns), oobs = std::move(oobs),
-             cb = std::move(cb)]() mutable {
+  port_.AtArrival([this, zone, patterns = std::move(patterns),
+                   oobs = std::move(oobs), cb = std::move(cb)]() mutable {
     DoAppend(zone, std::move(patterns), std::move(oobs), std::move(cb));
   });
 }
 
 void ZnsDevice::DoAppend(uint32_t zone, std::vector<uint64_t> patterns,
                          std::vector<OobRecord> oobs, AppendCallback cb) {
-  auto fail = [this, &cb](Status status) {
-    CompleteIoNow(
-        [cb = std::move(cb), status = std::move(status)] { cb(status, 0); });
-  };
-  Status status = FaultCheck(IoKind::kWrite);
+  Status status = port_.FaultCheck(IoKind::kWrite);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   status = ValidateZoneId(zone);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   Zone& z = zones_[zone];
   if (z.with_zrwa) {
     // NVMe ZNS 1.1a: zones opened with ZRWA abort APPEND commands.
-    fail(ZoneStateError("APPEND on a ZRWA zone"));
+    port_.Fail(cb, ZoneStateError("APPEND on a ZRWA zone"));
     return;
   }
   const uint64_t n = patterns.size();
   if (n == 0) {
-    fail(InvalidArgumentError("empty append"));
+    port_.Fail(cb, InvalidArgumentError("empty append"));
     return;
   }
   if (z.flush_ptr + n > z.blocks.size()) {
-    fail(OutOfRangeError("append beyond zone capacity"));
+    port_.Fail(cb, OutOfRangeError("append beyond zone capacity"));
     return;
   }
   status = EnsureOpenForWrite(z, zone);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   const uint64_t offset = z.flush_ptr;
@@ -375,10 +363,10 @@ void ZnsDevice::DoAppend(uint32_t zone, std::vector<uint64_t> patterns,
   stats_.flash_programmed_blocks += n;
   const SimTime done = backend_->Write(z.channel, n * kBlockSize);
   MaybeTransitionFull(z);
-  const SimTime fin = Stretch(z.channel, done);
+  const SimTime fin = port_.Stretch(z.channel, done);
   ObserveIo(span_append_, h_write_, fin, zone, offset, n);
-  CompleteIo(fin,
-             [cb = std::move(cb), offset]() { cb(OkStatus(), offset); });
+  port_.Complete(fin,
+                 [cb = std::move(cb), offset]() { cb(OkStatus(), offset); });
 }
 
 void ZnsDevice::SubmitRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
@@ -393,32 +381,28 @@ void ZnsDevice::SubmitRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
   };
   static_assert(InlineCallback::FitsInline<decltype(arrival)>(),
                 "a device read's arrival must not allocate");
-  AtArrival(std::move(arrival));
+  port_.AtArrival(std::move(arrival));
 }
 
 void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
                        ReadCallback cb) {
-  auto fail = [this, &cb](Status status) {
-    CompleteIoNow(
-        [cb = std::move(cb), status = std::move(status)] { cb(status, {}); });
-  };
-  Status status = FaultCheck(IoKind::kRead);
+  Status status = port_.FaultCheck(IoKind::kRead);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   status = ValidateZoneId(zone);
   if (!status.ok()) {
-    fail(std::move(status));
+    port_.Fail(cb, std::move(status));
     return;
   }
   Zone& z = zones_[zone];
   if (nblocks == 0 || offset + nblocks > z.blocks.size()) {
-    fail(OutOfRangeError("read beyond zone capacity"));
+    port_.Fail(cb, OutOfRangeError("read beyond zone capacity"));
     return;
   }
   if (z.state == ZoneState::kOffline) {
-    fail(ZoneStateError("zone offline"));
+    port_.Fail(cb, ZoneStateError("zone offline"));
     return;
   }
   std::vector<uint64_t> patterns;
@@ -445,7 +429,7 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     // Never-written zone: instant zero-fill from the controller.
     done = backend_->BufferRead(bytes);
   }
-  const SimTime fin = Stretch(z.channel, done);
+  const SimTime fin = port_.Stretch(z.channel, done);
   ObserveIo(span_read_, h_read_, fin, zone, offset, nblocks);
   auto completion = [cb = std::move(cb),
                      patterns = std::move(patterns)]() mutable {
@@ -453,11 +437,11 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
   };
   static_assert(InlineCallback::FitsInline<decltype(completion)>(),
                 "a device read's completion must not allocate");
-  CompleteIo(fin, std::move(completion));
+  port_.Complete(fin, std::move(completion));
 }
 
 Status ZnsDevice::OpenZone(uint32_t zone, bool with_zrwa) {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   BIZA_RETURN_IF_ERROR(ValidateZoneId(zone));
   Zone& z = zones_[zone];
   if (with_zrwa && config_.zrwa_blocks == 0) {
@@ -497,7 +481,7 @@ Status ZnsDevice::OpenZone(uint32_t zone, bool with_zrwa) {
 }
 
 Status ZnsDevice::CloseZone(uint32_t zone) {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   BIZA_RETURN_IF_ERROR(ValidateZoneId(zone));
   Zone& z = zones_[zone];
   if (z.state != ZoneState::kOpen) {
@@ -509,7 +493,7 @@ Status ZnsDevice::CloseZone(uint32_t zone) {
 }
 
 Status ZnsDevice::FinishZone(uint32_t zone) {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   BIZA_RETURN_IF_ERROR(ValidateZoneId(zone));
   Zone& z = zones_[zone];
   if (z.state == ZoneState::kFull) {
@@ -538,7 +522,7 @@ Status ZnsDevice::FinishZone(uint32_t zone) {
 }
 
 Status ZnsDevice::ResetZone(uint32_t zone) {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   BIZA_RETURN_IF_ERROR(ValidateZoneId(zone));
   Zone& z = zones_[zone];
   if (z.state == ZoneState::kOffline) {
@@ -562,7 +546,7 @@ Status ZnsDevice::ResetZone(uint32_t zone) {
 }
 
 Status ZnsDevice::CommitZrwa(uint32_t zone, uint64_t upto) {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   BIZA_RETURN_IF_ERROR(ValidateZoneId(zone));
   Zone& z = zones_[zone];
   if (!z.with_zrwa) {
@@ -593,7 +577,7 @@ ZoneInfo ZnsDevice::Report(uint32_t zone) const {
 }
 
 Result<OobRecord> ZnsDevice::ReadOobSync(uint32_t zone, uint64_t offset) const {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   if (zone >= config_.num_zones) {
     return OutOfRangeError("bad zone");
   }
@@ -610,7 +594,7 @@ Result<OobRecord> ZnsDevice::ReadOobSync(uint32_t zone, uint64_t offset) const {
 
 Result<uint64_t> ZnsDevice::ReadPatternSync(uint32_t zone,
                                             uint64_t offset) const {
-  BIZA_RETURN_IF_ERROR(CheckAlive());
+  BIZA_RETURN_IF_ERROR(port_.CheckAlive());
   if (zone >= config_.num_zones) {
     return OutOfRangeError("bad zone");
   }

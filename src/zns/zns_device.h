@@ -22,6 +22,9 @@
 //   round-robin but with a configurable wear-leveling deviation probability;
 //   the mapping is hidden from the host (engines must guess and verify), but
 //   DebugChannelOf() exposes the truth to tests and oracles.
+// * Commands cross the host interface through a DevicePort
+//   (src/nvme/device_port.h), and the device is itself a ZonedTarget (the
+//   sequential-zone view dm-zap stacks on).
 //
 // Data plane: the device stores one 64-bit pattern per block instead of
 // 4 KiB of payload — enough for end-to-end integrity verification at a
@@ -32,17 +35,18 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/sparse_array.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/common/write_tag.h"
+#include "src/engines/target.h"
 #include "src/fault/fault_injector.h"
 #include "src/metrics/observability.h"
 #include "src/nand/nand_backend.h"
-#include "src/nvme/nvme_queue.h"
+#include "src/nvme/device_port.h"
 #include "src/sim/simulator.h"
 #include "src/zns/zns_config.h"
 
@@ -100,18 +104,13 @@ struct ZnsDeviceStats {
   }
 };
 
-class ZnsDevice {
+class ZnsDevice final : public ZonedTarget {
  public:
-  using WriteCallback = std::function<void(const Status&)>;
   using AppendCallback = std::function<void(const Status&, uint64_t offset)>;
-  // Reads deliver block contents only; OOB records are read back through
-  // ReadOobSync (recovery and GC liveness scans).
-  using ReadCallback =
-      std::function<void(const Status&, std::vector<uint64_t> patterns)>;
 
   ZnsDevice(Simulator* sim, const ZnsConfig& config);
 
-  // --- data plane (asynchronous, goes through the dispatch path) ---------
+  // --- data plane (asynchronous, goes through the device port) -----------
 
   // Writes `patterns.size()` blocks at (zone, offset). `oobs` may be empty
   // (no OOB metadata) or match patterns in size. Implicitly opens the zone
@@ -124,18 +123,36 @@ class ZnsDevice {
   void SubmitAppend(uint32_t zone, std::vector<uint64_t> patterns,
                     std::vector<OobRecord> oobs, AppendCallback cb);
 
+  // Reads deliver block contents only; OOB records are read back through
+  // ReadOobSync (recovery and GC liveness scans).
   void SubmitRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
                   ReadCallback cb);
+
+  // --- ZonedTarget (sequential zones; ZRWA stays behind OpenZone) ---------
+
+  uint32_t num_zones() const override { return config_.num_zones; }
+  uint64_t zone_capacity_blocks() const override {
+    return config_.zone_capacity_blocks;
+  }
+  int max_open_zones() const override { return config_.max_open_zones; }
+  // SubmitWrite with OOB records that carry only `tag`.
+  void SubmitZoneWrite(uint32_t zone, uint64_t offset,
+                       std::vector<uint64_t> patterns, WriteCallback cb,
+                       WriteTag tag) override;
+  void SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
+                      ReadCallback cb) override {
+    SubmitRead(zone, offset, nblocks, std::move(cb));
+  }
 
   // --- control plane (synchronous admin commands) ------------------------
 
   Status OpenZone(uint32_t zone, bool with_zrwa);
   Status CloseZone(uint32_t zone);
   // Programs any buffered blocks and transitions the zone to FULL.
-  Status FinishZone(uint32_t zone);
+  Status FinishZone(uint32_t zone) override;
   // Discards all data (buffered and flashed) and recycles the zone; the
   // erase occupies the zone's channel in the background.
-  Status ResetZone(uint32_t zone);
+  Status ResetZone(uint32_t zone) override;
   // Explicit ZRWA commit: advances the flush pointer to `upto` (exclusive),
   // programming buffered blocks below it.
   Status CommitZrwa(uint32_t zone, uint64_t upto);
@@ -173,15 +190,14 @@ class ZnsDevice {
   const ZnsConfig& config() const { return config_; }
   const ZnsDeviceStats& stats() const { return stats_; }
   // The NVMe queue-pair frontend (inert unless config.nvme.enabled).
-  const NvmeQueuePair& nvme_queue() const { return nvmeq_; }
+  const NvmeQueuePair& nvme_queue() const { return port_.queue(); }
   NandBackend& backend() { return *backend_; }
   Simulator* sim() { return sim_; }
 
   // Interposes `injector` on every command this device serves; `device_id`
   // names this device in the injector's fault plan. Pass nullptr to detach.
   void AttachFaultInjector(FaultInjector* injector, int device_id) {
-    fault_ = injector;
-    fault_device_id_ = device_id;
+    port_.AttachFaultInjector(injector, device_id);
   }
 
   // Registers this device's counters/gauges ("dev<id>.zns.*") with the
@@ -191,8 +207,6 @@ class ZnsDevice {
   void AttachObservability(Observability* obs, int device_id);
 
  private:
-  // Legacy dispatch base and the NVMe frontend's doorbell delay.
-  static constexpr SimTime kDispatchBaseNs = 2 * kMicrosecond;
   // Buffer-drain allowance: a ZRWA write that triggers an implicit commit
   // stalls only for the part of the flush beyond this backlog (models the
   // finite but non-zero depth of the device write buffer).
@@ -223,60 +237,9 @@ class ZnsDevice {
     ChunkedArray<Block> blocks;
   };
 
-  // Dispatch helpers. Legacy mode: every data-plane command arrives after
-  // base + jitter and completes with its own event. With the NVMe frontend
-  // enabled, arrivals ride doorbell batches and completions ride coalesced
-  // interrupts instead (src/nvme/nvme_queue.h).
-  SimTime DispatchDelay();
-  template <typename F>
-  void AtArrival(F&& fn) {
-    if (nvmeq_.enabled()) {
-      nvmeq_.Submit(InlineCallback(std::forward<F>(fn)));
-      return;
-    }
-    sim_->Schedule(DispatchDelay(), std::forward<F>(fn));
-  }
-  template <typename F>
-  void CompleteIo(SimTime when, F&& fn) {
-    if (nvmeq_.enabled()) {
-      nvmeq_.Complete(when, InlineCallback(std::forward<F>(fn)));
-      return;
-    }
-    sim_->ScheduleAt(when, std::forward<F>(fn));
-  }
-  // Error completions: zero device-side latency. Legacy: invoked inline.
-  // Frontend: they post a CQE like any completion (real NVMe error
-  // completions are interrupt-coalesced too).
-  template <typename F>
-  void CompleteIoNow(F&& fn) {
-    if (nvmeq_.enabled()) {
-      nvmeq_.Complete(sim_->Now(), InlineCallback(std::forward<F>(fn)));
-      return;
-    }
-    fn();
-  }
-
-  // Fault-plane hooks: consulted at command arrival / completion scheduling.
-  Status FaultCheck(IoKind kind) {
-    return fault_ != nullptr
-               ? fault_->OnIo(fault_device_id_, kind, sim_->Now())
-               : OkStatus();
-  }
-  Status CheckAlive() const {
-    if (fault_ != nullptr && fault_->IsDead(fault_device_id_, sim_->Now())) {
-      return UnavailableError("device dead");
-    }
-    return OkStatus();
-  }
-  SimTime Stretch(int channel, SimTime done) const {
-    return fault_ != nullptr
-               ? fault_->StretchCompletion(fault_device_id_, channel, done,
-                                           sim_->Now())
-               : done;
-  }
-
   Status ValidateZoneId(uint32_t zone) const;
   Status EnsureOpenForWrite(Zone& z, uint32_t zone_id);
+  // Draws from the device RNG (the port's) when wear levelling deviates.
   void AssignChannel(Zone& z);
   // Programs buffered blocks in [from, to) to flash and advances flush_ptr.
   // Returns the time the background program drains (now if nothing to do).
@@ -311,10 +274,7 @@ class ZnsDevice {
   Simulator* sim_;
   ZnsConfig config_;
   std::unique_ptr<NandBackend> backend_;
-  NvmeQueuePair nvmeq_;
-  Rng rng_;
-  FaultInjector* fault_ = nullptr;
-  int fault_device_id_ = -1;
+  DevicePort port_;
   Observability* obs_ = nullptr;
   uint16_t span_write_ = 0;
   uint16_t span_read_ = 0;

@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "src/common/rng.h"
-#include "src/engines/adapters.h"
+#include "src/convssd/conv_ssd.h"
 #include "src/engines/dmzap.h"
 #include "src/engines/join.h"
 #include "src/engines/mdraid.h"
@@ -92,13 +92,11 @@ TEST(Join, ReadFormFillsRunsAndBlocks) {
 struct DmZapFixture {
   Simulator sim;
   std::unique_ptr<ZnsDevice> dev;
-  std::unique_ptr<ZnsZonedTarget> zoned;
   std::unique_ptr<DmZap> dmzap;
 
   explicit DmZapFixture(DmZapConfig config = {}) {
     dev = std::make_unique<ZnsDevice>(&sim, DevConfig());
-    zoned = std::make_unique<ZnsZonedTarget>(dev.get());
-    dmzap = std::make_unique<DmZap>(&sim, zoned.get(), config);
+    dmzap = std::make_unique<DmZap>(&sim, dev.get(), config);
   }
 };
 
@@ -352,7 +350,6 @@ struct MdraidFixture {
   Simulator sim;
   FaultInjector fault;  // empty plan: invisible to non-fault tests
   std::vector<std::unique_ptr<ConvSsd>> devs;
-  std::vector<std::unique_ptr<ConvSsdTarget>> targets;
   std::unique_ptr<Mdraid> mdraid;
 
   explicit MdraidFixture(MdraidConfig config = {}) {
@@ -364,8 +361,7 @@ struct MdraidFixture {
       cc.seed = static_cast<uint64_t>(d) + 1;
       devs.push_back(std::make_unique<ConvSsd>(&sim, cc));
       devs.back()->AttachFaultInjector(&fault, d);
-      targets.push_back(std::make_unique<ConvSsdTarget>(devs.back().get()));
-      children.push_back(targets.back().get());
+      children.push_back(devs.back().get());
     }
     mdraid = std::make_unique<Mdraid>(&sim, children, config);
   }
@@ -378,8 +374,7 @@ struct MdraidFixture {
     cc.seed = 99;
     devs.push_back(std::make_unique<ConvSsd>(&sim, cc));
     devs.back()->AttachFaultInjector(&fault, static_cast<int>(devs.size()) - 1);
-    targets.push_back(std::make_unique<ConvSsdTarget>(devs.back().get()));
-    return targets.back().get();
+    return devs.back().get();
   }
 };
 

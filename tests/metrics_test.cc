@@ -10,7 +10,6 @@
 
 #include "bench/bench_util.h"
 #include "src/common/histogram.h"
-#include "src/engines/adapters.h"
 #include "src/metrics/cpu_account.h"
 #include "src/metrics/observability.h"
 #include "src/metrics/wa_report.h"
@@ -68,12 +67,14 @@ TEST(WaBreakdown, ZeroUserBlocksIsSafe) {
   EXPECT_DOUBLE_EQ(wa.TotalRatio(), 0.0);
 }
 
+// The devices are their own targets: each test drives one only through its
+// target interface.
 TEST(ZnsZonedTargetAdapter, ForwardsGeometryAndWrites) {
   Simulator sim;
   ZnsConfig config = ZnsConfig::Zn540(/*num_zones=*/8, /*zone_cap=*/128);
   config.dispatch_jitter_ns = 0;
   ZnsDevice dev(&sim, config);
-  ZnsZonedTarget target(&dev);
+  ZonedTarget& target = dev;
   EXPECT_EQ(target.num_zones(), 8u);
   EXPECT_EQ(target.zone_capacity_blocks(), 128u);
   EXPECT_EQ(target.max_open_zones(), 14);
@@ -106,7 +107,7 @@ TEST(ConvSsdTargetAdapter, ForwardsCapacityAndIo) {
   config.pages_per_flash_block = 128;
   config.dispatch_jitter_ns = 0;
   ConvSsd dev(&sim, config);
-  ConvSsdTarget target(&dev);
+  BlockTarget& target = dev;
   EXPECT_EQ(target.capacity_blocks(), 4096u);
 
   Status status = InternalError("x");

@@ -7,7 +7,8 @@
 //     each do what the model claims (stalls counted, events collapsed),
 //   - a bare queue pair delivers CQEs in (ready time, posting order) and
 //     its delivery sequence is pinned across coalescing settings,
-//   - a power cut leaves no command of the queue pair in flight,
+//   - a power cut leaves no command of the queue pair in flight, on both
+//     device kinds,
 //   - the write-back buffer absorbs hot updates, overlays reads with the
 //     newest buffered data, and drains completely on FlushBuffers; the
 //     write-through mode leaves the device-write stream unchanged.
@@ -22,7 +23,6 @@
 
 #include "src/common/rng.h"
 #include "src/convssd/conv_ssd.h"
-#include "src/engines/adapters.h"
 #include "src/nvme/host_buffer.h"
 #include "src/nvme/nvme_queue.h"
 #include "src/sim/simulator.h"
@@ -336,17 +336,32 @@ TEST(NvmeQueuePair, SupersededInterruptDeliversNothing) {
   EXPECT_EQ(rig.sim.Now(), third);
 }
 
+// Block 0 of either device kind: zone 0 of a ZNS SSD, LBN 0 of a
+// conventional one.
+void WriteBlock0(ZnsDevice& dev, std::vector<uint64_t> patterns,
+                 ZnsDevice::WriteCallback cb) {
+  dev.SubmitWrite(0, 0, std::move(patterns), {}, std::move(cb));
+}
+void WriteBlock0(ConvSsd& dev, std::vector<uint64_t> patterns,
+                 ConvSsd::WriteCallback cb) {
+  dev.SubmitWrite(0, std::move(patterns), std::move(cb));
+}
+void ReadBlock0(ZnsDevice& dev, uint64_t nblocks, ZnsDevice::ReadCallback cb) {
+  dev.SubmitRead(0, 0, nblocks, std::move(cb));
+}
+void ReadBlock0(ConvSsd& dev, uint64_t nblocks, ConvSsd::ReadCallback cb) {
+  dev.SubmitRead(0, nblocks, std::move(cb));
+}
+
 // A power cut (Simulator::DropPending) destroys the ring and interrupt
 // events of every command in flight. The queue pair must forget those
 // commands too: none of their callbacks may run after the cut, and the
 // next command must not wait behind their SQ slots or a dead interrupt.
-TEST(NvmeFrontend, PowerCutForgetsInFlightCommands) {
-  Simulator sim;
-  ZnsConfig zc = ZnsConfig::Zn540(/*num_zones=*/8, /*zone_capacity_blocks=*/1024);
-  zc.nvme = Frontend(/*queues=*/1, /*qd=*/5);
-  ZnsDevice dev(&sim, zc);
+// `dev` sits behind one queue pair of depth 5.
+template <typename Device>
+void ExpectPowerCutForgetsInFlightCommands(Simulator& sim, Device& dev) {
   bool written = false;
-  dev.SubmitWrite(0, 0, {41, 42}, {}, [&written](const Status& s) {
+  WriteBlock0(dev, {41, 42}, [&written](const Status& s) {
     EXPECT_TRUE(s.ok());
     written = true;
   });
@@ -358,18 +373,18 @@ TEST(NvmeFrontend, PowerCutForgetsInFlightCommands) {
   // Four reads fetched by the first ring (CQEs pending at the cut), one in
   // a second batch whose ring has not fired, one parked for a free slot.
   for (int i = 0; i < 4; ++i) {
-    dev.SubmitRead(0, 0, 2, count);
+    ReadBlock0(dev, 2, count);
   }
   sim.RunUntil(sim.Now() + 3 * kMicrosecond);
-  dev.SubmitRead(0, 0, 2, count);
-  dev.SubmitRead(0, 0, 2, count);
+  ReadBlock0(dev, 2, count);
+  ReadBlock0(dev, 2, count);
   EXPECT_EQ(dev.nvme_queue().inflight(), 6u);
   EXPECT_EQ(dev.nvme_queue().stats().qd_stalls, 1u);
   sim.DropPending();
   EXPECT_EQ(dev.nvme_queue().inflight(), 0u);
 
   std::vector<uint64_t> got;
-  dev.SubmitRead(0, 0, 2, [&got](const Status& s, std::vector<uint64_t> p) {
+  ReadBlock0(dev, 2, [&got](const Status& s, std::vector<uint64_t> p) {
     EXPECT_TRUE(s.ok());
     got = std::move(p);
   });
@@ -379,21 +394,40 @@ TEST(NvmeFrontend, PowerCutForgetsInFlightCommands) {
   EXPECT_EQ(dev.nvme_queue().inflight(), 0u);
 }
 
+TEST(NvmeFrontend, PowerCutForgetsInFlightCommands) {
+  {
+    SCOPED_TRACE("ZnsDevice");
+    Simulator sim;
+    ZnsConfig zc =
+        ZnsConfig::Zn540(/*num_zones=*/8, /*zone_capacity_blocks=*/1024);
+    zc.nvme = Frontend(/*queues=*/1, /*qd=*/5);
+    ZnsDevice dev(&sim, zc);
+    ExpectPowerCutForgetsInFlightCommands(sim, dev);
+  }
+  {
+    SCOPED_TRACE("ConvSsd");
+    Simulator sim;
+    ConvSsdConfig cc;
+    cc.capacity_blocks = 8 * 1024;
+    cc.nvme = Frontend(/*queues=*/1, /*qd=*/5);
+    ConvSsd dev(&sim, cc);
+    ExpectPowerCutForgetsInFlightCommands(sim, dev);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Host write buffer against a single ConvSSD: absorption, overlay, flush.
 
 struct BufferRig {
   Simulator sim;
   std::unique_ptr<ConvSsd> ssd;
-  std::unique_ptr<ConvSsdTarget> target;
   std::unique_ptr<HostWriteBuffer> buffer;
 
   explicit BufferRig(const HostBufferConfig& hb) {
     ConvSsdConfig cc;
     cc.capacity_blocks = 64 * 1024;
     ssd = std::make_unique<ConvSsd>(&sim, cc);
-    target = std::make_unique<ConvSsdTarget>(ssd.get());
-    buffer = std::make_unique<HostWriteBuffer>(&sim, target.get(), hb);
+    buffer = std::make_unique<HostWriteBuffer>(&sim, ssd.get(), hb);
   }
 
   void Write(uint64_t lbn, std::vector<uint64_t> patterns) {
