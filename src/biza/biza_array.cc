@@ -489,14 +489,14 @@ void BizaArray::InvalidatePa(uint64_t pa) {
   z.valid--;
 }
 
-void BizaArray::InvalidateChunk(uint64_t lbn) {
-  // Find() keeps the entry pointer stable: nothing below inserts into bmt_.
-  BmtEntry* entry = bmt_.Find(lbn);
-  if (entry == nullptr || entry->pa == kInvalidPa) {
+void BizaArray::InvalidateChunk(BmtEntry& entry) {
+  // `entry` points into a BMT page, and pages never move, so it stays valid
+  // whatever the BMT does meanwhile (nothing below touches it anyway).
+  if (entry.pa == kInvalidPa) {
     return;
   }
-  InvalidatePa(entry->pa);
-  const uint32_t sn = entry->sn;
+  InvalidatePa(entry.pa);
+  const uint32_t sn = entry.sn;
   uint32_t& live = stripe_live_[sn];
   assert(live > 0);
   live--;
@@ -518,7 +518,7 @@ void BizaArray::InvalidateChunk(uint64_t lbn) {
       }
     }
   }
-  entry->pa = kInvalidPa;
+  entry.pa = kInvalidPa;
 }
 
 void BizaArray::RecordCompletion(int device, uint32_t zone,
@@ -660,7 +660,10 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     // 2. In-place ZRWA update when both the chunk and its stripe parity are
     //    still inside their sliding windows (§4.1's relaxation).
     cpu_.Charge(config_.costs.map_lookup_ns);
-    const BmtEntry entry = BmtGet(target);
+    // The one BMT lookup of this block: `mapped` stays valid across the
+    // inserts below (BMT pages never move) and is updated in place.
+    BmtEntry& mapped = bmt_.Mut(target);
+    const BmtEntry entry = mapped;
     // Stripes awaiting rebuild are pinned out-of-place: an in-place update
     // would keep the stale stripe alive and the rebuild sweep could never
     // drain it. Chunks on a dead member can't be updated in place either.
@@ -806,9 +809,9 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       // write may not be acknowledged until that parity is durable. The
       // phantom PA routes later reads of this chunk to the degraded path.
       cpu_.Charge(config_.costs.map_update_ns);
-      InvalidateChunk(target);
+      InvalidateChunk(mapped);
       const uint64_t pa = PhantomPa(device);
-      BmtSet(target, BmtEntry{pa, builder.sn});
+      mapped = BmtEntry{pa, builder.sn};
       SetStripeDataPa(builder.sn, slot, pa);
       stripe_live_[builder.sn]++;
       builder.patterns.push_back(pattern);
@@ -876,8 +879,8 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     const uint64_t pa = MakePa(device, sched->zone(), off, zone_cap_);
 
     cpu_.Charge(config_.costs.map_update_ns);
-    InvalidateChunk(target);
-    BmtSet(target, BmtEntry{pa, builder.sn});
+    InvalidateChunk(mapped);
+    mapped = BmtEntry{pa, builder.sn};
     ZoneOf(device, sched->zone()).valid++;
     SetStripeDataPa(builder.sn, slot, pa);
     stripe_live_[builder.sn]++;
@@ -1501,8 +1504,9 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
 // land in a builder whose stripe later fails its parity write, so every pass
 // ends with a rescan.
 void BizaArray::RebuildRescan(std::function<void(RebuildSweep::Keys)> next) {
-  // Hash order is not lbn order: collect then sort so the rebuilder sweeps
-  // ascending lbn exactly as the dense table did (determinism + run merging).
+  // BMT visit order is not lbn order: collect then sort so the rebuilder
+  // sweeps ascending lbn exactly as the dense table did (determinism + run
+  // merging).
   std::vector<uint64_t> lbns;
   bmt_.ForEach([&](uint64_t lbn, const BmtEntry& entry) {
     if (entry.pa != kInvalidPa && StripeNeedsRebuild(entry.sn)) {
@@ -2161,10 +2165,10 @@ Status BizaArray::Recover() {
             cand.seen = true;
           }
         } else if (oob->lbn < exposed_blocks_) {
-          const BmtEntry entry = BmtGet(oob->lbn);
+          BmtEntry& entry = bmt_.Mut(oob->lbn);
           // Newer stripes have higher SNs; in-place updates share location.
           if (entry.pa == kInvalidPa || oob->sn >= entry.sn) {
-            BmtSet(oob->lbn, BmtEntry{pa, oob->sn});
+            entry = BmtEntry{pa, oob->sn};
           }
         }
       }
@@ -2182,7 +2186,7 @@ Status BizaArray::Recover() {
       z.valid = 0;
     }
   }
-  // Per-entry increments are commutative, so the hash's unspecified visit
+  // Per-entry increments are commutative, so the BMT's unspecified visit
   // order leaves the rebuilt tables identical to a sequential lbn sweep.
   bmt_.ForEach([&](uint64_t, const BmtEntry& entry) {
     if (entry.pa == kInvalidPa) {

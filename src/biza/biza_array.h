@@ -183,6 +183,7 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
   struct BmtEntry {
     uint64_t pa = kInvalidPa;
     uint32_t sn = 0;
+    bool operator==(const BmtEntry&) const = default;
   };
 
   enum class ZoneUse : uint8_t { kFree, kActive, kSealed };
@@ -270,7 +271,9 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
   // every sealed zone is fully valid (garbage trapped in open zones).
   bool ForceSealGarbageZone();
 
-  void InvalidateChunk(uint64_t lbn);
+  // Unmaps the chunk `entry` (a BMT entry) points at: zone valid count,
+  // stripe live count and, for a stripe's last chunk, its parities.
+  void InvalidateChunk(BmtEntry& entry);
   void InvalidatePa(uint64_t pa);
   // Opens the zone groups up to their widths. `fresh`: every zone of the
   // device is free (construction, replacement), so the whole group plan must
@@ -376,12 +379,13 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
   uint32_t num_zones_;
   uint64_t exposed_blocks_;
 
-  // BMT is hash-keyed: at full geometry the exposed LBA space is ~hundreds
-  // of millions of blocks, and user writes hit it uniformly at random — a
-  // dense (or chunked) table would cost memory proportional to capacity.
-  // An absent key reads back as the default BmtEntry (pa = kInvalidPa),
-  // exactly the dense table's initial state.
-  SparseTable<BmtEntry> bmt_;
+  // BMT: lbn -> (pa, sn). At full geometry the exposed LBA space is
+  // hundreds of millions of blocks and user writes may hit it uniformly at
+  // random, so it is paged: memory tracks the pages written, and a
+  // never-written lbn reads back as the default BmtEntry (pa = kInvalidPa),
+  // a dense table's initial state. An entry reference stays valid across
+  // later inserts, so a write looks its lbn up once.
+  BlockMap<BmtEntry> bmt_;
   // SMT: sn -> m parity PAs (flat, stride m_), per the paper's table layout.
   std::vector<uint64_t> smt_;
   // Stripe member index, flat: data PAs (stride k_) + live counts. Parity
@@ -392,7 +396,6 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
   uint32_t next_sn_ = 0;
 
   BmtEntry BmtGet(uint64_t lbn) const { return bmt_.Get(lbn); }
-  void BmtSet(uint64_t lbn, const BmtEntry& entry) { bmt_.Set(lbn, entry); }
   uint64_t StripeDataPa(uint32_t sn, int slot) const {
     return stripe_data_pa_[static_cast<size_t>(sn) * static_cast<size_t>(k_) +
                            static_cast<size_t>(slot)];

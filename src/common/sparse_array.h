@@ -11,20 +11,29 @@
 //   fixed-size chunks. Reads of never-written ranges return a fill value
 //   without allocating; the first write to a chunk allocates it; Clear()
 //   bulk-frees everything (the zone-reset / erase path). Suits state that
-//   fills densely from offset 0 (zone blocks, physical-page tables).
+//   fills densely from offset 0: zone blocks, physical-page tables, dm-zap's
+//   per-zone reverse maps.
+// * BlockMap<V> — every LBN-indexed mapping table: BIZA's BMT, ZapRAID's,
+//   ConvSSD's and dm-zap's L2P. Entries live in pages of kPageEntries
+//   consecutive LBNs, found through a SparseTable directory, so a contiguous
+//   request touches one or two pages instead of one hashed slot per block.
+//   The page stays small because host writes can land uniformly at random
+//   over the whole exposed space: a write into an untouched page costs one
+//   page (16 entries, ~270 B with 16-B BMT entries, directory slot
+//   included), not a chunk of thousands of entries.
 // * SparseTable<V> — an open-addressing hash keyed by a 64-bit index, for
-//   tables whose key space is vast but whose populated set tracks written
-//   data (BMT: lbn -> PA, conv L2P). Memory is ~32 bytes per *written* key
-//   regardless of access pattern, where chunking would blow up under
-//   uniform-random writes (one touched chunk per write).
+//   the BlockMap directory and for tables whose keys come and go (the
+//   ghost-cache index, ZapRAID's in-flight host copies).
 //
-// Neither container is thread-safe; the simulator is single-threaded per
-// experiment.
+// None of the containers is thread-safe; the simulator is single-threaded
+// per experiment.
 #ifndef BIZA_SRC_COMMON_SPARSE_ARRAY_H_
 #define BIZA_SRC_COMMON_SPARSE_ARRAY_H_
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -137,10 +146,7 @@ class ChunkedArray {
 // capacity, rehash at 7/8 load. Keys are logical block numbers (< 2^40), so
 // the all-ones key doubles as the empty-slot sentinel. Erase uses
 // backward-shift deletion, so no tombstones build up and a table whose live
-// set is bounded stays bounded; the table never shrinks. Engine mapping
-// tables still invalidate entries by overwriting the value; tables whose
-// keys come and go (the ghost-cache index, ZapRAID's in-flight host copies)
-// erase them.
+// set is bounded stays bounded; the table never shrinks.
 template <typename V>
 class SparseTable {
  public:
@@ -163,12 +169,6 @@ class SparseTable {
   const V* Find(uint64_t key) const {
     const Slot& slot = const_cast<SparseTable*>(this)->Probe(key);
     return slot.key == key ? &slot.value : nullptr;
-  }
-
-  // Value copy, default-constructed V when absent. Never allocates.
-  V Get(uint64_t key) const {
-    const V* v = Find(key);
-    return v == nullptr ? V{} : *v;
   }
 
   // Insert-or-find; the returned reference is invalidated by the next
@@ -275,6 +275,79 @@ class SparseTable {
 
   std::vector<Slot> slots_;
   size_t size_ = 0;
+};
+
+// LBN-indexed map: a SparseTable directory keyed by lbn >> kPageBits points
+// at fixed pages of kPageEntries entries. Pages live in a deque and never
+// move once allocated, so a reference from Mut() stays valid across later
+// inserts (until Clear()): a write path looks a block up once and updates
+// it in place. Entries never set read as the fill value; V needs ==.
+template <typename V>
+class BlockMap {
+ public:
+  static constexpr unsigned kPageBits = 4;
+  static constexpr uint64_t kPageEntries = uint64_t{1} << kPageBits;
+
+  explicit BlockMap(V fill = V{}) : fill_(std::move(fill)) {}
+
+  // Read without allocating: the fill value stands in for absent pages.
+  const V& Get(uint64_t lbn) const {
+    Page* const* page = dir_.Find(lbn >> kPageBits);
+    return page == nullptr ? fill_ : (*page)->at[lbn & kPageMask];
+  }
+
+  // Write access; allocates a fill-initialized page on first touch.
+  V& Mut(uint64_t lbn) {
+    Page*& page = dir_.Upsert(lbn >> kPageBits);
+    if (page == nullptr) {
+      page = &pages_.emplace_back();
+      page->at.fill(fill_);
+    }
+    return page->at[lbn & kPageMask];
+  }
+
+  // Visits every entry that differs from the fill value, in unspecified
+  // (but run-deterministic) order. The callback must not insert.
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    dir_.ForEach([&](uint64_t page_no, Page* page) {
+      for (uint64_t i = 0; i < kPageEntries; ++i) {
+        if (!(page->at[i] == fill_)) {
+          fn((page_no << kPageBits) | i, page->at[i]);
+        }
+      }
+    });
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    dir_.ForEach([&](uint64_t page_no, const Page* page) {
+      for (uint64_t i = 0; i < kPageEntries; ++i) {
+        if (!(page->at[i] == fill_)) {
+          fn((page_no << kPageBits) | i, page->at[i]);
+        }
+      }
+    });
+  }
+
+  void Clear() {
+    dir_.Clear();
+    pages_.clear();
+  }
+
+  uint64_t allocated_bytes() const {
+    return dir_.allocated_bytes() + pages_.size() * sizeof(Page);
+  }
+
+ private:
+  static constexpr uint64_t kPageMask = kPageEntries - 1;
+
+  struct Page {
+    std::array<V, kPageEntries> at;
+  };
+
+  V fill_;
+  SparseTable<Page*> dir_;
+  std::deque<Page> pages_;
 };
 
 }  // namespace biza

@@ -226,7 +226,7 @@ bool ConvSsd::CollectOne() {
     dest.valid_pages++;
     p2l_.Mut(new_ppn) = lbn;
     page_pattern_.Mut(new_ppn) = page_pattern_.Get(ppn);
-    l2p_.Set(lbn, new_ppn);
+    l2p_.Mut(lbn) = new_ppn;
     p2l_.Mut(ppn) = kUnmapped;
     migrated++;
     run_prog_channel = dest.channel;
@@ -276,15 +276,15 @@ void ConvSsd::DoWrite(uint64_t lbn, std::vector<uint64_t> patterns,
         write_rr_++ % static_cast<size_t>(config_.timing.num_channels));
     for (uint64_t j = 0; j < take; ++j) {
       const uint64_t target = lbn + i + j;
-      const uint64_t old_ppn = L2p(target);
-      if (old_ppn != kUnmapped) {
+      uint64_t& mapped = l2p_.Mut(target);
+      if (mapped != kUnmapped) {
         // Invalidate the stale page.
-        const uint64_t old_block = old_ppn / config_.pages_per_flash_block;
+        const uint64_t old_block = mapped / config_.pages_per_flash_block;
         flash_blocks_[old_block].valid_pages--;
-        p2l_.Mut(old_ppn) = kUnmapped;
+        p2l_.Mut(mapped) = kUnmapped;
       }
       const uint64_t ppn = AllocatePage(channel);
-      l2p_.Set(target, ppn);
+      mapped = ppn;
       p2l_.Mut(ppn) = target;
       page_pattern_.Mut(ppn) = patterns[i + j];
     }
@@ -322,7 +322,7 @@ void ConvSsd::DoRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   patterns.reserve(nblocks);
   int channel = 0;
   for (uint64_t i = 0; i < nblocks; ++i) {
-    const uint64_t ppn = L2p(lbn + i);
+    const uint64_t ppn = l2p_.Get(lbn + i);
     if (ppn == kUnmapped) {
       patterns.push_back(0);
     } else {
@@ -345,7 +345,7 @@ Result<uint64_t> ConvSsd::ReadPatternSync(uint64_t lbn) const {
   if (lbn >= config_.capacity_blocks) {
     return OutOfRangeError("bad lbn");
   }
-  const uint64_t ppn = L2p(lbn);
+  const uint64_t ppn = l2p_.Get(lbn);
   if (ppn == kUnmapped) {
     return NotFoundError("unmapped lbn");
   }

@@ -135,17 +135,14 @@ class ConvSsd final : public BlockTarget {
   std::unique_ptr<NandBackend> backend_;
   DevicePort port_;
 
-  // l2p_ is hash-keyed because host writes are uniform-random over a vast
-  // LBA space (chunking would allocate a chunk per write); the physical
-  // tables fill densely within each flash block, so chunks suit them.
-  uint64_t L2p(uint64_t lbn) const {
-    const uint64_t* ppn = l2p_.Find(lbn);
-    return ppn == nullptr ? kUnmapped : *ppn;
-  }
-
   uint64_t total_pages_ = 0;
   uint64_t num_flash_blocks_ = 0;
-  SparseTable<uint64_t> l2p_;          // lbn -> ppn (absent = unmapped)
+  // l2p_ is paged because host writes can be uniform-random over a vast LBA
+  // space (a large chunk per scattered write would blow up); a write's
+  // entry reference survives the GC remaps AllocatePage may run. The
+  // physical tables fill densely within each flash block, so chunks suit
+  // them.
+  BlockMap<uint64_t> l2p_{kUnmapped};  // lbn -> ppn (kUnmapped if unwritten)
   ChunkedArray<uint64_t> p2l_;         // ppn -> lbn (kUnmapped if invalid)
   ChunkedArray<uint64_t> page_pattern_;
   std::vector<FlashBlock> flash_blocks_;

@@ -16,27 +16,23 @@ DmZap::DmZap(Simulator* sim, ZonedTarget* backend, const DmZapConfig& config)
   const uint64_t total_blocks = zone_cap_ * backend_->num_zones();
   exposed_blocks_ = static_cast<uint64_t>(
       static_cast<double>(total_blocks) * config_.exposed_capacity_ratio);
-  l2p_.assign(exposed_blocks_, kUnmapped);
   zones_.resize(backend_->num_zones());
   free_zones_ = zones_.size();
   for (auto& z : zones_) {
-    z.rmap.assign(zone_cap_, kUnmapped);
+    z.rmap = ChunkedArray<uint64_t>(zone_cap_, /*chunk_size=*/1024, kUnmapped);
   }
   zone_queues_.resize(backend_->num_zones());
 }
 
-void DmZap::Invalidate(uint64_t lbn) {
-  const uint64_t old = l2p_[lbn];
-  if (old == kUnmapped) {
+void DmZap::Invalidate(uint64_t& loc) {
+  if (loc == kUnmapped) {
     return;
   }
-  const uint64_t zone = old / zone_cap_;
-  const uint64_t off = old % zone_cap_;
-  ZoneMeta& z = zones_[zone];
+  ZoneMeta& z = zones_[loc / zone_cap_];
   assert(z.valid > 0);
   z.valid--;
-  z.rmap[off] = kUnmapped;
-  l2p_[lbn] = kUnmapped;
+  z.rmap.Mut(loc % zone_cap_) = kUnmapped;
+  loc = kUnmapped;
 }
 
 uint64_t DmZap::PickZoneForWrite(uint64_t want_blocks, bool for_gc) {
@@ -133,9 +129,10 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     for (uint64_t i = 0; i < take; ++i) {
       const uint64_t target = lbn + done + i;
       cpu_.Charge(config_.costs.map_update_ns);
-      Invalidate(target);
-      l2p_[target] = zone * zone_cap_ + z.wptr + i;
-      z.rmap[z.wptr + i] = target;
+      uint64_t& loc = l2p_.Mut(target);
+      Invalidate(loc);
+      loc = zone * zone_cap_ + z.wptr + i;
+      z.rmap.Mut(z.wptr + i) = target;
       job.lbns[i] = target;
     }
     z.valid += take;
@@ -220,14 +217,14 @@ void DmZap::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   uint64_t i = 0;
   while (i < nblocks) {
     cpu_.Charge(config_.costs.map_lookup_ns);
-    const uint64_t loc = l2p_[lbn + i];
+    const uint64_t loc = l2p_.Get(lbn + i);
     if (loc == kUnmapped) {
       i++;  // unwritten blocks read as zero
       continue;
     }
     // Extend a physically-contiguous run.
     uint64_t run = 1;
-    while (i + run < nblocks && l2p_[lbn + i + run] == loc + run &&
+    while (i + run < nblocks && l2p_.Get(lbn + i + run) == loc + run &&
            (loc + run) / zone_cap_ == loc / zone_cap_) {
       run++;
     }
@@ -311,8 +308,9 @@ void DmZap::GcStep() {
   std::vector<uint64_t> lbns;
   while (gc_scan_offset_ < zone_cap_ &&
          offsets.size() < kGcBatchBlocks) {
-    const uint64_t lbn = vz.rmap[gc_scan_offset_];
-    if (lbn != kUnmapped && l2p_[lbn] == gc_victim_ * zone_cap_ + gc_scan_offset_) {
+    const uint64_t lbn = vz.rmap.Get(gc_scan_offset_);
+    if (lbn != kUnmapped &&
+        l2p_.Get(lbn) == gc_victim_ * zone_cap_ + gc_scan_offset_) {
       offsets.push_back(gc_scan_offset_);
       lbns.push_back(lbn);
     }
@@ -323,8 +321,9 @@ void DmZap::GcStep() {
     if (gc_scan_offset_ >= zone_cap_) {
       // Victim fully migrated: recycle it.
       (void)backend_->ResetZone(victim);
-      vz = ZoneMeta{};
-      vz.rmap.assign(zone_cap_, kUnmapped);
+      // Fresh metadata; the reverse map keeps its size, its chunks freed.
+      vz.rmap.Clear();
+      vz = ZoneMeta{.rmap = std::move(vz.rmap)};
       free_zones_++;
       stats_.gc_zone_resets++;
       gc_victim_ = kUnmapped;
@@ -363,7 +362,7 @@ void DmZap::GcStep() {
     waiter->finish = finish;
     for (size_t i = 0; i < lbns.size(); ++i) {
       const uint64_t lbn = lbns[i];
-      const uint64_t loc = l2p_[lbn];
+      const uint64_t loc = l2p_.Get(lbn);
       if (loc == kUnmapped ||
           loc / zone_cap_ != gc_victim_) {
         continue;  // overwritten during migration
@@ -380,6 +379,15 @@ void DmZap::GcStep() {
     backend_->SubmitZoneRead(victim, offsets[i], 1, RunLeg(batch, i));
   }
   batch->Done();  // the dispatch guard
+}
+
+uint64_t DmZap::ResidentStateBytes() const {
+  uint64_t bytes =
+      l2p_.allocated_bytes() + zones_.capacity() * sizeof(ZoneMeta);
+  for (const ZoneMeta& z : zones_) {
+    bytes += z.rmap.allocated_bytes();
+  }
+  return bytes;
 }
 
 }  // namespace biza

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/sparse_array.h"
 #include "src/engines/target.h"
 #include "src/metrics/cpu_account.h"
 #include "src/sim/simulator.h"
@@ -58,6 +59,9 @@ class DmZap : public BlockTarget {
 
   const DmZapStats& stats() const { return stats_; }
   CpuAccount& cpu() { return cpu_; }
+  // Bytes of dm-zap's own mapping state (L2P, reverse maps, zone table),
+  // not its backend's.
+  uint64_t ResidentStateBytes() const;
   bool gc_active() const { return gc_active_; }
 
  private:
@@ -72,7 +76,9 @@ class DmZap : public BlockTarget {
   struct ZoneMeta {
     uint64_t wptr = 0;          // allocation pointer (shadow write pointer)
     uint64_t valid = 0;         // live blocks
-    std::vector<uint64_t> rmap; // in-zone offset -> lbn (engine-side reverse map)
+    // In-zone offset -> lbn (engine-side reverse map); a zone fills from
+    // offset 0, so chunks suit it.
+    ChunkedArray<uint64_t> rmap;
     bool open = false;
     bool busy = false;          // one in-flight write per zone
     bool sealed = false;        // finished (GC candidate)
@@ -104,7 +110,8 @@ class DmZap : public BlockTarget {
   uint64_t PickVictim() const;
 
   uint64_t FreeZones() const { return free_zones_; }
-  void Invalidate(uint64_t lbn);
+  // Unmaps the block `loc` (an L2P entry) points at and clears the entry.
+  void Invalidate(uint64_t& loc);
 
   Simulator* sim_;
   ZonedTarget* backend_;
@@ -112,7 +119,8 @@ class DmZap : public BlockTarget {
   uint64_t exposed_blocks_;
   uint64_t zone_cap_;
 
-  std::vector<uint64_t> l2p_;  // lbn -> zone * zone_cap + offset
+  // lbn -> zone * zone_cap + offset, kUnmapped if unwritten.
+  BlockMap<uint64_t> l2p_{kUnmapped};
   std::vector<ZoneMeta> zones_;
   // Zones neither open nor sealed (wptr 0): moved only where a zone opens
   // and where GC resets one, so the per-write GC trigger never scans.

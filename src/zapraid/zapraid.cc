@@ -170,26 +170,25 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
   if (is_data) {
     cpu_.Charge(config_.costs.map_update_ns);
     const uint64_t pa = MakePa(device, group, row);
+    L2pEntry& cur = l2p_.Mut(oob.lbn);
     bool mapped = false;
     if (repoint_from != kInvalidPa) {
       // Relocation (requeue / GC / rebuild): re-point the L2P only if it
       // still references the source location — a concurrent overwrite wins
       // and this chunk is garbage on arrival (still written so the original
       // ack stays backed by a durable copy).
-      const L2pEntry cur = l2p_.Get(oob.lbn);
       if (cur.pa == repoint_from &&
           (requeue_wsn == 0 || cur.wsn == requeue_wsn)) {
         InvalidatePa(repoint_from);
-        l2p_.Set(oob.lbn, L2pEntry{pa, oob.sn});
+        cur = L2pEntry{pa, oob.sn};
         ++grp.valid;
         mapped = true;
       }
     } else {
-      const L2pEntry cur = l2p_.Get(oob.lbn);
       if (cur.pa != kInvalidPa) {
         InvalidatePa(cur.pa);
       }
-      l2p_.Set(oob.lbn, L2pEntry{pa, oob.sn});
+      cur = L2pEntry{pa, oob.sn};
       ++grp.valid;
       mapped = true;
     }
@@ -1420,9 +1419,9 @@ Status ZapRaid::Recover() {
           row.durable |= Bit(d);
           ++grp.data_chunks;
           max_wsn = std::max(max_wsn, oob->sn);
-          const L2pEntry cur = l2p_.Get(oob->lbn);
+          L2pEntry& cur = l2p_.Mut(oob->lbn);
           if (cur.pa == kInvalidPa || oob->sn > cur.wsn) {
-            l2p_.Set(oob->lbn, L2pEntry{MakePa(d, z, off), oob->sn});
+            cur = L2pEntry{MakePa(d, z, off), oob->sn};
           }
         }
         off = dev->NextWrittenCandidate(z, off + 1);
@@ -1445,14 +1444,16 @@ Status ZapRaid::Recover() {
     }
   }
   // Pass 2: per-group valid counts and live masks from the final L2P.
+  uint64_t mapped = 0;
   l2p_.ForEach([&](uint64_t, const L2pEntry& e) {
     Group& grp = groups_[PaGroup(e.pa)];
     ++grp.valid;
     grp.live[PaRow(e.pa)] |= Bit(PaDevice(e.pa));
+    ++mapped;
   });
   config_.recover_mode = false;
-  BIZA_LOG_INFO("zapraid: recovered %zu mapped blocks, next wsn %u",
-                static_cast<size_t>(l2p_.size()), next_wsn_);
+  BIZA_LOG_INFO("zapraid: recovered %llu mapped blocks, next wsn %u",
+                static_cast<unsigned long long>(mapped), next_wsn_);
   return OkStatus();
 }
 

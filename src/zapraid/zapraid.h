@@ -186,6 +186,7 @@ class ZapRaid : public BlockTarget, private RebuildSweep::Engine {
   struct L2pEntry {
     uint64_t pa = kInvalidPa;
     uint32_t wsn = 0;
+    bool operator==(const L2pEntry&) const = default;
   };
 
   // Per-row stripe metadata: which members hold a chunk (present), which
@@ -374,7 +375,9 @@ class ZapRaid : public BlockTarget, private RebuildSweep::Engine {
   uint32_t num_zones_;
   uint64_t exposed_blocks_;
 
-  SparseTable<L2pEntry> l2p_;
+  // lbn -> (pa, wsn); a never-written lbn reads as L2pEntry{}. Paged, so
+  // an entry reference survives later inserts (AppendChunk looks up once).
+  BlockMap<L2pEntry> l2p_;
   uint32_t next_wsn_ = 1;
   std::vector<Group> groups_;
   uint64_t free_groups_ = 0;  // groups with use == kFree

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
 #include "src/common/rng.h"
+#include "src/common/units.h"
 #include "src/convssd/conv_ssd.h"
 #include "src/engines/dmzap.h"
 #include "src/engines/join.h"
@@ -94,8 +96,9 @@ struct DmZapFixture {
   std::unique_ptr<ZnsDevice> dev;
   std::unique_ptr<DmZap> dmzap;
 
-  explicit DmZapFixture(DmZapConfig config = {}) {
-    dev = std::make_unique<ZnsDevice>(&sim, DevConfig());
+  explicit DmZapFixture(DmZapConfig config = {},
+                        const ZnsConfig& dev_config = DevConfig()) {
+    dev = std::make_unique<ZnsDevice>(&sim, dev_config);
     dmzap = std::make_unique<DmZap>(&sim, dev.get(), config);
   }
 };
@@ -165,6 +168,29 @@ TEST(DmZap, GcReclaimsInvalidatedSpace) {
   }
   EXPECT_GT(f.dmzap->stats().gc_zone_resets, 0u);
   EXPECT_GT(f.dmzap->stats().gc_migrated_blocks, 0u);
+}
+
+// A full-geometry member (904 zones x 1077 MiB): dm-zap's L2P and reverse
+// maps must cost memory in proportion to written data, not to capacity.
+TEST(DmZap, FullGeometryStateScalesWithWrittenData) {
+  DmZapFixture f({}, ZnsConfig::Zn540(ZnsConfig::kFullZn540Zones,
+                                      ZnsConfig::kFullZn540ZoneBlocks));
+  Rng rng(29);
+  std::unordered_map<uint64_t, uint64_t> truth;
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t lbn = rng.Uniform(f.dmzap->capacity_blocks());
+    const uint64_t pattern = rng.Next() | 1;
+    truth[lbn] = pattern;
+    ASSERT_TRUE(BlockWriteSync(&f.sim, f.dmzap.get(), lbn, {pattern}).ok());
+  }
+  for (const auto& [lbn, pattern] : truth) {
+    auto r = BlockReadSync(&f.sim, f.dmzap.get(), lbn, 1);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ((*r)[0], pattern) << "lbn " << lbn;
+  }
+  // The reverse maps' chunk tables (~1.9 MiB over 904 zones), the few
+  // chunks written, and a 3000-page L2P.
+  EXPECT_LT(f.dmzap->ResidentStateBytes(), 8 * kMiB);
 }
 
 TEST(DmZap, SpinlockCpuChargedForQueueing) {

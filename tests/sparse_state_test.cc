@@ -1,12 +1,14 @@
 // Tests of the sparse zone/FTL state containers and the batched NAND
 // pipeline: chunk allocation and reclamation, hashed-table behaviour across
-// rehashes and erases, OOB scans over lazily-allocated zones, run-API
-// equivalence with per-page command loops, and batched GC runs checked
-// against truth maps and golden values.
+// rehashes and erases, the paged block map against a reference map, OOB
+// scans over lazily-allocated zones, run-API equivalence with per-page
+// command loops, and batched GC runs checked against truth maps and golden
+// values.
 #include <algorithm>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -102,7 +104,6 @@ TEST(ChunkedArray, SkipUnallocatedHopsOverHoles) {
 TEST(SparseTable, AbsentKeysReadDefaultValue) {
   SparseTable<uint64_t> table;
   EXPECT_EQ(table.Find(12345), nullptr);
-  EXPECT_EQ(table.Get(12345), 0u);
   EXPECT_EQ(table.size(), 0u);
 }
 
@@ -127,7 +128,8 @@ TEST(SparseTable, SurvivesRehashWithScatteredKeys) {
   EXPECT_EQ(table.size(), kN);
   for (uint64_t i = 0; i < kN; ++i) {
     const uint64_t key = i * 0x9E3779B97F4A7C15ULL;
-    EXPECT_EQ(table.Get(key), i + 1) << "key index " << i;
+    ASSERT_NE(table.Find(key), nullptr) << "key index " << i;
+    EXPECT_EQ(*table.Find(key), i + 1) << "key index " << i;
   }
   // ForEach visits every entry exactly once.
   uint64_t visited = 0;
@@ -209,6 +211,142 @@ TEST(SparseTable, EraseMatchesUnorderedMap) {
   }
   truth.clear();
   check_all();
+}
+
+// ---------------------------------------------------------------------------
+// BlockMap
+
+// The last block of four full-geometry ZN540 members: no engine exposes an
+// LBN beyond it.
+constexpr uint64_t kLastFullGeometryLbn =
+    4 * ZnsConfig::kFullZn540Zones * ZnsConfig::kFullZn540ZoneBlocks - 1;
+
+// Randomized Get/Mut/ForEach/Clear against std::unordered_map. Keys sit on
+// and next to page edges, from LBN 0 up to the last full-geometry LBN. The
+// fill value is not V{}, and some writes store it: such entries read back as
+// the fill and ForEach must skip them, exactly like never-set entries.
+TEST(BlockMap, MatchesUnorderedMap) {
+  using Map = BlockMap<uint64_t>;
+  constexpr uint64_t kFill = 0xF111;
+  constexpr uint64_t kPage = Map::kPageEntries;
+  Map map(kFill);
+  std::unordered_map<uint64_t, uint64_t> truth;  // entries != kFill
+  Rng rng(41);
+
+  std::vector<uint64_t> keys;
+  const uint64_t last_page = kLastFullGeometryLbn / kPage;
+  for (const uint64_t page : {uint64_t{0}, uint64_t{1}, uint64_t{2},
+                              last_page / 2, last_page - 1, last_page}) {
+    for (const uint64_t off :
+         {uint64_t{0}, uint64_t{1}, kPage - 2, kPage - 1}) {
+      keys.push_back(page * kPage + off);
+    }
+  }
+  keys.push_back(kLastFullGeometryLbn);
+  for (int i = 0; i < 40; ++i) {
+    const uint64_t page = rng.Uniform(last_page + 1);
+    keys.push_back(page * kPage + (i % 2 == 0 ? 0 : kPage - 1));
+    keys.push_back(rng.Uniform(kLastFullGeometryLbn + 1));
+  }
+  auto value_of = [&](uint64_t key) {
+    auto it = truth.find(key);
+    return it == truth.end() ? kFill : it->second;
+  };
+  auto check_all = [&] {
+    for (const uint64_t key : keys) {
+      ASSERT_EQ(map.Get(key), value_of(key)) << "key " << key;
+    }
+    std::set<uint64_t> seen;
+    const Map& const_map = map;
+    const_map.ForEach([&](uint64_t key, const uint64_t& v) {
+      EXPECT_TRUE(seen.insert(key).second) << "visited twice: " << key;
+      EXPECT_NE(v, kFill) << "visited a fill entry: " << key;
+      EXPECT_EQ(v, value_of(key)) << "key " << key;
+    });
+    ASSERT_EQ(seen.size(), truth.size());
+  };
+
+  int clears = 0;
+  for (int op = 0; op < 30000; ++op) {
+    const uint64_t key = keys[rng.Uniform(keys.size())];
+    const uint64_t r = rng.Uniform(100);
+    if (r < 45) {
+      const uint64_t v = rng.Uniform(8) == 0 ? kFill : rng.Next();
+      map.Mut(key) = v;
+      if (v == kFill) {
+        truth.erase(key);
+      } else {
+        truth[key] = v;
+      }
+    } else if (r < 50) {
+      // Mut without a write reads the current value, fill included.
+      ASSERT_EQ(map.Mut(key), value_of(key)) << "key " << key;
+    } else if (r < 99) {
+      ASSERT_EQ(map.Get(key), value_of(key)) << "key " << key;
+    } else if (op % 7 == 0) {
+      map.Clear();
+      truth.clear();
+      ++clears;
+    }
+    if (op % 500 == 0) {
+      check_all();
+    }
+  }
+  check_all();
+  EXPECT_GT(clears, 0);
+  // Mutable ForEach rewrites entries in place (BIZA's device replacement).
+  map.ForEach([](uint64_t, uint64_t& v) { v ^= 1; });
+  for (auto& [key, v] : truth) {
+    v ^= 1;
+  }
+  check_all();
+}
+
+// A reference from Mut() outlives later inserts: pages never move, however
+// many pages and directory rehashes the inserts cause.
+TEST(BlockMap, ReferenceSurvivesLaterInserts) {
+  using Map = BlockMap<uint64_t>;
+  Map map(/*fill=*/0);
+  const uint64_t kept = 5 * Map::kPageEntries + 3;
+  uint64_t& ref = map.Mut(kept);
+  ref = 11;
+  Rng rng(43);
+  std::unordered_map<uint64_t, uint64_t> truth;
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t key = rng.Uniform(kLastFullGeometryLbn + 1);
+    if (key / Map::kPageEntries == kept / Map::kPageEntries) {
+      continue;
+    }
+    const uint64_t v = rng.Next() | 1;
+    map.Mut(key) = v;
+    truth[key] = v;
+  }
+  EXPECT_EQ(ref, 11u);
+  ref = 12;
+  EXPECT_EQ(map.Get(kept), 12u);
+  for (const auto& [key, v] : truth) {
+    ASSERT_EQ(map.Get(key), v) << "key " << key;
+  }
+}
+
+// A scattered write costs one small page, not a chunk of thousands of
+// entries: 1000 writes 4096 LBNs apart cost under 512 B each, directory
+// included, and reads never allocate.
+TEST(BlockMap, ScatteredWritesCostOneSmallPageEach) {
+  using Map = BlockMap<uint64_t>;
+  Map map(/*fill=*/0);
+  constexpr uint64_t kStride = 4096;
+  const uint64_t empty = map.allocated_bytes();
+  for (uint64_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(map.Get(i * kStride), 0u);
+  }
+  EXPECT_EQ(map.allocated_bytes(), empty);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    map.Mut(i * kStride) = i + 1;
+  }
+  const uint64_t per_write = (map.allocated_bytes() - empty) / 1000;
+  EXPECT_GE(per_write, Map::kPageEntries * sizeof(uint64_t));
+  EXPECT_LT(per_write, 512u);
 }
 
 // ---------------------------------------------------------------------------
