@@ -45,7 +45,9 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
       devices_(std::move(devices)),
       config_(WithSelectorThreshold(config, devices_)),
       ghost_(config_.ghost),
-      rebuild_(sim, "biza", &device_failed_, this) {
+      rebuild_(sim, "biza", &device_failed_, this),
+      front_(sim, this, "biza", &stats_.user_written_blocks,
+             &stats_.user_read_blocks) {
   n_ = static_cast<int>(devices_.size());
   m_ = config_.num_parity;
   assert(m_ >= 1 && n_ >= m_ + 2 && "need at least m+2 devices");
@@ -90,9 +92,8 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
 void BizaArray::AttachObservability(Observability* obs) {
   obs_ = obs;
   rebuild_.AttachObservability(obs_);
+  front_.AttachObservability(obs_);
   if (obs_ == nullptr) {
-    h_write_ = nullptr;
-    h_read_ = nullptr;
     for (auto& dev_zones : zones_) {
       for (DevZone& z : dev_zones) {
         if (z.sched != nullptr) {
@@ -103,10 +104,6 @@ void BizaArray::AttachObservability(Observability* obs) {
     return;
   }
   StatRegistry& reg = obs_->registry;
-  reg.RegisterCounter("biza.user_written_blocks",
-                      [this] { return stats_.user_written_blocks; });
-  reg.RegisterCounter("biza.user_read_blocks",
-                      [this] { return stats_.user_read_blocks; });
   reg.RegisterCounter("biza.inplace_updates",
                       [this] { return stats_.inplace_updates; });
   reg.RegisterCounter("biza.appended_chunks",
@@ -213,13 +210,7 @@ void BizaArray::AttachObservability(Observability* obs) {
     }
     return worst;
   });
-  h_write_ = reg.Histogram("biza.write_latency_ns");
-  h_read_ = reg.Histogram("biza.read_latency_ns");
-  span_write_ = obs_->tracer.Intern("biza.write");
-  span_read_ = obs_->tracer.Intern("biza.read");
   span_gc_step_ = obs_->tracer.Intern("biza.gc_step");
-  key_lbn_ = obs_->tracer.Intern("lbn");
-  key_blocks_ = obs_->tracer.Intern("blocks");
   key_device_ = obs_->tracer.Intern("device");
   key_zone_ = obs_->tracer.Intern("zone");
   for (auto& dev_zones : zones_) {
@@ -543,55 +534,27 @@ void BizaArray::RecordCompletion(int device, uint32_t zone,
 
 void BizaArray::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                             WriteCallback cb, WriteTag tag) {
-  DoSubmitWrite(lbn, {}, std::move(patterns), std::move(cb), tag);
+  if (front_.AdmitWrite(lbn, patterns.size(), tag, cb)) {
+    WriteBody(lbn, {}, std::move(patterns), std::move(cb), tag);
+  }
 }
 
-void BizaArray::SubmitWriteGather(std::vector<uint64_t> lbns,
-                                  std::vector<uint64_t> patterns,
-                                  WriteCallback cb, WriteTag tag) {
-  assert(lbns.size() == patterns.size());
-  const uint64_t base = lbns.empty() ? 0 : lbns[0];
-  DoSubmitWrite(base, std::move(lbns), std::move(patterns), std::move(cb),
-                tag);
+void BizaArray::WriteGather(std::vector<uint64_t> lbns,
+                            std::vector<uint64_t> patterns, WriteCallback cb) {
+  assert(!lbns.empty() && lbns.size() == patterns.size());
+  WriteBody(/*lbn=*/0, std::move(lbns), std::move(patterns), std::move(cb),
+            WriteTag::kGcData);
 }
 
-void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
-                              std::vector<uint64_t> patterns, WriteCallback cb,
-                              WriteTag tag) {
+void BizaArray::WriteBody(uint64_t lbn, std::vector<uint64_t> gather_lbns,
+                          std::vector<uint64_t> patterns, WriteCallback cb,
+                          WriteTag tag) {
   const bool gather = !gather_lbns.empty();
   const uint64_t nblocks = patterns.size();
-  bool in_range = nblocks > 0;
-  if (gather) {
-    for (uint64_t target : gather_lbns) {
-      in_range = in_range && target < exposed_blocks_;
-    }
-  } else {
-    in_range = in_range && lbn + nblocks <= exposed_blocks_;
-  }
-  if (!in_range) {
-    cb(OutOfRangeError("biza write beyond exposed capacity"));
-    return;
-  }
-  cpu_.Charge(config_.costs.request_overhead_ns);
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
   const bool is_gc_write =
       tag == WriteTag::kGcData || tag == WriteTag::kGcParity;
-  if (!is_gc_write) {
-    stats_.user_written_blocks += nblocks;
-  }
 
-  if (obs_ != nullptr) {
-    const SimTime start = sim_->Now();
-    cb = [this, start, lbn, nblocks, cb = std::move(cb)](const Status& status) {
-      const SimTime end = sim_->Now();
-      h_write_->Record(end - start);
-      if (obs_->tracer.Armed(start)) {
-        obs_->tracer.Record(Tracer::kLaneEngine, span_write_, start, end,
-                            key_lbn_, static_cast<int64_t>(lbn), key_blocks_,
-                            static_cast<int64_t>(nblocks));
-      }
-      cb(status);
-    };
-  }
   // Legs: device writes, the parity writes of a degraded stripe, and a
   // stalled remainder.
   std::shared_ptr<WriteJoin> join = MakeJoin(std::move(cb));
@@ -636,7 +599,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       builder_class = kGcBuilder;
       group = kGroupGcDest;
     } else if (config_.enable_selector) {
-      cpu_.Charge(config_.costs.ghost_cache_op_ns);
+      cpu_.Charge(kCpuCosts.ghost_cache_op_ns);
       switch (ghost_.OnWrite(target)) {
         case ChunkTier::kHighProfit:
           group = kGroupZrwa;
@@ -659,7 +622,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
 
     // 2. In-place ZRWA update when both the chunk and its stripe parity are
     //    still inside their sliding windows (§4.1's relaxation).
-    cpu_.Charge(config_.costs.map_lookup_ns);
+    cpu_.Charge(kCpuCosts.map_lookup_ns);
     // The one BMT lookup of this block: `mapped` stays valid across the
     // inserts below (BMT pages never move) and is updated in place.
     BmtEntry& mapped = bmt_.Mut(target);
@@ -690,7 +653,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
             }
           }
           stats_.inplace_updates++;
-          cpu_.Charge(config_.costs.scheduler_op_ns);
+          cpu_.Charge(kCpuCosts.scheduler_op_ns);
           WriteLeg(dsched, PaDevice(entry.pa), doff, {pattern},
                    {OobRecord{target, entry.sn, tag}}, join);
           for (int b = 0; b < kNumBuilders; ++b) {
@@ -717,7 +680,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
           const uint64_t old_data = dsched->PatternAt(doff);
           const int slot =
               m_ == 1 ? 0 : geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
-          cpu_.Charge(config_.costs.parity_xor_ns_per_kib *
+          cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib *
                       (kBlockSize / kKiB) * static_cast<SimTime>(m_));
           stats_.inplace_updates++;
           WriteLeg(dsched, PaDevice(entry.pa), doff, {pattern},
@@ -808,7 +771,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       // its content survives only XOR-ed into the stripe parity, and the
       // write may not be acknowledged until that parity is durable. The
       // phantom PA routes later reads of this chunk to the degraded path.
-      cpu_.Charge(config_.costs.map_update_ns);
+      cpu_.Charge(kCpuCosts.map_update_ns);
       InvalidateChunk(mapped);
       const uint64_t pa = PhantomPa(device);
       mapped = BmtEntry{pa, builder.sn};
@@ -861,14 +824,13 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
           rem_lbns.assign(gather_lbns.begin() + static_cast<long>(i),
                           gather_lbns.end());
         }
-        stats_.user_written_blocks -= rem.size();  // retry re-counts them
         stats_.write_stalls++;
         join->Add();
         stalled_writes_.push_back(
             [this, rem_lbn, rem_lbns = std::move(rem_lbns),
              rem = std::move(rem), tag, join]() mutable {
-              DoSubmitWrite(rem_lbn, std::move(rem_lbns), std::move(rem),
-                            Leg(std::move(join)), tag);
+              WriteBody(rem_lbn, std::move(rem_lbns), std::move(rem),
+                        Leg(std::move(join)), tag);
             });
         ArmStallTimer();
         break;
@@ -878,7 +840,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     const uint64_t off = sched->Allocate(1);
     const uint64_t pa = MakePa(device, sched->zone(), off, zone_cap_);
 
-    cpu_.Charge(config_.costs.map_update_ns);
+    cpu_.Charge(kCpuCosts.map_update_ns);
     InvalidateChunk(mapped);
     mapped = BmtEntry{pa, builder.sn};
     ZoneOf(device, sched->zone()).valid++;
@@ -888,7 +850,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     builder.patterns.push_back(pattern);
     builder.lbns.push_back(target);
     stats_.appended_chunks++;
-    cpu_.Charge(config_.costs.scheduler_op_ns);
+    cpu_.Charge(kCpuCosts.scheduler_op_ns);
 
     // Batch contiguous writes per device.
     Batch& dev_batch = batches[static_cast<size_t>(device)];
@@ -943,7 +905,7 @@ std::vector<uint64_t> BizaArray::ComputeParities(
 
 void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
                                   const std::shared_ptr<WriteJoin>& join) {
-  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+  cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
               static_cast<SimTime>(m_));
   const std::vector<uint64_t> parities = ComputeParities(builder.patterns);
   const bool final = static_cast<int>(builder.patterns.size()) == k_;
@@ -1034,35 +996,21 @@ void BizaArray::WriteLeg(ZoneScheduler* sched, int device, uint64_t offset,
 // ---------------------------------------------------------------------------
 
 void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
-  if (nblocks == 0 || lbn + nblocks > exposed_blocks_) {
-    cb(OutOfRangeError("biza read beyond exposed capacity"), {});
-    return;
+  if (front_.AdmitRead(lbn, nblocks, cb)) {
+    ReadBody(lbn, nblocks, std::move(cb));
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
-  stats_.user_read_blocks += nblocks;
+}
 
-  if (obs_ != nullptr) {
-    const SimTime start = sim_->Now();
-    cb = [this, start, lbn, nblocks, cb = std::move(cb)](
-             const Status& status, std::vector<uint64_t> out) {
-      const SimTime end = sim_->Now();
-      h_read_->Record(end - start);
-      if (obs_->tracer.Armed(start)) {
-        obs_->tracer.Record(Tracer::kLaneEngine, span_read_, start, end,
-                            key_lbn_, static_cast<int64_t>(lbn), key_blocks_,
-                            static_cast<int64_t>(nblocks));
-      }
-      cb(status, std::move(out));
-    };
-  }
+void BizaArray::ReadBody(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
   // Legs: device runs, degraded reconstructions and mitigated reads. A run
-  // whose path fails under it is re-dispatched through SubmitRead, whose
+  // whose path fails under it is re-dispatched through ReadBody, whose
   // fresh BMT lookup re-decides the path; its result lands as a run leg.
   auto join = MakeReadJoin(nblocks, std::move(cb));
 
   uint64_t i = 0;
   while (i < nblocks) {
-    cpu_.Charge(config_.costs.map_lookup_ns);
+    cpu_.Charge(kCpuCosts.map_lookup_ns);
     const BmtEntry entry = BmtGet(lbn + i);
     if (entry.pa == kInvalidPa) {
       i++;  // never written: reads as zero
@@ -1088,8 +1036,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     if (MitigateRead(sim_, health_, device, &stats_.mitigation, [&] {
           // Re-dispatch for the fallback and the redrive.
           auto redispatch = [this, target, leg = RunLeg(join, out_at)] {
-            stats_.user_read_blocks--;  // the re-dispatch re-counts it
-            SubmitRead(target, 1, leg);
+            ReadBody(target, 1, leg);
           };
           return ReadLegs{
               .can_reconstruct =
@@ -1141,8 +1088,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                    // The device died under this read: flag it and
                    // re-dispatch the run through the degraded path above.
                    OnDeviceUnavailable(device);
-                   stats_.user_read_blocks -= run;  // re-counted there
-                   SubmitRead(target, run, leg);
+                   ReadBody(target, run, leg);
                    return;
                  }
                  leg(status, std::move(pats));
@@ -1269,7 +1215,7 @@ std::vector<BizaArray::Peer> BizaArray::StripePeers(
 void BizaArray::ReconstructFromPeers(const BmtEntry& entry,
                                      const std::vector<Peer>& peers,
                                      ChunkCallback cb) {
-  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+  cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
               static_cast<SimTime>(k_));
   // Shards are slot-identified: data slots first, then parity rows. A slot
   // no peer fills is an unfilled data slot and stays zero, which is what
@@ -1545,9 +1491,8 @@ void BizaArray::RebuildMigrate(RebuildSweep::Keys lbns,
         return;
       }
       array->rebuild_.CountMigrated(lbns.size());
-      array->SubmitWriteGather(std::move(lbns), std::move(patterns),
-                               [token = token](const Status&) {},
-                               WriteTag::kGcData);
+      array->WriteGather(std::move(lbns), std::move(patterns),
+                         [token = token](const Status&) {});
     }
   };
   auto gather = std::make_shared<RebuildGather>();
@@ -1564,7 +1509,7 @@ void BizaArray::RebuildMigrate(RebuildSweep::Keys lbns,
     for (size_t j = 0; j < run; ++j) {
       snap[j] = BmtGet(start_lbn + j);
     }
-    SubmitRead(
+    ReadBody(
         start_lbn, run,
         [this, gather, start_lbn, snap = std::move(snap)](
             const Status& status, std::vector<uint64_t> patterns) {
@@ -1780,8 +1725,8 @@ void BizaArray::ArmStallTimer() {
 }
 
 void BizaArray::RetryStalled() {
-  // Always deferred: a retry re-enters SubmitWrite, and callers of
-  // RetryStalled may themselves be inside SubmitWrite (synchronous
+  // Always deferred: a retry re-enters WriteBody, and callers of
+  // RetryStalled may themselves be inside WriteBody (synchronous
   // completion paths) — re-entrant builder mutation corrupts stripes.
   if (stalled_writes_.empty() || retry_scheduled_) {
     return;
@@ -2025,17 +1970,16 @@ void BizaArray::GcStep() {
       }
     }
     if (!gather_lbns.empty()) {
-      SubmitWriteGather(std::move(gather_lbns), std::move(gather_patterns),
-                        [this, mjoin, gather_min_off](const Status& s) {
-                          if (!s.ok()) {
-                            // A failed gather re-homed only a prefix; the
-                            // rescan filter retries exactly the chunks whose
-                            // BMT still points into the victim.
-                            gc_scan_ = std::min(gc_scan_, gather_min_off);
-                            gc_pass_failed_ = true;
-                          }
-                        },
-                        WriteTag::kGcData);
+      WriteGather(std::move(gather_lbns), std::move(gather_patterns),
+                  [this, mjoin, gather_min_off](const Status& s) {
+                    if (!s.ok()) {
+                      // A failed gather re-homed only a prefix; the rescan
+                      // filter retries exactly the chunks whose BMT still
+                      // points into the victim.
+                      gc_scan_ = std::min(gc_scan_, gather_min_off);
+                      gc_pass_failed_ = true;
+                    }
+                  });
     }
     if (rescan < zone_cap_) {
       gc_scan_ = std::min<uint64_t>(gc_scan_, rescan);

@@ -42,6 +42,7 @@
 #include "src/biza/zone_scheduler.h"
 #include "src/engines/join.h"
 #include "src/engines/rebuild.h"
+#include "src/engines/request_front.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -89,15 +90,6 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
 
   void SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                    WriteCallback cb, WriteTag tag) override;
-  // Gather write: one array request over arbitrary (not necessarily
-  // contiguous) targets. GC and rebuild migrations use this so an N-chunk
-  // batch costs one pass through the write path — one partial-parity refresh
-  // and one coalesced device write per member — instead of N single-block
-  // requests. Placement is append-anywhere, so scattered targets batch just
-  // as well as a contiguous run.
-  void SubmitWriteGather(std::vector<uint64_t> lbns,
-                         std::vector<uint64_t> patterns, WriteCallback cb,
-                         WriteTag tag);
   void SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) override;
   void FlushBuffers(std::function<void()> done) override;
 
@@ -243,12 +235,23 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
   // Shared completion join for all device writes of one block request.
   using WriteJoin = Join<WriteCallback>;
 
-  // Common body of SubmitWrite / SubmitWriteGather. An empty `gather_lbns`
-  // means targets are contiguous from `lbn`; otherwise gather_lbns[i] is the
-  // target of patterns[i] (and `lbn` only labels traces).
-  void DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
-                     std::vector<uint64_t> patterns, WriteCallback cb,
-                     WriteTag tag);
+  // The request bodies behind the request front (DESIGN.md §4 item 18):
+  // SubmitWrite/SubmitRead run them for host requests, and parked
+  // remainders, GC and rebuild migrations and re-dispatched reads re-enter
+  // them directly. An empty `gather_lbns` means targets are contiguous from
+  // `lbn`; otherwise gather_lbns[i] is the target of patterns[i] and `lbn`
+  // is unused.
+  void WriteBody(uint64_t lbn, std::vector<uint64_t> gather_lbns,
+                 std::vector<uint64_t> patterns, WriteCallback cb,
+                 WriteTag tag);
+  void ReadBody(uint64_t lbn, uint64_t nblocks, ReadCallback cb);
+  // Gather write (kGcData): one WriteBody pass over arbitrary targets, so a
+  // GC or rebuild batch of N chunks costs one partial-parity refresh and one
+  // coalesced device write per member instead of N single-block requests.
+  // Placement is append-anywhere, so scattered targets batch just as well
+  // as a contiguous run.
+  void WriteGather(std::vector<uint64_t> lbns, std::vector<uint64_t> patterns,
+                   WriteCallback cb);
 
   ZoneScheduler* SchedOf(uint64_t pa);
   DevZone& ZoneOf(int device, uint32_t zone) {
@@ -468,20 +471,15 @@ class BizaArray : public BlockTarget, private RebuildSweep::Engine {
   std::vector<char> rebuild_touched_;   // sn -> stripe referenced dead device
 
   BizaStats stats_;
+  RequestFront front_;
   CpuAccount cpu_;
 
   DeviceHealthMonitor* health_ = nullptr;
 
   Observability* obs_ = nullptr;
-  uint16_t span_write_ = 0;
-  uint16_t span_read_ = 0;
   uint16_t span_gc_step_ = 0;
-  uint16_t key_lbn_ = 0;
-  uint16_t key_blocks_ = 0;
   uint16_t key_device_ = 0;
   uint16_t key_zone_ = 0;
-  LatencyHistogram* h_write_ = nullptr;
-  LatencyHistogram* h_read_ = nullptr;
 };
 
 }  // namespace biza

@@ -6,7 +6,6 @@
 
 #include "src/biza/channel_detector.h"
 #include "src/biza/ghost_cache.h"
-#include "src/metrics/cpu_account.h"
 
 namespace biza {
 
@@ -38,8 +37,6 @@ struct BizaConfig {
   // OOB records and then opens fresh groups. Use this to attach a new
   // engine instance to devices that already hold data (host crash).
   bool recover_mode = false;
-
-  CpuCostModel costs;
 };
 
 }  // namespace biza

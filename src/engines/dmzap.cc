@@ -11,7 +11,11 @@
 namespace biza {
 
 DmZap::DmZap(Simulator* sim, ZonedTarget* backend, const DmZapConfig& config)
-    : sim_(sim), backend_(backend), config_(config) {
+    : sim_(sim),
+      backend_(backend),
+      config_(config),
+      front_(sim, this, "dmzap", &stats_.user_written_blocks,
+             &stats_.user_read_blocks) {
   zone_cap_ = backend_->zone_capacity_blocks();
   const uint64_t total_blocks = zone_cap_ * backend_->num_zones();
   exposed_blocks_ = static_cast<uint64_t>(
@@ -72,16 +76,15 @@ uint64_t DmZap::PickZoneForWrite(uint64_t want_blocks, bool for_gc) {
 
 void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                         WriteCallback cb, WriteTag tag) {
+  if (front_.AdmitWrite(lbn, patterns.size(), tag, cb)) {
+    WriteBody(lbn, std::move(patterns), std::move(cb), tag);
+  }
+}
+
+void DmZap::WriteBody(uint64_t lbn, std::vector<uint64_t> patterns,
+                      WriteCallback cb, WriteTag tag) {
   const uint64_t n = patterns.size();
-  if (n == 0 || lbn + n > exposed_blocks_) {
-    cb(OutOfRangeError("dm-zap write beyond exposed capacity"));
-    return;
-  }
-  cpu_.Charge(config_.costs.request_overhead_ns);
-  if (tag == WriteTag::kData) {
-    stats_.user_written_blocks += n;  // note: retried remainders re-count;
-                                      // WA reporting uses workload counters
-  }
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
 
   // Split the request into zone-contiguous segments; a remainder parked
   // for a free zone counts as one more leg.
@@ -109,7 +112,7 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
         join->Add();
         stalled_writes_.push_back(
             [this, rem_lbn, rem = std::move(rem), tag, join]() mutable {
-              SubmitWrite(rem_lbn, std::move(rem), Leg(std::move(join)), tag);
+              WriteBody(rem_lbn, std::move(rem), Leg(std::move(join)), tag);
             });
       } else {
         join->Fail(ResourceExhaustedError("dm-zap out of zones"));
@@ -128,7 +131,7 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     job.lbns.resize(take);
     for (uint64_t i = 0; i < take; ++i) {
       const uint64_t target = lbn + done + i;
-      cpu_.Charge(config_.costs.map_update_ns);
+      cpu_.Charge(kCpuCosts.map_update_ns);
       uint64_t& loc = l2p_.Mut(target);
       Invalidate(loc);
       loc = zone * zone_cap_ + z.wptr + i;
@@ -205,18 +208,16 @@ void DmZap::SealIfFull(uint32_t zone) {
 }
 
 void DmZap::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
-  if (nblocks == 0 || lbn + nblocks > exposed_blocks_) {
-    cb(OutOfRangeError("dm-zap read beyond exposed capacity"), {});
+  if (!front_.AdmitRead(lbn, nblocks, cb)) {
     return;
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
-  stats_.user_read_blocks += nblocks;
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
 
   auto join = MakeReadJoin(nblocks, std::move(cb));
 
   uint64_t i = 0;
   while (i < nblocks) {
-    cpu_.Charge(config_.costs.map_lookup_ns);
+    cpu_.Charge(kCpuCosts.map_lookup_ns);
     const uint64_t loc = l2p_.Get(lbn + i);
     if (loc == kUnmapped) {
       i++;  // unwritten blocks read as zero
@@ -368,8 +369,8 @@ void DmZap::GcStep() {
         continue;  // overwritten during migration
       }
       stats_.gc_migrated_blocks++;
-      SubmitWrite(lbn, {patterns[i]}, [waiter](const Status&) {},
-                  WriteTag::kGcData);
+      WriteBody(lbn, {patterns[i]}, [waiter](const Status&) {},
+                WriteTag::kGcData);
     }
   };
   auto batch =

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/sparse_array.h"
+#include "src/engines/request_front.h"
 #include "src/engines/target.h"
 #include "src/metrics/cpu_account.h"
 #include "src/sim/simulator.h"
@@ -35,7 +36,6 @@ namespace biza {
 struct DmZapConfig {
   // Fraction of the zoned capacity exposed as block space (rest is GC OP).
   double exposed_capacity_ratio = 0.80;
-  CpuCostModel costs;
 };
 
 struct DmZapStats {
@@ -98,6 +98,11 @@ class DmZap : public BlockTarget {
   // may use one reserved open-zone slot so migration can always drain.
   // Returns the zone id or kUnmapped if no space exists.
   uint64_t PickZoneForWrite(uint64_t want_blocks, bool for_gc);
+  // The write body behind the request front (DESIGN.md §4 item 18):
+  // SubmitWrite runs it for host writes, and parked remainders and GC
+  // migrations re-enter it directly.
+  void WriteBody(uint64_t lbn, std::vector<uint64_t> patterns,
+                 WriteCallback cb, WriteTag tag);
   // Parks a write that found no space until GC frees a zone.
   void RetryStalled();
   void EnqueueZoneWrite(uint32_t zone, WriteJob job);
@@ -135,6 +140,8 @@ class DmZap : public BlockTarget {
   std::vector<std::function<void()>> stalled_writes_;
 
   DmZapStats stats_;
+  // Never attached: the four dm-zaps under mdraid would share one name.
+  RequestFront front_;
   CpuAccount cpu_;
 };
 

@@ -18,7 +18,9 @@ Mdraid::Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
       children_(std::move(children)),
       config_(config),
       lock_(/*mb_per_s=*/0.0, kLockNsPerPage),
-      rebuild_(sim, "mdraid", &child_failed_, this) {
+      rebuild_(sim, "mdraid", &child_failed_, this),
+      front_(sim, this, "mdraid", &stats_.user_written_blocks,
+             &stats_.user_read_blocks) {
   n_ = static_cast<int>(children_.size());
   assert(n_ >= 3);
   k_ = n_ - 1;
@@ -36,18 +38,12 @@ Mdraid::Mdraid(Simulator* sim, std::vector<BlockTarget*> children,
 }
 
 void Mdraid::AttachObservability(Observability* obs) {
-  obs_ = obs;
-  rebuild_.AttachObservability(obs_);
-  if (obs_ == nullptr) {
-    h_write_ = nullptr;
-    h_read_ = nullptr;
+  rebuild_.AttachObservability(obs);
+  front_.AttachObservability(obs);
+  if (obs == nullptr) {
     return;
   }
-  StatRegistry& reg = obs_->registry;
-  reg.RegisterCounter("mdraid.user_written_blocks",
-                      [this] { return stats_.user_written_blocks; });
-  reg.RegisterCounter("mdraid.user_read_blocks",
-                      [this] { return stats_.user_read_blocks; });
+  StatRegistry& reg = obs->registry;
   reg.RegisterCounter("mdraid.flushed_data_blocks",
                       [this] { return stats_.flushed_data_blocks; });
   reg.RegisterCounter("mdraid.flushed_parity_blocks",
@@ -66,12 +62,6 @@ void Mdraid::AttachObservability(Observability* obs) {
                       [this] { return stats_.write_retries; });
   stats_.mitigation.Register(reg, "mdraid");
   reg.RegisterGauge("mdraid.dirty_blocks", [this] { return dirty_blocks_; });
-  h_write_ = reg.Histogram("mdraid.write_latency_ns");
-  h_read_ = reg.Histogram("mdraid.read_latency_ns");
-  span_write_ = obs_->tracer.Intern("mdraid.write");
-  span_read_ = obs_->tracer.Intern("mdraid.read");
-  key_lbn_ = obs_->tracer.Intern("lbn");
-  key_blocks_ = obs_->tracer.Intern("blocks");
 }
 
 void Mdraid::SetChildFailed(int child, bool failed) {
@@ -93,7 +83,7 @@ bool Mdraid::CanReconstruct(uint64_t stripe) const {
 
 void Mdraid::ReconstructBlock(uint64_t stripe, int child,
                               std::function<void(const Status&, uint64_t)> cb) {
-  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+  cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
               static_cast<SimTime>(k_));
   recon_active_[stripe]++;
   // XOR of the other n-1 children's blocks.
@@ -160,32 +150,16 @@ void Mdraid::TouchLru(uint64_t stripe) {
 
 void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                          WriteCallback cb, WriteTag tag) {
-  (void)tag;
   const uint64_t n = patterns.size();
-  if (n == 0 || lbn + n > capacity_blocks_) {
-    cb(OutOfRangeError("mdraid write beyond capacity"));
+  if (!front_.AdmitWrite(lbn, n, tag, cb)) {
     return;
-  }
-  stats_.user_written_blocks += n;
-  if (obs_ != nullptr) {
-    const SimTime start = sim_->Now();
-    cb = [this, start, lbn, n, cb = std::move(cb)](const Status& status) {
-      const SimTime end = sim_->Now();
-      h_write_->Record(end - start);
-      if (obs_->tracer.Armed(start)) {
-        obs_->tracer.Record(Tracer::kLaneEngine, span_write_, start, end,
-                            key_lbn_, static_cast<int64_t>(lbn), key_blocks_,
-                            static_cast<int64_t>(n));
-      }
-      cb(status);
-    };
   }
 
   // mdraid splits requests into 4 KiB pages; each page passes through the
   // array lock and lands in the stripe cache (write-back).
   SimTime lock_done = sim_->Now();
   for (uint64_t i = 0; i < n; ++i) {
-    cpu_.Charge(config_.costs.stripe_cache_op_ns);
+    cpu_.Charge(kCpuCosts.stripe_cache_op_ns);
     lock_done = lock_.OccupyFor(sim_->Now(), kLockNsPerPage);
     const uint64_t target = lbn + i;
     const uint64_t stripe = StripeOf(target);
@@ -199,7 +173,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     entry.patterns[static_cast<size_t>(slot)] = patterns[i];
     TouchLru(stripe);
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
 
   // Backpressure: above the high watermark kick a flush; if the cache is
   // entirely full, stall the completion until a flush frees space.
@@ -455,7 +429,7 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
         // the failed slot's old value; the new parity now covers it.
         work.patterns[static_cast<size_t>(work.recon_slot)] = work.recon_acc;
       }
-      cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+      cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
                   static_cast<SimTime>(k_));
       const uint64_t parity = XorParity(work.patterns);
       for (int slot = 0; slot < k_; ++slot) {
@@ -566,27 +540,13 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
 }
 
 void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
-  if (nblocks == 0 || lbn + nblocks > capacity_blocks_) {
-    cb(OutOfRangeError("mdraid read beyond capacity"), {});
-    return;
+  if (front_.AdmitRead(lbn, nblocks, cb)) {
+    ReadBody(lbn, nblocks, std::move(cb));
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
-  stats_.user_read_blocks += nblocks;
-  if (obs_ != nullptr) {
-    const SimTime start = sim_->Now();
-    cb = [this, start, lbn, nblocks, cb = std::move(cb)](
-             const Status& status, std::vector<uint64_t> out) {
-      const SimTime end = sim_->Now();
-      h_read_->Record(end - start);
-      if (obs_->tracer.Armed(start)) {
-        obs_->tracer.Record(Tracer::kLaneEngine, span_read_, start, end,
-                            key_lbn_, static_cast<int64_t>(lbn), key_blocks_,
-                            static_cast<int64_t>(nblocks));
-      }
-      cb(status, std::move(out));
-    };
-  }
+}
 
+void Mdraid::ReadBody(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
   // Legs: child reads, degraded reconstructions and mitigated reads.
   auto join = MakeReadJoin(nblocks, std::move(cb));
 
@@ -626,11 +586,10 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                 .fallback = [direct, deliver] { direct(deliver); },
                 .redrive =
                     [this, child, target, leg = RunLeg(join, out_at)] {
-                      // Re-dispatched through SubmitRead, which re-decides
-                      // the block's path and re-counts it.
+                      // Re-dispatched through ReadBody, which re-decides
+                      // the block's path.
                       OnChildUnavailable(child);
-                      stats_.user_read_blocks--;
-                      SubmitRead(target, 1, leg);
+                      ReadBody(target, 1, leg);
                     },
             };
           })) {
@@ -643,8 +602,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
                     // The child died under this read: flag it and
                     // re-dispatch the block through the degraded path below.
                     OnChildUnavailable(child);
-                    stats_.user_read_blocks--;  // re-counted there
-                    SubmitRead(target, 1, leg);
+                    ReadBody(target, 1, leg);
                     return;
                   }
                   leg(status, std::move(patterns));
@@ -653,7 +611,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     }
     // Degraded read: reconstruct from the survivors (k-1 data + parity).
     stats_.degraded_reads++;
-    cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+    cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
                 static_cast<SimTime>(k_));
     int failed = 0;
     for (int c = 0; c < n_; ++c) {

@@ -30,6 +30,7 @@
 
 #include "src/common/sparse_array.h"
 #include "src/engines/rebuild.h"
+#include "src/engines/request_front.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -45,8 +46,6 @@ struct MdraidConfig {
                                         // like md's default stripe cache)
   SimTime flush_interval_ns = 5 * kMillisecond;
   bool block_layer_merge = true;   // false when children are dm-zap targets
-
-  CpuCostModel costs;
 };
 
 struct MdraidStats {
@@ -130,6 +129,11 @@ class Mdraid : public BlockTarget, private RebuildSweep::Engine {
   StripeEntry& GetOrCreateEntry(uint64_t stripe);
   void TouchLru(uint64_t stripe);
 
+  // The read body behind the request front (DESIGN.md §4 item 18):
+  // SubmitRead runs it for host reads, and a block whose child died under
+  // it re-enters it directly.
+  void ReadBody(uint64_t lbn, uint64_t nblocks, ReadCallback cb);
+
   // Flushes the LRU stripe plus contiguous dirty neighbours as one batch.
   void FlushLruBatch(std::function<void()> done);
   // Flushes a contiguous run of stripes [first, first+count).
@@ -209,15 +213,8 @@ class Mdraid : public BlockTarget, private RebuildSweep::Engine {
   ChunkedArray<uint64_t> written_stripes_;
 
   MdraidStats stats_;
+  RequestFront front_;
   CpuAccount cpu_;
-
-  Observability* obs_ = nullptr;
-  uint16_t span_write_ = 0;
-  uint16_t span_read_ = 0;
-  uint16_t key_lbn_ = 0;
-  uint16_t key_blocks_ = 0;
-  LatencyHistogram* h_write_ = nullptr;
-  LatencyHistogram* h_read_ = nullptr;
 };
 
 }  // namespace biza

@@ -97,7 +97,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     cb(WriteFailureError("non-sequential logical zone write"));
     return;
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
   stats_.user_written_blocks += n;
   lz.wptr += n;
 
@@ -154,7 +154,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     lz.stripe_buf.push_back(patterns[i]);
     if (static_cast<int>(lz.stripe_buf.size()) == k_) {
       // Stripe sealed: write the final parity to the rotating parity drive.
-      cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB));
+      cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB));
       const uint64_t parity = XorParity(lz.stripe_buf);
       const int pdrive = geometry_.ParityDrive(gstripe);
       // Order: any earlier data blocks batched for the parity drive must
@@ -177,7 +177,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
 
   // Partial tail stripe: persist (or buffer) the partial parity.
   if (!lz.stripe_buf.empty()) {
-    cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB));
+    cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / kKiB));
     const uint64_t pp = XorParity(lz.stripe_buf);
     const uint64_t tail_stripe = GlobalStripe(zone, lz.wptr / static_cast<uint64_t>(k_));
     const int pdrive = geometry_.ParityDrive(tail_stripe);
@@ -293,7 +293,7 @@ void Raizn::SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     cb(OutOfRangeError("bad logical zone read"), {});
     return;
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
 
   auto join = MakeReadJoin(nblocks, std::move(cb));
 

@@ -38,7 +38,6 @@ struct RaiznConfig {
   // Volatile PP buffer capacity in entries (0 = synchronous PP persistence,
   // the crash-consistent default).
   uint64_t parity_buffer_entries = 0;
-  CpuCostModel costs;
 };
 
 struct RaiznStats {

@@ -20,7 +20,7 @@
 
 namespace biza {
 
-// Modelled per-operation CPU costs.
+// Modelled per-operation CPU costs, one table for every engine (kCpuCosts).
 struct CpuCostModel {
   SimTime request_overhead_ns = 1500;   // bio/request handling per request
   SimTime map_lookup_ns = 120;          // one mapping-table lookup
@@ -30,6 +30,8 @@ struct CpuCostModel {
   SimTime scheduler_op_ns = 300;        // sliding-window bookkeeping per chunk
   SimTime stripe_cache_op_ns = 350;     // mdraid stripe-cache handling
 };
+
+inline constexpr CpuCostModel kCpuCosts{};
 
 class CpuAccount {
  public:

@@ -150,32 +150,11 @@ SimTime NandBackend::BufferRead(uint64_t bytes) {
   return ctrl_done + config_.read_done_ns;
 }
 
-SimTime NandBackend::WriteRun(int channel, uint64_t pages, uint64_t page_bytes,
-                              std::vector<SimTime>* page_done) {
+SimTime NandBackend::ReadRun(int channel, uint64_t pages,
+                             uint64_t page_bytes) {
   SimTime done = sim_->Now();
-  if (page_done != nullptr) {
-    page_done->reserve(page_done->size() + pages);
-  }
-  for (uint64_t p = 0; p < pages; ++p) {
-    done = Write(channel, page_bytes);
-    if (page_done != nullptr) {
-      page_done->push_back(done);
-    }
-  }
-  return done;
-}
-
-SimTime NandBackend::ReadRun(int channel, uint64_t pages, uint64_t page_bytes,
-                             std::vector<SimTime>* page_done) {
-  SimTime done = sim_->Now();
-  if (page_done != nullptr) {
-    page_done->reserve(page_done->size() + pages);
-  }
   for (uint64_t p = 0; p < pages; ++p) {
     done = Read(channel, page_bytes);
-    if (page_done != nullptr) {
-      page_done->push_back(done);
-    }
   }
   return done;
 }

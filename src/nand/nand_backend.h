@@ -101,20 +101,12 @@ class NandBackend {
   // Erase: occupies every die of the channel once. Returns completion time.
   SimTime Erase(int channel);
 
-  // Batched pipeline legs. A run is *defined* as exactly `pages` back-to-back
-  // per-page operations: the FifoResource arithmetic (including the per-page
-  // die rotation) is identical to calling Write()/Read()/BackgroundProgram()
-  // `pages` times with `page_bytes` each, so per-page completion times are
-  // preserved bit-for-bit. What a run buys is the caller's event budget: a
-  // device can service an N-page sequential transfer or GC migration with
-  // O(1) dispatch/completion simulator events per (channel, die) leg by
-  // issuing one run instead of N commands. Returns the completion time of
-  // the last page; `page_done`, when non-null, is appended with every
-  // per-page completion time (what a per-page scheduler would have seen).
-  SimTime WriteRun(int channel, uint64_t pages, uint64_t page_bytes,
-                   std::vector<SimTime>* page_done = nullptr);
-  SimTime ReadRun(int channel, uint64_t pages, uint64_t page_bytes,
-                  std::vector<SimTime>* page_done = nullptr);
+  // Batched pipeline legs (ConvSSD's GC migration). A run is *defined* as
+  // exactly `pages` back-to-back per-page operations: the FifoResource
+  // arithmetic (including the per-page die rotation) and the state it leaves
+  // behind are those of calling Read()/BackgroundProgram() `pages` times
+  // with `page_bytes` each. Returns the completion time of the last page.
+  SimTime ReadRun(int channel, uint64_t pages, uint64_t page_bytes);
   SimTime ProgramRun(int channel, uint64_t pages, uint64_t page_bytes);
 
   const NandTimingConfig& config() const { return config_; }

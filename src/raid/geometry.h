@@ -9,7 +9,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace biza {
 
@@ -32,49 +31,32 @@ struct StripeGeometry {
   }
 
   // Drive index holding the d-th data chunk of `stripe` (d in [0, k)).
-  // Data fills drives in ascending order, skipping parity drives.
+  // Data fills drives in ascending order, skipping parity drives. The m
+  // parity drives form one cyclic run ending at hi = ParityDrive(stripe).
+  // It starts at lo = hi - m + 1; when lo < 0 it wraps past drive n-1 and
+  // the data drives are the gap (hi, lo + n), otherwise [0, lo) and (hi, n).
   int DataDrive(uint64_t stripe, int d) const {
-    assert(d < data_per_stripe());
-    std::vector<bool> is_parity(static_cast<size_t>(num_drives), false);
-    for (int p = 0; p < num_parity; ++p) {
-      is_parity[static_cast<size_t>(ParityDrive(stripe, p))] = true;
+    assert(d >= 0 && d < data_per_stripe());
+    const int hi = ParityDrive(stripe);
+    const int lo = hi - num_parity + 1;
+    if (lo < 0) {
+      return hi + 1 + d;
     }
-    int seen = 0;
-    for (int drive = 0; drive < num_drives; ++drive) {
-      if (is_parity[static_cast<size_t>(drive)]) {
-        continue;
-      }
-      if (seen == d) {
-        return drive;
-      }
-      seen++;
-    }
-    assert(false && "unreachable");
-    return -1;
+    return d < lo ? d : d + num_parity;
   }
 
   // Inverse of DataDrive: which data slot (0..k-1) does `drive` hold in
   // `stripe`? Returns -1 if the drive holds parity.
   int DataSlotOf(uint64_t stripe, int drive) const {
-    for (int p = 0; p < num_parity; ++p) {
-      if (ParityDrive(stripe, p) == drive) {
-        return -1;
-      }
+    const int hi = ParityDrive(stripe);
+    const int lo = hi - num_parity + 1;
+    if (lo < 0) {
+      return drive > hi && drive < lo + num_drives ? drive - hi - 1 : -1;
     }
-    int slot = 0;
-    for (int d = 0; d < drive; ++d) {
-      bool parity = false;
-      for (int p = 0; p < num_parity; ++p) {
-        if (ParityDrive(stripe, p) == d) {
-          parity = true;
-          break;
-        }
-      }
-      if (!parity) {
-        slot++;
-      }
+    if (drive < lo) {
+      return drive;
     }
-    return slot;
+    return drive > hi ? drive - num_parity : -1;
   }
 
   // Address mapping for address-mapped RAID (mdraid): logical block ->

@@ -27,7 +27,9 @@ ZapRaid::ZapRaid(Simulator* sim, std::vector<ZnsDevice*> devices,
     : sim_(sim),
       devices_(std::move(devices)),
       config_(config),
-      rebuild_(sim, "zapraid", &device_failed_, this) {
+      rebuild_(sim, "zapraid", &device_failed_, this),
+      front_(sim, this, "zapraid", &stats_.user_written_blocks,
+             &stats_.user_read_blocks) {
   n_ = static_cast<int>(devices_.size());
   assert(n_ >= 2 && n_ <= 16 && "ZapRaid supports 2..16 members");
   k_ = n_ - 1;
@@ -168,7 +170,7 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
 
   const bool is_data = (tag == WriteTag::kData || tag == WriteTag::kGcData);
   if (is_data) {
-    cpu_.Charge(config_.costs.map_update_ns);
+    cpu_.Charge(kCpuCosts.map_update_ns);
     const uint64_t pa = MakePa(device, group, row);
     L2pEntry& cur = l2p_.Mut(oob.lbn);
     bool mapped = false;
@@ -233,7 +235,7 @@ void ZapRaid::CloseRow(int b, WriteTag parity_tag) {
   }
   const uint32_t group = bd.group;
   const uint64_t row = bd.row;
-  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
+  cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / 1024));
   const uint64_t parity = XorParity(std::span<const uint64_t>(
       bd.row_patterns.data(), bd.row_patterns.size()));
   if (bd.parity_dev >= 0 && DeviceWritable(bd.parity_dev)) {
@@ -318,7 +320,7 @@ void ZapRaid::SealGroup(int b) {
 
 void ZapRaid::Enqueue(const std::shared_ptr<GroupIo>& io, int device,
                       ChunkOp op) {
-  cpu_.Charge(config_.costs.scheduler_op_ns);
+  cpu_.Charge(kCpuCosts.scheduler_op_ns);
   io->queues[static_cast<size_t>(device)].q.push_back(std::move(op));
   ++queued_ops_;
   Dispatch(io, device);
@@ -580,27 +582,13 @@ void ZapRaid::MaybeFlushDone() {
 
 void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                           WriteCallback cb, WriteTag tag) {
-  if (lbn + patterns.size() > exposed_blocks_) {
-    cb(OutOfRangeError("zapraid: write beyond exposed capacity"));
+  if (!front_.AdmitWrite(lbn, patterns.size(), tag, cb)) {
     return;
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
-  stats_.user_written_blocks += patterns.size();
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
 
   // Acked once every chunk of the request is durable.
-  auto join = MakeJoin([this, start = sim_->Now(), lbn,
-                        nblocks = patterns.size(),
-                        cb = std::move(cb)](const Status& status) {
-    if (h_write_ != nullptr) {
-      h_write_->Record(sim_->Now() - start);
-    }
-    if (obs_ != nullptr && obs_->tracer.Armed(start)) {
-      obs_->tracer.Record(Tracer::kLaneEngine, span_write_, start,
-                          sim_->Now(), key_lbn_, static_cast<int64_t>(lbn),
-                          key_blocks_, static_cast<int64_t>(nblocks));
-    }
-    cb(status);
-  });
+  auto join = MakeJoin(std::move(cb));
 
   auto pats = std::make_shared<std::vector<uint64_t>>(std::move(patterns));
   auto submit_from = std::make_shared<std::function<void(size_t)>>();
@@ -714,7 +702,7 @@ void ZapRaid::ReconstructChunk(
   if (meta.parity_dev != target) {
     sources.push_back(meta.parity_dev);
   }
-  cpu_.Charge(config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
+  cpu_.Charge(kCpuCosts.parity_xor_ns_per_kib * (kBlockSize / 1024));
 
   auto recon = MakeJoin(uint64_t{0}, [this, group, epoch = grp.epoch,
                                       cb = std::move(cb)](const Status& status,
@@ -741,31 +729,17 @@ void ZapRaid::ReconstructChunk(
 }
 
 void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
-  if (lbn + nblocks > exposed_blocks_) {
-    cb(OutOfRangeError("zapraid: read beyond exposed capacity"), {});
+  if (!front_.AdmitRead(lbn, nblocks, cb)) {
     return;
   }
-  cpu_.Charge(config_.costs.request_overhead_ns);
-  stats_.user_read_blocks += nblocks;
+  cpu_.Charge(kCpuCosts.request_overhead_ns);
 
   // Blocks land independently (some from the pending map, some direct, some
   // reconstructed); the callback fires when the last one resolves.
-  auto join = MakeReadJoin(
-      nblocks, [this, start = sim_->Now(), lbn, cb = std::move(cb)](
-                   const Status& status, std::vector<uint64_t> out) {
-        if (h_read_ != nullptr) {
-          h_read_->Record(sim_->Now() - start);
-        }
-        if (obs_ != nullptr && obs_->tracer.Armed(start)) {
-          obs_->tracer.Record(Tracer::kLaneEngine, span_read_, start,
-                              sim_->Now(), key_lbn_, static_cast<int64_t>(lbn),
-                              key_blocks_, static_cast<int64_t>(out.size()));
-        }
-        cb(status, std::move(out));
-      });
+  auto join = MakeReadJoin(nblocks, std::move(cb));
 
   for (uint64_t i = 0; i < nblocks; ++i) {
-    cpu_.Charge(config_.costs.map_lookup_ns);
+    cpu_.Charge(kCpuCosts.map_lookup_ns);
     const uint64_t cur = lbn + i;
     if (const PendingWrite* pw = pending_.Find(cur)) {
       join->data[i] = pw->pattern;
@@ -1464,16 +1438,11 @@ Status ZapRaid::Recover() {
 void ZapRaid::AttachObservability(Observability* obs) {
   obs_ = obs;
   rebuild_.AttachObservability(obs_);
+  front_.AttachObservability(obs_);
   if (obs_ == nullptr) {
-    h_write_ = nullptr;
-    h_read_ = nullptr;
     return;
   }
   StatRegistry& reg = obs_->registry;
-  reg.RegisterCounter("zapraid.user_written_blocks",
-                      [this] { return stats_.user_written_blocks; });
-  reg.RegisterCounter("zapraid.user_read_blocks",
-                      [this] { return stats_.user_read_blocks; });
   reg.RegisterCounter("zapraid.appended_chunks",
                       [this] { return stats_.appended_chunks; });
   reg.RegisterCounter("zapraid.parity_writes",
@@ -1505,12 +1474,7 @@ void ZapRaid::AttachObservability(Observability* obs) {
   reg.RegisterGauge("zapraid.gc_active", [this] { return gc_active_ ? 1 : 0; });
   reg.RegisterGauge("zapraid.free_groups",
                     [this] { return static_cast<int64_t>(free_groups_); });
-  h_write_ = reg.Histogram("zapraid.write_latency_ns");
-  h_read_ = reg.Histogram("zapraid.read_latency_ns");
-  span_write_ = obs_->tracer.Intern("zapraid.write");
-  span_read_ = obs_->tracer.Intern("zapraid.read");
   span_gc_step_ = obs_->tracer.Intern("zapraid.gc_step");
-  key_lbn_ = obs_->tracer.Intern("lbn");
   key_blocks_ = obs_->tracer.Intern("blocks");
   key_device_ = obs_->tracer.Intern("device");
   key_group_ = obs_->tracer.Intern("group");

@@ -48,6 +48,7 @@
 
 #include "src/common/sparse_array.h"
 #include "src/engines/rebuild.h"
+#include "src/engines/request_front.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
 #include "src/health/read_mitigation.h"
@@ -405,19 +406,15 @@ class ZapRaid : public BlockTarget, private RebuildSweep::Engine {
   uint32_t rebuild_start_wsn_ = 0;
 
   ZapRaidStats stats_;
+  RequestFront front_;
   CpuAccount cpu_;
   DeviceHealthMonitor* health_ = nullptr;
 
   Observability* obs_ = nullptr;
-  uint16_t span_write_ = 0;
-  uint16_t span_read_ = 0;
   uint16_t span_gc_step_ = 0;
-  uint16_t key_lbn_ = 0;
   uint16_t key_blocks_ = 0;
   uint16_t key_device_ = 0;
   uint16_t key_group_ = 0;
-  LatencyHistogram* h_write_ = nullptr;
-  LatencyHistogram* h_read_ = nullptr;
 };
 
 }  // namespace biza

@@ -4,8 +4,6 @@
 
 #include <cstdint>
 
-#include "src/metrics/cpu_account.h"
-
 namespace biza {
 
 struct ZapRaidConfig {
@@ -18,8 +16,6 @@ struct ZapRaidConfig {
   // per-block OOB stripe headers. Use this to attach a new engine instance
   // to devices that already hold data (host crash).
   bool recover_mode = false;
-
-  CpuCostModel costs;
 };
 
 }  // namespace biza

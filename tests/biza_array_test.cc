@@ -111,13 +111,6 @@ TEST(BizaArray, UnwrittenReadsZero) {
   EXPECT_EQ(*r, (std::vector<uint64_t>{0, 0}));
 }
 
-TEST(BizaArray, OutOfRangeRejected) {
-  Fixture f;
-  const uint64_t cap = f.array->capacity_blocks();
-  EXPECT_EQ(f.WriteSync(cap, {1}).code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(f.ReadSync(cap - 1, 2).status().code(), ErrorCode::kOutOfRange);
-}
-
 TEST(BizaArray, RandomWorkloadIntegrity) {
   Fixture f;
   Rng rng(11);

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 
@@ -87,6 +88,45 @@ TEST(Join, ReadFormFillsRunsAndBlocks) {
   join->Done();
   EXPECT_EQ(seen.code(), ErrorCode::kDataLoss);
   EXPECT_EQ(got, (std::vector<uint64_t>{0, 7, 8, 0, 9}));
+}
+
+// ------------------------------------------------------- request front ----
+
+// BIZA, ZapRAID, mdraid and dm-zap admit through one RequestFront: an empty
+// request, or one that runs past the capacity, fails with kOutOfRange.
+TEST(RequestFront, RejectsEmptyAndOutOfRangeRequests) {
+  for (PlatformKind kind : {PlatformKind::kBiza, PlatformKind::kZapRaid,
+                            PlatformKind::kMdraidConv,
+                            PlatformKind::kDmzapRaizn}) {
+    SCOPED_TRACE(PlatformKindName(kind));
+    Simulator sim;
+    PlatformConfig config;
+    config.zns = DevConfig();
+    config.MatchConvCapacity();
+    auto platform = Platform::Create(&sim, kind, config);
+    BlockTarget* t = platform->block();
+    const uint64_t cap = t->capacity_blocks();
+    EXPECT_EQ(BlockWriteSync(&sim, t, cap, {1}).code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(BlockWriteSync(&sim, t, cap - 1, {1, 2}).code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(BlockWriteSync(&sim, t, 0, {}).code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(BlockReadSync(&sim, t, cap - 1, 2).status().code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(BlockReadSync(&sim, t, 0, 0).status().code(),
+              ErrorCode::kOutOfRange);
+    // lbn + nblocks wraps past zero here; it must not read as in range.
+    const uint64_t top = std::numeric_limits<uint64_t>::max();
+    EXPECT_EQ(BlockWriteSync(&sim, t, top, {1}).code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(BlockReadSync(&sim, t, top, 1).status().code(),
+              ErrorCode::kOutOfRange);
+    // The last block is inside.
+    EXPECT_TRUE(BlockWriteSync(&sim, t, cap - 1, {7}).ok());
+    const auto last = BlockReadSync(&sim, t, cap - 1, 1);
+    ASSERT_TRUE(last.ok());
+    EXPECT_EQ((*last)[0], 7u);
+  }
 }
 
 // -------------------------------------------------------------- dm-zap ----

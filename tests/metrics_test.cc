@@ -365,6 +365,117 @@ TEST(ObservabilityNeutrality, AttachedButDarkChangesNothing) {
   EXPECT_GE(dark.fired_events, bare.fired_events);
 }
 
+// ------------------------------------------------------- request front --
+// Each engine counts and times each host request exactly once. Parked
+// remainders, GC and rebuild migrations and reads re-dispatched around a dead
+// member re-enter the engine's request body, never its request front, so the
+// engine's request histograms and user_read_blocks equal what the driver
+// saw complete.
+
+struct FrontCase {
+  PlatformKind kind;
+  const char* engine;  // the registry prefix
+};
+
+class RequestFrontTest : public ::testing::TestWithParam<FrontCase> {
+ protected:
+  // The driver's completed requests, summed over its runs.
+  void Add(const DriverReport& report) {
+    writes_ += report.write_latency.count();
+    reads_ += report.read_latency.count();
+    read_blocks_ += report.bytes_read / kBlockSize;
+  }
+
+  void ExpectEachRequestOnce(const Observability& obs) const {
+    const std::string engine = GetParam().engine;
+    auto samples = [&](const std::string& name) -> uint64_t {
+      const auto it = obs.registry.histograms().find(name);
+      return it == obs.registry.histograms().end() ? 0 : it->second.count();
+    };
+    uint64_t user_read_blocks = 0;
+    for (const StatRegistry::Sample& s : obs.registry.Collect()) {
+      if (*s.name == engine + ".user_read_blocks") {
+        user_read_blocks = s.value;
+      }
+    }
+    EXPECT_GT(writes_, 0u);
+    EXPECT_GT(reads_, 0u);
+    EXPECT_EQ(samples(engine + ".write_latency_ns"), writes_);
+    EXPECT_EQ(samples(engine + ".read_latency_ns"), reads_);
+    EXPECT_EQ(user_read_blocks, read_blocks_);
+  }
+
+ private:
+  uint64_t writes_ = 0;
+  uint64_t reads_ = 0;
+  uint64_t read_blocks_ = 0;
+};
+
+// CI's GC smoke geometry (24 x 4 MiB zones) under the Tencent mix: BIZA
+// parks writes for free zones and GC migrates through gather writes while
+// reads go on. (16 x 1 MiB zones, as in BizaExportsTheSelectorTierMix, are
+// too few flash blocks for ConvSSD's FTL.)
+TEST_P(RequestFrontTest, ParkedWritesAndGcAreNotHostRequests) {
+  Simulator sim;
+  Observability obs;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/24, /*zone_capacity_blocks=*/1024);
+  config.MatchConvCapacity();
+  config.obs = &obs;
+  auto platform = Platform::Create(&sim, GetParam().kind, config);
+  TraceProfile profile = TraceProfile::Tencent();
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 2);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/32);
+  Add(driver.Run(/*max_requests=*/15000, kSecond));
+  platform->Quiesce(&sim);
+  if (GetParam().kind == PlatformKind::kBiza) {
+    EXPECT_GT(platform->biza()->stats().write_stalls, 0u);
+    EXPECT_GT(platform->biza()->stats().gc_runs, 0u);
+  }
+  ExpectEachRequestOnce(obs);
+}
+
+// Member 1 dies 5 ms into a web run, a spare comes in, and a second web run
+// reads and writes while the sweep migrates (the fingerprint rebuild setup).
+TEST_P(RequestFrontTest, RebuildAndRedispatchedReadsAreNotHostRequests) {
+  Simulator sim;
+  Observability obs;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/64, /*zone_capacity_blocks=*/1024);
+  config.MatchConvCapacity();
+  config.faults.Device(1).die_at = 5 * kMillisecond;
+  config.obs = &obs;
+  auto platform = Platform::Create(&sim, GetParam().kind, config);
+  TraceProfile profile = TraceProfile::Web();
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 3);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/16);
+  Add(driver.Run(/*max_requests=*/3000, 60 * kSecond));
+
+  ASSERT_TRUE(platform->ReplaceMember(&sim, 1).ok());
+  profile.seed++;
+  SyntheticTrace foreground_trace(profile);
+  Driver foreground(&sim, platform->block(), &foreground_trace,
+                    /*iodepth=*/16);
+  Add(foreground.Run(/*max_requests=*/3000, 60 * kSecond));
+  sim.RunUntilIdle();
+  EXPECT_GT(platform->rebuild()->chunks_migrated, 0u);
+  EXPECT_NE(platform->rebuild()->finished_ns, 0u);
+  ExpectEachRequestOnce(obs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, RequestFrontTest,
+    ::testing::Values(FrontCase{PlatformKind::kBiza, "biza"},
+                      FrontCase{PlatformKind::kZapRaid, "zapraid"},
+                      FrontCase{PlatformKind::kMdraidConv, "mdraid"}),
+    [](const auto& param_info) {
+      return std::string(param_info.param.engine);
+    });
+
 // The record line is what tools/run_benches.sh and tools/check_bench.py
 // read: the prefix, "kind" first, and each number at the precision its
 // field has in BENCH_sim.json (a %.1f MB/s keeps its ".0", a %.0f rate has

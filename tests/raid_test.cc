@@ -270,6 +270,69 @@ TEST(Geometry, Raid6ParityPairsAreDistinct) {
   }
 }
 
+// The per-call loops DataDrive and DataSlotOf used before their closed
+// forms: mark the parity drives, then count the others in ascending order.
+int ReferenceDataDrive(const StripeGeometry& g, uint64_t stripe, int d) {
+  std::vector<bool> is_parity(static_cast<size_t>(g.num_drives), false);
+  for (int p = 0; p < g.num_parity; ++p) {
+    is_parity[static_cast<size_t>(g.ParityDrive(stripe, p))] = true;
+  }
+  int seen = 0;
+  for (int drive = 0; drive < g.num_drives; ++drive) {
+    if (is_parity[static_cast<size_t>(drive)]) {
+      continue;
+    }
+    if (seen == d) {
+      return drive;
+    }
+    seen++;
+  }
+  return -1;
+}
+
+int ReferenceDataSlotOf(const StripeGeometry& g, uint64_t stripe,
+                        int drive) {
+  auto is_parity = [&](int d) {
+    for (int p = 0; p < g.num_parity; ++p) {
+      if (g.ParityDrive(stripe, p) == d) {
+        return true;
+      }
+    }
+    return false;
+  };
+  if (is_parity(drive)) {
+    return -1;
+  }
+  int slot = 0;
+  for (int d = 0; d < drive; ++d) {
+    if (!is_parity(d)) {
+      slot++;
+    }
+  }
+  return slot;
+}
+
+TEST(Geometry, ClosedFormsMatchTheReferenceLoops) {
+  for (int n = 3; n <= 8; ++n) {
+    for (int m = 1; m <= 3 && m < n; ++m) {
+      StripeGeometry g;
+      g.num_drives = n;
+      g.num_parity = m;
+      for (uint64_t s = 0; s < 3 * static_cast<uint64_t>(n); ++s) {
+        for (int d = 0; d < g.data_per_stripe(); ++d) {
+          EXPECT_EQ(g.DataDrive(s, d), ReferenceDataDrive(g, s, d))
+              << "n=" << n << " m=" << m << " stripe " << s << " slot " << d;
+        }
+        for (int drive = 0; drive < n; ++drive) {
+          EXPECT_EQ(g.DataSlotOf(s, drive), ReferenceDataSlotOf(g, s, drive))
+              << "n=" << n << " m=" << m << " stripe " << s << " drive "
+              << drive;
+        }
+      }
+    }
+  }
+}
+
 TEST(Geometry, LocateMapsBlocks) {
   StripeGeometry g;
   g.num_drives = 4;

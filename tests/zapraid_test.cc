@@ -141,18 +141,6 @@ TEST(ZapRaid, UnwrittenReadsZero) {
   EXPECT_EQ((*r)[2], 0u);
 }
 
-TEST(ZapRaid, OutOfRangeRejected) {
-  Fixture f;
-  const uint64_t cap = f.array->capacity_blocks();
-  EXPECT_FALSE(f.WriteSync(cap, {1}).ok());
-  Status status = OkStatus();
-  f.array->SubmitRead(cap - 1, 2, [&](const Status& s, std::vector<uint64_t>) {
-    status = s;
-  });
-  f.sim.RunUntilIdle();
-  EXPECT_FALSE(status.ok());
-}
-
 TEST(ZapRaid, RandomWorkloadIntegrity) {
   Fixture f;
   Rng rng(11);

@@ -97,7 +97,8 @@
 //   --stats             dump final counter/gauge values and print a
 //                       histograms record ("BENCH_RECORD
 //                       {"kind":"histograms",...}") with per-histogram
-//                       p50/p99/p99.9/max.
+//                       count and p50/p99/p99.9/max, plus the driver's
+//                       completed "writes" and "reads" (seed 0).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -1056,6 +1057,8 @@ int main(int argc, char** argv) {
                 results[0].stats_text.c_str());
     BenchRecord("histograms")
         .Json("histograms", results[0].histograms_json)
+        .Int("writes", results[0].report.write_latency.count())
+        .Int("reads", results[0].report.read_latency.count())
         .Print();
   }
   if (stranded > 0) {

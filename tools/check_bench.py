@@ -10,12 +10,14 @@ output to a file and names the rule set that applies to it:
     tools/check_bench.py nvme_frontend nvme_frontend.out
     tools/check_bench.py hostbuf_endurance hostbuf.out
     tools/check_bench.py full_geometry fullgeo.out
+    tools/check_bench.py engine_requests afa_bench_stats.out
 
 Exits 0 when every rule holds, 1 with the first broken rule otherwise, and 2
 on a usage error. Stdlib only.
 """
 
 import json
+import re
 import sys
 
 PREFIX = "BENCH_RECORD "
@@ -116,12 +118,41 @@ def full_geometry(records):
     print(f"full-geometry peak RSS: {rss} MiB")
 
 
+ENGINE_HISTOGRAM = re.compile(r"^([a-z]+)\.(write|read)_latency_ns$")
+
+
+def engine_requests(records):
+    """Each engine times each host request exactly once.
+
+    Needs an afa_bench --stats run whose driver is the engine's only client
+    (no prefill, host buffer or tenants): every `<engine>.write_latency_ns`
+    and `<engine>.read_latency_ns` count must equal the driver's completed
+    writes and reads in the same histograms record.
+    """
+    rows = of_kind(records, "histograms")
+    require(len(rows) == 1, f"expected one histograms record, got {len(rows)}")
+    row = rows[0]
+    completed = {"write": row["writes"], "read": row["reads"]}
+    engines = {m.group(1) for m in map(ENGINE_HISTOGRAM.match,
+                                       row["histograms"]) if m}
+    require(engines, "no <engine>.{write,read}_latency_ns histogram")
+    for engine in sorted(engines):
+        for kind, done in completed.items():
+            name = f"{engine}.{kind}_latency_ns"
+            samples = row["histograms"].get(name, {}).get("count", 0)
+            require(samples == done, f"{name}: {samples} samples for {done} "
+                    f"completed {kind}s")
+        print(f"{engine}: {completed['write']} writes, "
+              f"{completed['read']} reads, each timed once")
+
+
 CHECKS = {
     "tenant_isolation": tenant_isolation,
     "three_engine": three_engine,
     "nvme_frontend": nvme_frontend,
     "hostbuf_endurance": hostbuf_endurance,
     "full_geometry": full_geometry,
+    "engine_requests": engine_requests,
 }
 
 

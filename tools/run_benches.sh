@@ -74,7 +74,7 @@ run afa_bench_stats "${build_dir}/tools/afa_bench" --platform=BIZA \
   --workload=casa --requests=20000 --seconds=1 --stats
 if [[ "${quick}" -eq 0 ]]; then
   run afa_fullgeo "${build_dir}/tools/afa_bench" --platform=BIZA \
-    --workload=casa --full-geometry --requests=100000 --seconds=1 \
+    --workload=casa --full-geometry --requests=600000 --seconds=10 \
     --bench-metric=afa_fullgeo
 fi
 
